@@ -11,21 +11,22 @@ nothing about a distance-3 codeword.
 
 The interceptor decodes with a guessed pattern exactly as a legitimate
 receiver would (syndrome, correction, logical readout) and retransmits a
-fresh codeword of her measured bit under that same pattern.
+fresh codeword of her measured bit under that same pattern.  The session
+basis is assumed known to her; only the pattern is secret.
+
+This module holds the parameters of these models; the session engine
+(``protocol``) draws their events from exact probabilities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from . import code5
-from .patterns import Pattern, PatternSet, all_patterns, sets_sharing
-from .quantum_core import apply_pauli_string, apply_permutation
-
-_PAULI_LETTERS = ("X", "Y", "Z")
+from .patterns import Pattern, PatternSet, sets_sharing
 
 UNIFORM_KNOWLEDGE = "uniform"
 
@@ -53,6 +54,9 @@ class NoiseModel:
     mean_photon_number: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("per_qubit_flip_prob", "distance_km", "loss_db_per_km", "mean_photon_number"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.per_qubit_flip_prob <= 1.0:
             raise ValueError(f"per_qubit_flip_prob must be in [0,1], got {self.per_qubit_flip_prob}")
         if self.distance_km < 0.0:
@@ -107,75 +111,6 @@ class EveRecord:
     guessed_pattern: Pattern
     eve_bit: int
     acted: bool = True
-
-
-def apply_depolarizing(
-    state: np.ndarray, p: float, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Depolarize each qubit independently with total error probability p.
-
-    Returns the resulting state and the number of qubits hit.  The weight
-    is diagnostic only; protocol parties never see it.  Draw order: one
-    uniform per qubit 1..5, plus one choice draw per qubit that errs.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability must be in [0,1], got {p}")
-    weight = 0
-    for qubit in range(1, 6):
-        if rng.random() < p:
-            letter = _PAULI_LETTERS[int(rng.integers(0, 3))]
-            label = "I" * (qubit - 1) + letter + "I" * (5 - qubit)
-            state = apply_pauli_string(state, label)
-            weight += 1
-    return state, weight
-
-
-def sample_block_loss(model: NoiseModel, rng: np.random.Generator) -> bool:
-    """True if the block is lost: any of its five photons fails to survive.
-
-    Consumes exactly five uniform draws regardless of the outcome.
-    """
-    survival = model.photon_survival_prob
-    draws = rng.random(5)
-    return bool(np.any(draws >= survival))
-
-
-def sample_photon_numbers(mu: float, rng: np.random.Generator) -> np.ndarray:
-    """Photon counts for the block's five pulses, i.i.d. Poisson(mu)."""
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    return rng.poisson(mu, size=5)
-
-
-def pns_leak_event(photon_counts: np.ndarray) -> bool:
-    """True when >= 3 of the 5 pulses are multi-photon (count >= 2)."""
-    return int(np.sum(np.asarray(photon_counts) >= 2)) >= 3
-
-
-def eve_apply(
-    strategy: EveStrategy,
-    state: np.ndarray,
-    rng: np.random.Generator,
-    basis: str = "Z",
-) -> tuple[np.ndarray, Optional[EveRecord]]:
-    """Run the eavesdropper on one in-flight block.
-
-    ``none`` passes the state through untouched.  ``intercept_resend``
-    picks a pattern (uniform over her two guessed patterns, or over all
-    120), decodes the block with it, and retransmits a fresh codeword of
-    the measured bit under the same pattern.  The session basis is assumed
-    known to her; only the pattern is secret.
-    """
-    if not strategy.active:
-        return state, None
-    if strategy.knowledge == UNIFORM_KNOWLEDGE:
-        table = all_patterns()
-        guess = table[int(rng.integers(0, len(table)))]
-    else:
-        guess = strategy.knowledge.members()[int(rng.integers(0, 2))]
-    eve_bit, _ = code5.decode_block(state, guess, rng, basis=basis)
-    resent = apply_permutation(code5.encode_logical(eve_bit, basis=basis), guess)
-    return resent, EveRecord(guessed_pattern=guess, eve_bit=eve_bit)
 
 
 def guessed_set_with_overlap(

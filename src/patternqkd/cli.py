@@ -30,6 +30,7 @@ from .protocol import (
     DECISION_CONTINUE,
     SessionConfig,
     SessionReport,
+    check_master_seed,
     run_session,
     sample_secret_set,
     session_rng,
@@ -125,6 +126,11 @@ def build_session_config(
         else _parse_typed(values, "mqer_threshold", float, 0.10)
     )
     basis = _parse_typed(values, "logical_basis", str, "Z")
+    try:
+        # The secret set and the guessed set below are drawn from the seed.
+        check_master_seed(master_seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     if "secret_set" in values:
         try:
@@ -210,6 +216,8 @@ def _fmt(value: float) -> str:
 
 def format_records(records: Sequence[BlockRecord]) -> str:
     """Line-delimited block records in the documented column order."""
+    syndromes = [code5.syndrome_bits(s) for s in range(code5.N_SYNDROMES)]
+    pattern_names = {p: str(p) for p in all_patterns()}
     lines = [RECORDS_HEADER]
     for r in records:
         lines.append(" ".join((
@@ -218,9 +226,9 @@ def format_records(records: Sequence[BlockRecord]) -> str:
             str(r.alice_pattern_index),
             str(r.bob_pattern_index),
             "1" if r.lost else "0",
-            code5.syndrome_bits(r.syndrome) if r.syndrome is not None else "-",
+            syndromes[r.syndrome] if r.syndrome is not None else "-",
             str(r.bob_bit) if r.bob_bit is not None else "-",
-            str(r.eve.guessed_pattern) if r.eve is not None else "-",
+            pattern_names[r.eve.guessed_pattern] if r.eve is not None else "-",
             str(r.eve.eve_bit) if r.eve is not None else "-",
             "1" if r.sifted else "0",
             "1" if r.disclosed_for_test else "0",

@@ -16,6 +16,12 @@ and the four bits are packed most-significant-first into a value 0..15.
 
 Global phase is ignored throughout; state comparisons elsewhere should use
 ``|<a|b>| -> 1``.
+
+Because every block the protocol decodes is a stabilizer state, each decode
+outcome has an exact probability.  ``decode_table`` holds them for every
+relative wire permutation, and ``frame_outcome_sources`` says how a Pauli
+error in the decoder's frame relabels those outcomes; together they replace
+statevector decoding in the session engine.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .patterns import Pattern, invert
+from .patterns import Pattern, all_patterns, invert
 from .quantum_core import (
     DIM,
     SQRT_HALF,
@@ -92,7 +98,8 @@ def _codeword(bit: int) -> np.ndarray:
     for generator in STABILIZER_GENERATORS:
         state = (state + apply_pauli_string(state, generator)) / 2.0
     norm = float(np.linalg.norm(state))
-    assert norm > 1e-12, "projection annihilated the codeword seed"
+    if norm <= 1e-12:
+        raise ArithmeticError("projection annihilated the codeword seed")
     state = state / norm
     state.setflags(write=False)
     return state
@@ -129,7 +136,8 @@ def _measure_pauli(
     else:
         minus = (state - reflected) / 2.0
         outcome, post, prob = 1, minus, float(np.real(np.vdot(minus, minus)))
-    assert prob > 1e-12, f"measured {label} into a zero-probability branch"
+    if prob <= 1e-12:
+        raise ArithmeticError(f"measured {label} into a zero-probability branch")
     return outcome, post / math.sqrt(prob)
 
 
@@ -158,17 +166,19 @@ def correct(state: np.ndarray, syndrome: int) -> np.ndarray:
     return apply_pauli_string(state, label)
 
 
+def _logical_label(basis: str) -> str:
+    if basis == "Z":
+        return LOGICAL_Z
+    if basis == "X":
+        return LOGICAL_X
+    raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+
+
 def measure_logical(
     state: np.ndarray, rng: np.random.Generator, basis: str = "Z"
 ) -> int:
     """Measure the logical operator (Z_L or X_L); returns the logical bit."""
-    if basis == "Z":
-        label = LOGICAL_Z
-    elif basis == "X":
-        label = LOGICAL_X
-    else:
-        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    outcome, _ = _measure_pauli(state, label, rng)
+    outcome, _ = _measure_pauli(state, _logical_label(basis), rng)
     return outcome
 
 
@@ -240,3 +250,87 @@ def decode_distribution(
                 key = (syndrome, bit)
                 distribution[key] = distribution.get(key, 0.0) + prob * p_bit
     return distribution
+
+
+def pauli_masks(label: str) -> tuple[int, int]:
+    """The (x, z) bit masks of a Pauli string; qubit 1 is bit 4, as in state indices."""
+    x = z = 0
+    for ch in label:
+        x, z = (x << 1) | (ch in "XY"), (z << 1) | (ch in "ZY")
+    return x, z
+
+
+_PARITY = np.array([bin(v).count("1") & 1 for v in range(DIM)], dtype=np.int64)
+
+
+def _anticommute(x1, z1, x2, z2):
+    """1 where the Paulis (x1, z1) and (x2, z2) anticommute, else 0."""
+    return _PARITY[(x1 & z2) ^ (z1 & x2)]
+
+
+def _recovery_masks() -> np.ndarray:
+    """(x, z) masks of every syndrome's recovery Pauli, indexed by syndrome."""
+    return np.array([pauli_masks(correction_table()[s]) for s in range(N_SYNDROMES)]).T
+
+
+@lru_cache(maxsize=2)
+def decode_table(basis: str = "Z") -> np.ndarray:
+    """Exact decode distributions of every relative permutation, as one array.
+
+    ``table[r, b, 2*s + c]`` is the probability that a codeword of bit ``b``,
+    wire-permuted by ``all_patterns()[r]`` (the decoder's pattern inverted,
+    composed with the sender's), decodes to syndrome ``s`` and bit ``c``.
+    That probability is ``|<E_s c_L | r.b_L>|^2`` with ``E_s`` the recovery
+    for ``s``; the 32 vectors ``E_s|c_L>`` are an orthonormal basis, so one
+    (240x32)(32x32) product gives every row.  Equals
+    :func:`decode_distribution` entry for entry.  Built on first use.
+
+    The product is taken in integers, so every entry is an exact fraction
+    (0, 1/16, 1/4 or 1) and sums of entries are exact too: the codeword
+    amplitudes are 0 or +-a for one a per basis, and ``E_s`` acts on the
+    scaled codewords as an index flip with signs (its phase drops out).
+    """
+    logical = np.array([encode_logical(bit, basis) for bit in (0, 1)])
+    unit = np.abs(logical[logical != 0]).min()
+    scaled = np.rint(logical.real / unit).astype(np.int64)
+    if not np.allclose(scaled * unit, logical):
+        raise ArithmeticError("codeword amplitudes are not multiples of one value")
+    # (X^x Z^z v)[j] = (-1)^|(j ^ x) & z| v[j ^ x]
+    x, z = _recovery_masks()
+    source = np.arange(DIM) ^ x[:, None]
+    signs = 1 - 2 * _PARITY[source & z[:, None]]
+    outcomes = (signs[:, None, :] * scaled[:, source].transpose(1, 0, 2)).reshape(DIM, DIM)
+    # apply_permutation(v, p) == v[gather] with gather = apply_permutation(arange, p)
+    gathers = np.array([apply_permutation(np.arange(DIM), p) for p in all_patterns()])
+    sent = scaled[:, gathers].transpose(1, 0, 2)
+    norm = np.sum(scaled[0] ** 2)
+    table = (sent @ outcomes.T) ** 2 / norm**2
+    table.setflags(write=False)
+    return table
+
+
+def frame_outcome_sources(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.ndarray:
+    """How a Pauli frame relabels decode outcomes, one row per frame.
+
+    ``x`` and ``z`` are the masks (see :func:`pauli_masks`) of a Pauli ``E``
+    in the decoder's frame, i.e. on the wires after un-permuting.  A
+    decoder that would see outcome ``(s, c)`` on the undisturbed state sees
+    ``(s ^ syn(E), c ^ f)`` on ``E`` times it, where ``f`` is 1 iff
+    ``C(s ^ syn(E)) E C(s)`` anticommutes with the logical read out.  The
+    returned ``src[n, 2*s' + c']`` is the undisturbed outcome ``2*s + c``
+    that becomes ``(s', c')`` under frame ``n``, so the disturbed
+    distribution is the undisturbed row gathered at ``src``.
+    """
+    x = np.asarray(x, dtype=np.int64)[:, None]
+    z = np.asarray(z, dtype=np.int64)[:, None]
+    syndrome = np.zeros_like(x)
+    for generator in STABILIZER_GENERATORS:
+        gx, gz = pauli_masks(generator)
+        syndrome = (syndrome << 1) | _anticommute(x, z, gx, gz)
+    cx, cz = _recovery_masks()
+    seen = np.arange(N_SYNDROMES)
+    before = seen ^ syndrome
+    lx, lz = pauli_masks(_logical_label(basis))
+    flip = _anticommute(cx[before] ^ x ^ cx[seen], cz[before] ^ z ^ cz[seen], lx, lz)
+    sources = 2 * before[:, :, None] + (np.arange(2) ^ flip[:, :, None])
+    return sources.reshape(len(x), 2 * N_SYNDROMES)

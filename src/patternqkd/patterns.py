@@ -124,6 +124,28 @@ def invert(p: Pattern) -> Pattern:
     return Pattern(tuple(inverse))
 
 
+_BASE5 = 5 ** np.arange(len(POSITIONS) - 1, -1, -1)
+
+
+@lru_cache(maxsize=1)
+def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pattern's one-line notation (0-based), its inverse's, and the
+    lookup from one-line notation read as a base-5 number to the index."""
+    maps = np.array([p.mapping for p in all_patterns()]) - 1
+    index = np.zeros(5 ** len(POSITIONS), dtype=np.int64)
+    index[maps @ _BASE5] = np.arange(len(maps))
+    return maps, np.argsort(maps, axis=1), index
+
+
+def relative_index(decoder: np.ndarray, sender: np.ndarray) -> np.ndarray:
+    """Index of ``compose(invert(d), e)`` for each pair of pattern indices
+    (into :func:`all_patterns`) in the two arrays: the relative permutation
+    that a decoder holding pattern d sees on a block sent under pattern e."""
+    maps, inverse, index = _pattern_arrays()
+    decoder = np.asarray(decoder)
+    return index[inverse[decoder[..., None], maps[sender]] @ _BASE5]
+
+
 @lru_cache(maxsize=1)
 def valid_pattern_sets() -> tuple[PatternSet, ...]:
     """All 6540 unordered pattern pairs at distance >= 3, in lexicographic

@@ -9,70 +9,92 @@ multi-qubit error rate (MQER), the fraction of disclosed bits whose
 corrected logical value disagrees with Alice's.  The session continues
 only if the estimate is strictly below the configured threshold.
 
-Reproducibility contract: every block derives private random streams
-(Alice, Eve, channel, photon statistics, Bob) from
-``(master_seed, block_id)``, and the per-block draw order is pinned:
+Engine: the block pipeline is a stabilizer process, so no statevector is
+built.  Each decode draws its (syndrome, bit) outcome from the exact tables
+of ``code5.decode_table``, picked by the relative permutation between the
+decoder's and the sender's pattern and by the bit sent; depolarizing noise
+reaches Bob's decode as a Pauli frame that relabels the outcomes
+(``code5.frame_outcome_sources``).  Blocks are simulated in numpy batches.
 
-    Alice:   bit, pattern index
-    Eve:     pattern pick, 4 syndrome draws, 1 logical draw (when active)
-    channel: 5 depolarizing uniforms (+1 choice draw per errored qubit),
-             then 5 loss uniforms
-    photons: 5 Poisson draws (only when mean photon number > 0)
-    Bob:     pattern index, then 4 syndrome draws and 1 logical draw
-             (only when the block arrived)
+Reproducibility contract: all block randomness comes from one Philox4x64
+stream, ``numpy.random.Philox(SeedSequence(master_seed, spawn_key=(0,)))``.
+Block i owns the 64-bit words ``[20*i, 20*i + 20)`` of its raw output,
+whatever the batch size, so a record depends on ``(master_seed, block_id)``
+alone.  With ``u(w) = (w >> 11) * 2**-53`` and ``bit(w) = w >> 63``, word k
+of a block means (every word is drawn, used or not):
 
-Two runs with the same config are therefore bitwise identical, independent
-of scheduling, and blocks may be computed in parallel.
+    0      Alice's bit: bit(w)
+    1      Alice's pattern index: bit(w)
+    2      Bob's pattern index: bit(w)
+    3      interceptor's guess: all_patterns()[(w >> 11) * 120 >> 53] for a
+           uniform guess, member bit(w) of the guessed set otherwise
+    4      interceptor's decode outcome
+    5      Bob's decode outcome
+    6      loss: the block is lost iff u(w) >= photon_survival_prob ** 5
+    7-11   depolarizing on physical wire 1..5, with v = u(w): X if v < p / 3,
+           Y if p / 3 <= v < 2 * p / 3, Z if 2 * p / 3 <= v < p
+    12-16  pulse 1..5 is multi-photon iff u(w) < multiphoton_prob(mu); the
+           block is a splitting-attack leak iff at least three are
+    17-19  unused
+
+A decode outcome is the first (syndrome s, bit c), in the order of 2s + c,
+whose cumulative exact probability for the state the decoder holds exceeds
+u(w).  Session-level draws (the disclosed test subset, a seed-drawn secret
+set or guessed set) come from ``session_rng`` streams, disjoint from the
+block stream.  Two runs with the same config are therefore bitwise
+identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import code5
-from .channel import (
-    EveRecord,
-    EveStrategy,
-    NoiseModel,
-    apply_depolarizing,
-    eve_apply,
-    pns_leak_event,
-    sample_block_loss,
-    sample_photon_numbers,
-)
-from .patterns import PatternSet
-from .quantum_core import apply_permutation
+from .analysis import multiphoton_prob
+from .channel import EveRecord, EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
+from .patterns import POSITIONS, PatternSet, all_patterns, invert, relative_index
 
 DECISION_CONTINUE = "continue"
 DECISION_ABORT = "abort"
 
-# Stream-derivation domains: blocks use (BLOCK, block_id, channel),
-# session-level draws use (SESSION, purpose, 0).
+# Stream-derivation domains: the block stream uses (BLOCK,), session-level
+# draws use (SESSION, purpose, 0).
 _DOMAIN_BLOCK = 0
 _DOMAIN_SESSION = 1
-
-_CH_ALICE = 0
-_CH_EVE = 1
-_CH_CHANNEL = 2
-_CH_BOB = 3
-_CH_PHOTONS = 4
 
 _SESSION_TEST_SUBSET = 0
 _SESSION_SECRET_SET = 1
 
+# The per-block word layout of the module docstring.  A multiple of 4, so
+# that Philox.advance (4 words per step) reaches any block.
+WORDS_PER_BLOCK = 20
+_W_ALICE_BIT = 0
+_W_ALICE_PATTERN = 1
+_W_BOB_PATTERN = 2
+_W_EVE_GUESS = 3
+_W_EVE_DECODE = 4
+_W_BOB_DECODE = 5
+_W_LOSS = 6
+_W_NOISE = slice(7, 12)
+_W_PULSES = slice(12, 17)
 
-def block_rng(master_seed: int, block_id: int, channel: int) -> np.random.Generator:
-    """Private random stream for one (block, role) pair."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_BLOCK, block_id, channel))
-    return np.random.default_rng(seq)
+# Blocks per batch.  It bounds the working arrays; records do not depend on it.
+_BATCH_BLOCKS = 1024
+
+
+def check_master_seed(master_seed: int) -> None:
+    """Raise ValueError unless ``master_seed`` is an unsigned 64-bit integer."""
+    if not 0 <= master_seed < 2**64:
+        raise ValueError("master_seed must be an unsigned 64-bit integer")
 
 
 def session_rng(master_seed: int, purpose: int) -> np.random.Generator:
-    """Session-level stream, disjoint from every block stream."""
+    """Session-level stream, disjoint from the block stream."""
     seq = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_SESSION, purpose, 0))
     return np.random.default_rng(seq)
 
@@ -101,11 +123,10 @@ class SessionConfig:
             raise ValueError(f"mqer_threshold must be in [0,1], got {self.mqer_threshold}")
         if self.logical_basis not in ("Z", "X"):
             raise ValueError(f"logical_basis must be 'Z' or 'X', got {self.logical_basis!r}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must be an unsigned 64-bit integer")
+        check_master_seed(self.master_seed)
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockRecord:
     """Everything that happened to one transmitted block."""
 
@@ -139,52 +160,113 @@ class SessionReport:
     pns_leak_blocks: int
 
 
-def run_block(config: SessionConfig, block_id: int) -> BlockRecord:
-    """Simulate one block end to end; deterministic in (master_seed, block_id)."""
-    seed = config.master_seed
-    basis = config.logical_basis
+def _block_words(master_seed: int, first: int, count: int) -> np.ndarray:
+    """The words of blocks ``first .. first + count - 1``, one row per block."""
+    stream = np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_BLOCK,)))
+    stream.advance(first * WORDS_PER_BLOCK // 4)
+    return stream.random_raw(count * WORDS_PER_BLOCK).reshape(count, WORDS_PER_BLOCK)
 
-    rng_alice = block_rng(seed, block_id, _CH_ALICE)
-    alice_bit = int(rng_alice.integers(0, 2))
-    alice_idx = int(rng_alice.integers(0, 2))
-    alice_pattern = config.secret_set.members()[alice_idx]
-    state = apply_permutation(code5.encode_logical(alice_bit, basis=basis), alice_pattern)
 
-    eve_record: Optional[EveRecord] = None
+def _uniform(words: np.ndarray) -> np.ndarray:
+    return (words >> 11) * 2.0**-53
+
+
+def _bit(words: np.ndarray) -> np.ndarray:
+    return (words >> 63).astype(np.int64)
+
+
+def _draw_outcomes(probabilities: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per row, the first outcome whose cumulative probability exceeds u(word).
+
+    Exact: the table entries are multiples of 1/16, so their running sums
+    carry no rounding.
+    """
+    return np.sum(np.cumsum(probabilities, axis=1) <= _uniform(words)[:, None], axis=1)
+
+
+def _noise_frames(
+    words: np.ndarray, p: float, secret_set: PatternSet, bob_pattern: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) masks of the depolarizing errors, moved into Bob's decoder frame."""
+    v = _uniform(words)
+    x = (v < 2 * p / 3).astype(np.int64)
+    z = ((v >= p / 3) & (v < p)).astype(np.int64)
+    # Un-permuting with q moves physical wire j to position q^-1(j), whose
+    # mask bit is 5 - q^-1(j).
+    shifts = np.array([[5 - invert(q)(j) for j in POSITIONS] for q in secret_set.members()])
+    shifts = shifts[bob_pattern]
+    return np.sum(x << shifts, axis=1), np.sum(z << shifts, axis=1)
+
+
+@lru_cache(maxsize=1)
+def _intercept_records() -> tuple[EveRecord, ...]:
+    """Entry ``2 * g + b``: the (immutable) record of guess ``all_patterns()[g]``, bit ``b``."""
+    return tuple(EveRecord(pattern, bit) for pattern in all_patterns() for bit in (0, 1))
+
+
+def _simulate(config: SessionConfig, first: int, count: int) -> list[BlockRecord]:
+    """Records of blocks ``first .. first + count - 1`` (none disclosed yet)."""
+    words = _block_words(config.master_seed, first, count)
+    table = code5.decode_table(config.logical_basis)
+    members = np.array([all_patterns().index(p) for p in config.secret_set.members()])
+    alice_bit = _bit(words[:, _W_ALICE_BIT])
+    alice_pattern = _bit(words[:, _W_ALICE_PATTERN])
+    bob_pattern = _bit(words[:, _W_BOB_PATTERN])
+    sender, sent_bit = members[alice_pattern], alice_bit
+
+    intercepts = [None] * count
     if config.eve.active:
-        rng_eve = block_rng(seed, block_id, _CH_EVE)
-        state, eve_record = eve_apply(config.eve, state, rng_eve, basis=basis)
+        if config.eve.knowledge == UNIFORM_KNOWLEDGE:
+            guess = ((words[:, _W_EVE_GUESS] >> 11) * len(all_patterns()) >> 53).astype(np.int64)
+        else:
+            guessed = np.array([all_patterns().index(p) for p in config.eve.knowledge.members()])
+            guess = guessed[_bit(words[:, _W_EVE_GUESS])]
+        heard = _draw_outcomes(table[relative_index(guess, sender), sent_bit], words[:, _W_EVE_DECODE]) & 1
+        sender, sent_bit = guess, heard
+        eve_records = _intercept_records()
+        intercepts = [eve_records[k] for k in (2 * guess + heard).tolist()]
 
-    rng_channel = block_rng(seed, block_id, _CH_CHANNEL)
-    state, _ = apply_depolarizing(state, config.noise.per_qubit_flip_prob, rng_channel)
-    lost = sample_block_loss(config.noise, rng_channel)
+    rows = table[relative_index(members[bob_pattern], sender), sent_bit]
+    p = config.noise.per_qubit_flip_prob
+    if p > 0.0:
+        x, z = _noise_frames(words[:, _W_NOISE], p, config.secret_set, bob_pattern)
+        rows = np.take_along_axis(rows, code5.frame_outcome_sources(x, z, config.logical_basis), axis=1)
+    bob_outcome = _draw_outcomes(rows, words[:, _W_BOB_DECODE])
+    lost = _uniform(words[:, _W_LOSS]) >= config.noise.photon_survival_prob ** 5
+    multiphoton = _uniform(words[:, _W_PULSES]) < multiphoton_prob(config.noise.mean_photon_number)
+    leak = np.sum(multiphoton, axis=1) >= 3
 
-    leak = False
-    if config.noise.mean_photon_number > 0.0:
-        rng_photons = block_rng(seed, block_id, _CH_PHOTONS)
-        counts = sample_photon_numbers(config.noise.mean_photon_number, rng_photons)
-        leak = pns_leak_event(counts)
-
-    rng_bob = block_rng(seed, block_id, _CH_BOB)
-    bob_idx = int(rng_bob.integers(0, 2))
-    syndrome: Optional[int] = None
-    bob_bit: Optional[int] = None
-    if not lost:
-        bob_pattern = config.secret_set.members()[bob_idx]
-        bob_bit, syndrome = code5.decode_block(state, bob_pattern, rng_bob, basis=basis)
-
-    return BlockRecord(
-        block_id=block_id,
-        alice_bit=alice_bit,
-        alice_pattern_index=alice_idx,
-        bob_pattern_index=bob_idx,
-        lost=lost,
-        syndrome=syndrome,
-        bob_bit=bob_bit,
-        eve=None if lost else eve_record,
-        sifted=(not lost) and alice_idx == bob_idx,
-        pns_leak=leak,
+    sifted = ~lost & (alice_pattern == bob_pattern)
+    records = []
+    columns = zip(
+        alice_bit.tolist(), alice_pattern.tolist(), bob_pattern.tolist(), lost.tolist(),
+        (bob_outcome >> 1).tolist(), (bob_outcome & 1).tolist(), intercepts, sifted.tolist(), leak.tolist(),
     )
+    for block_id, (a_bit, a_idx, b_idx, is_lost, syndrome, b_bit, intercept, is_sifted, is_leak) in enumerate(
+        columns, start=first
+    ):
+        if is_lost:
+            syndrome = b_bit = intercept = None
+        records.append(BlockRecord(
+            block_id=block_id,
+            alice_bit=a_bit,
+            alice_pattern_index=a_idx,
+            bob_pattern_index=b_idx,
+            lost=is_lost,
+            syndrome=syndrome,
+            bob_bit=b_bit,
+            eve=intercept,
+            sifted=is_sifted,
+            pns_leak=is_leak,
+        ))
+    return records
+
+
+def run_block(config: SessionConfig, block_id: int) -> BlockRecord:
+    """Simulate one block: the record ``run_session`` gives it, before disclosure."""
+    if block_id < 0:
+        raise ValueError(f"block_id must be >= 0, got {block_id}")
+    return _simulate(config, block_id, 1)[0]
 
 
 def sift(records: list[BlockRecord]) -> list[BlockRecord]:
@@ -230,7 +312,9 @@ def decide(mqer: float, threshold: float) -> str:
 
 def run_session(config: SessionConfig) -> tuple[SessionReport, list[BlockRecord]]:
     """Run the whole session: blocks, sifting, estimation, decision, key."""
-    records = [run_block(config, block_id) for block_id in range(config.num_blocks)]
+    records: list[BlockRecord] = []
+    for first in range(0, config.num_blocks, _BATCH_BLOCKS):
+        records += _simulate(config, first, min(_BATCH_BLOCKS, config.num_blocks - first))
 
     sifted = sift(records)
     rng_test = session_rng(config.master_seed, _SESSION_TEST_SUBSET)

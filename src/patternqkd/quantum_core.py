@@ -182,7 +182,8 @@ def measure_qubit(
     prob_one = float(np.sum(np.abs(state[bits == 1]) ** 2))
     outcome = 1 if rng.random() < prob_one else 0
     prob = prob_one if outcome == 1 else 1.0 - prob_one
-    assert prob > 1e-12, "sampled a branch with vanishing probability"
+    if prob <= 1e-12:
+        raise ArithmeticError("sampled a branch with vanishing probability")
     post = np.where(bits == outcome, state, 0.0)
     return outcome, post / math.sqrt(prob)
 

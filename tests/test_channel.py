@@ -1,24 +1,35 @@
-"""Noise models, loss, photon statistics, and eavesdropper strategies."""
+"""Noise models, loss, photon statistics, and eavesdropper strategies.
+
+The session engine in ``protocol`` draws every channel event, so the
+behaviour of each model is checked on the sessions and frames it produces.
+"""
 
 import math
 
 import numpy as np
 import pytest
-from helpers import random_state
 
-from patternqkd import code5
-from patternqkd.channel import (
-    EveStrategy,
-    NoiseModel,
-    apply_depolarizing,
-    eve_apply,
-    guessed_set_with_overlap,
-    pns_leak_event,
-    sample_block_loss,
-    sample_photon_numbers,
-)
-from patternqkd.patterns import Pattern, PatternSet, valid_pattern_sets
-from patternqkd.quantum_core import apply_permutation, inner_product
+from patternqkd import code5, protocol
+from patternqkd.analysis import multiphoton_prob, pns_block_leak_prob
+from patternqkd.channel import EveStrategy, NoiseModel, guessed_set_with_overlap
+from patternqkd.patterns import Pattern, PatternSet, all_patterns, valid_pattern_sets
+from patternqkd.protocol import SessionConfig, run_session
+
+SECRET = PatternSet.from_string("12345 13452")
+
+
+def session(blocks, seed, eve=EveStrategy.none(), **noise):
+    config = SessionConfig(num_blocks=blocks, secret_set=SECRET, master_seed=seed, noise=NoiseModel(**noise), eve=eve)
+    return run_session(config)
+
+
+def noise_weights(p, blocks, seed):
+    """Qubits hit per block by the engine's depolarizing frames."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**64, size=(blocks, 5), dtype=np.uint64)
+    bob_pattern = rng.integers(0, 2, size=blocks)
+    x, z = protocol._noise_frames(words, p, SECRET, bob_pattern)
+    return np.array([bin(m).count("1") for m in (x | z).tolist()])
 
 
 class TestNoiseModel:
@@ -30,6 +41,14 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(mean_photon_number=-0.1)
 
+    @pytest.mark.parametrize("field", [
+        "per_qubit_flip_prob", "distance_km", "loss_db_per_km", "mean_photon_number",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(**{field: value})
+
     def test_survival_probability(self):
         assert NoiseModel().photon_survival_prob == 1.0
         model = NoiseModel(distance_km=50.0, loss_db_per_km=0.2)
@@ -38,115 +57,104 @@ class TestNoiseModel:
 
 class TestDepolarizing:
     def test_zero_probability_is_identity(self):
-        rng = np.random.default_rng(0)
-        psi = random_state(rng)
-        out, weight = apply_depolarizing(psi, 0.0, rng)
-        assert weight == 0
-        np.testing.assert_allclose(out, psi, atol=0)
+        _, records = session(600, 1, per_qubit_flip_prob=0.0)
+        sifted = [r for r in records if r.sifted]
+        assert len(sifted) > 200
+        assert all((r.syndrome, r.bob_bit) == (0, r.alice_bit) for r in sifted)
+        assert not noise_weights(0.0, 1000, 0).any()
 
     def test_unit_probability_hits_every_qubit(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            _, weight = apply_depolarizing(random_state(rng), 1.0, rng)
-            assert weight == 5
+        assert np.all(noise_weights(1.0, 1000, 1) == 5)
 
     def test_mean_weight_matches_binomial(self):
         # Binomial(5, 0.05) has mean 0.25
-        rng = np.random.default_rng(2)
-        psi = random_state(rng)
         trials = 100_000
-        total = 0
-        for _ in range(trials):
-            _, weight = apply_depolarizing(psi, 0.05, rng)
-            total += weight
-        assert abs(total / trials - 0.25) < 0.01
+        assert abs(noise_weights(0.05, trials, 2).mean() - 0.25) < 0.01
 
     def test_errors_are_pauli_and_norm_preserving(self):
+        # A Pauli frame only relabels decode outcomes: every relabelled
+        # distribution is a permutation of the undisturbed one.
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            psi = random_state(rng)
-            out, _ = apply_depolarizing(psi, 0.6, rng)
-            assert abs(np.vdot(out, out).real - 1.0) < 1e-10
+        x, z = rng.integers(0, 32, size=(2, 50))
+        for basis in ("Z", "X"):
+            sources = code5.frame_outcome_sources(x, z, basis)
+            assert np.all(np.sort(sources, axis=1) == np.arange(32))
+            rows = code5.decode_table(basis)[rng.integers(0, 120, size=50), rng.integers(0, 2, size=50)]
+            np.testing.assert_array_equal(np.take_along_axis(rows, sources, axis=1).sum(axis=1), 1.0)
 
     def test_single_error_corrected_end_to_end(self):
         # weight-1 channel hits are transparent to an honest decode;
         # deliberate 30-case injections live in the code tests
-        rng = np.random.default_rng(4)
-        pattern = Pattern.from_string("25314")
-        hits = 0
-        for _ in range(300):
-            bit = int(rng.integers(0, 2))
-            sent = apply_permutation(code5.encode_logical(bit), pattern)
-            damaged, weight = apply_depolarizing(sent, 0.08, rng)
-            out, syndrome = code5.decode_block(damaged, pattern, rng)
-            if weight == 1:
-                hits += 1
-                assert out == bit
-                assert syndrome != 0
-        assert hits > 30
+        identity = all_patterns().index(Pattern.identity())
+        for qubit in range(5):
+            for letter in "XYZ":
+                x, z = code5.pauli_masks("I" * qubit + letter + "I" * (4 - qubit))
+                sources = code5.frame_outcome_sources(np.array([x]), np.array([z]))[0]
+                for bit in (0, 1):
+                    row = code5.decode_table()[identity, bit][sources]
+                    (outcome,) = np.flatnonzero(row)
+                    assert row[outcome] == 1.0
+                    assert outcome & 1 == bit
+                    assert outcome >> 1 != 0
 
     def test_invalid_probability(self):
-        rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
-            apply_depolarizing(random_state(rng), -0.1, rng)
+            NoiseModel(per_qubit_flip_prob=-0.1)
 
 
 class TestBlockLoss:
     def test_zero_distance_never_loses(self):
-        rng = np.random.default_rng(6)
-        model = NoiseModel(distance_km=0.0, loss_db_per_km=0.2)
-        assert not any(sample_block_loss(model, rng) for _ in range(1000))
+        report, _ = session(1000, 6, distance_km=0.0, loss_db_per_km=0.2)
+        assert report.blocks_lost == 0
 
     def test_zero_attenuation_never_loses(self):
-        rng = np.random.default_rng(7)
-        model = NoiseModel(distance_km=1000.0, loss_db_per_km=0.0)
-        assert not any(sample_block_loss(model, rng) for _ in range(1000))
+        report, _ = session(1000, 7, distance_km=1000.0, loss_db_per_km=0.0)
+        assert report.blocks_lost == 0
 
     def test_block_survival_is_fifth_power(self):
         # per-photon survival 0.9 -> block survival 0.9^5 = 0.59049
-        rng = np.random.default_rng(8)
         distance = 10.0 * math.log10(1.0 / 0.9)
         model = NoiseModel(distance_km=distance, loss_db_per_km=1.0)
         assert abs(model.photon_survival_prob - 0.9) < 1e-12
         trials = 100_000
-        survived = sum(0 if sample_block_loss(model, rng) else 1 for _ in range(trials))
-        assert abs(survived / trials - 0.59049) < 0.01
+        report, _ = session(trials, 8, distance_km=distance, loss_db_per_km=1.0)
+        assert abs(1.0 - report.blocks_lost / trials - 0.59049) < 0.01
 
 
 class TestPhotonStatistics:
     def test_zero_mean_gives_zero_counts(self):
-        rng = np.random.default_rng(9)
-        assert np.all(sample_photon_numbers(0.0, rng) == 0)
+        assert multiphoton_prob(0.0) == 0.0
+        report, _ = session(1000, 9, mean_photon_number=0.0)
+        assert report.pns_leak_blocks == 0
 
     def test_vacuum_probability_at_mu_point_one(self):
-        rng = np.random.default_rng(10)
-        pulses = 100_000
-        counts = np.concatenate(
-            [sample_photon_numbers(0.1, rng) for _ in range(pulses // 5)]
-        )
-        empirical = float(np.mean(counts == 0))
-        assert abs(empirical - math.exp(-0.1)) < 0.003
+        # A pulse is multi-photon unless it is vacuum (e^-mu) or one photon.
+        vacuum = math.exp(-0.1)
+        assert abs(multiphoton_prob(0.1) - (1.0 - vacuum - 0.1 * vacuum)) < 1e-15
+        assert multiphoton_prob(1e300) == 1.0
 
     def test_mean_count_within_three_sigma(self):
-        rng = np.random.default_rng(11)
         mu = 0.5
-        pulses = 50_000
-        counts = np.concatenate(
-            [sample_photon_numbers(mu, rng) for _ in range(pulses // 5)]
-        )
-        sigma = math.sqrt(mu / pulses)
-        assert abs(float(np.mean(counts)) - mu) < 3 * sigma
+        blocks = 10_000
+        report, _ = session(blocks, 11, mean_photon_number=mu)
+        expected = pns_block_leak_prob(mu)
+        sigma = math.sqrt(expected * (1.0 - expected) / blocks)
+        assert abs(report.pns_leak_blocks / blocks - expected) < 3 * sigma
 
     def test_negative_mean_rejected(self):
-        rng = np.random.default_rng(12)
         with pytest.raises(ValueError):
-            sample_photon_numbers(-1.0, rng)
+            NoiseModel(mean_photon_number=-1.0)
 
     def test_leak_event_rule(self):
-        assert not pns_leak_event(np.array([1, 1, 1, 1, 1]))
-        assert not pns_leak_event(np.array([2, 2, 0, 1, 1]))
-        assert pns_leak_event(np.array([2, 2, 2, 0, 0]))
-        assert pns_leak_event(np.array([3, 2, 5, 2, 1]))
+        # A block leaks iff at least three of its five pulses are multi-photon
+        # (words 12-16 of the block's layout).
+        config = SessionConfig(num_blocks=400, secret_set=SECRET, master_seed=12,
+                               noise=NoiseModel(mean_photon_number=1.0))
+        _, records = run_session(config)
+        pulses = protocol._uniform(protocol._block_words(12, 0, 400)[:, 12:17]) < multiphoton_prob(1.0)
+        counts = pulses.sum(axis=1)
+        assert {0, 1, 2, 3, 4} <= set(counts.tolist())
+        assert [r.pns_leak for r in records] == (counts >= 3).tolist()
 
 
 class TestEveStrategy:
@@ -159,58 +167,36 @@ class TestEveStrategy:
         EveStrategy.intercept_resend(valid_pattern_sets()[0])
 
     def test_none_passes_state_through(self):
-        rng = np.random.default_rng(13)
-        psi = random_state(rng)
-        out, record = eve_apply(EveStrategy.none(), psi, rng)
-        assert record is None
-        np.testing.assert_allclose(out, psi, atol=0)
+        report, records = session(600, 13, eve=EveStrategy.none())
+        assert report.eve_success_rate is None
+        assert all(r.eve is None for r in records)
+        assert all((r.syndrome, r.bob_bit) == (0, r.alice_bit) for r in records if r.sifted)
 
     def test_matching_guess_is_undetectable(self):
         # Eve holds the true set and happens to pick Alice's pattern: she
         # reads the bit exactly and Bob sees a clean block.
-        secret = PatternSet.from_string("12345 13452")
-        rng = np.random.default_rng(14)
+        _, records = session(120, 14, eve=EveStrategy.intercept_resend(SECRET))
         seen_match = 0
-        for _ in range(60):
-            bit = int(rng.integers(0, 2))
-            alice_pattern = secret.members()[int(rng.integers(0, 2))]
-            sent = apply_permutation(code5.encode_logical(bit), alice_pattern)
-            resent, record = eve_apply(EveStrategy.intercept_resend(secret), sent, rng)
-            if record.guessed_pattern == alice_pattern:
+        for r in records:
+            if r.eve.guessed_pattern == SECRET.members()[r.alice_pattern_index]:
                 seen_match += 1
-                assert record.eve_bit == bit
-                out, syndrome = code5.decode_block(resent, alice_pattern, rng)
-                assert (out, syndrome) == (bit, 0)
+                assert r.eve.eve_bit == r.alice_bit
+                if r.sifted:
+                    assert (r.bob_bit, r.syndrome) == (r.alice_bit, 0)
         assert seen_match > 10
 
     def test_resent_state_is_codeword_under_guess(self):
-        rng = np.random.default_rng(15)
-        secret = PatternSet.from_string("12345 13452")
-        strategy = EveStrategy.intercept_resend("uniform")
-        for _ in range(40):
-            bit = int(rng.integers(0, 2))
-            alice_pattern = secret.members()[int(rng.integers(0, 2))]
-            sent = apply_permutation(code5.encode_logical(bit), alice_pattern)
-            resent, record = eve_apply(strategy, sent, rng)
-            expected = apply_permutation(
-                code5.encode_logical(record.eve_bit), record.guessed_pattern
-            )
-            assert abs(abs(inner_product(resent, expected)) - 1.0) < 1e-10
+        # Whenever Bob decodes with Eve's guessed pattern he reads her bit
+        # with a trivial syndrome, whatever Alice sent.
+        _, records = session(12_000, 15, eve=EveStrategy.intercept_resend("uniform"))
+        matches = [r for r in records if r.eve.guessed_pattern == SECRET.members()[r.bob_pattern_index]]
+        assert len(matches) > 40
+        assert all((r.bob_bit, r.syndrome) == (r.eve.eve_bit, 0) for r in matches)
 
     def test_uniform_guess_agreement_near_half(self):
         # "effectively random": agreement averaged over uniform guesses
-        rng = np.random.default_rng(16)
-        secret = PatternSet.from_string("12345 13452")
-        strategy = EveStrategy.intercept_resend("uniform")
-        trials = 4000
-        agree = 0
-        for _ in range(trials):
-            bit = int(rng.integers(0, 2))
-            alice_pattern = secret.members()[int(rng.integers(0, 2))]
-            sent = apply_permutation(code5.encode_logical(bit), alice_pattern)
-            _, record = eve_apply(strategy, sent, rng)
-            agree += record.eve_bit == bit
-        assert abs(agree / trials - 0.5) < 0.05
+        report, _ = session(4000, 16, eve=EveStrategy.intercept_resend("uniform"))
+        assert abs(report.eve_success_rate - 0.5) < 0.05
 
 
 class TestGuessedSetConstruction:

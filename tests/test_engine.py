@@ -1,0 +1,240 @@
+"""The table engine: exact tables, Pauli frames, and the Philox word layout.
+
+The reference replay below re-derives session records from the word layout
+documented in ``patternqkd.protocol`` with statevectors only (encode,
+permute, ``decode_distribution``, ``apply_pauli_string``), so it checks the
+engine's tables, frame relabelling and draw rules against the physics and
+pins the layout itself.
+"""
+
+import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+import test_cli
+
+import patternqkd
+from patternqkd import cli, code5, protocol
+from patternqkd.channel import EveRecord, EveStrategy, NoiseModel
+from patternqkd.patterns import Pattern, PatternSet, all_patterns, compose, invert, relative_index
+from patternqkd.protocol import BlockRecord, SessionConfig, run_block, run_session
+from patternqkd.quantum_core import apply_pauli_string, apply_permutation
+
+SECRET = PatternSet.from_string("12345 13452")
+IDENTITY = Pattern.identity()
+
+# The documented layout: 20 raw Philox words per block, keyed by spawn key (0,).
+WORDS_PER_BLOCK = 20
+
+
+def exact_row(state, pattern, basis):
+    """decode_distribution as a 32-vector indexed by 2 * syndrome + bit."""
+    row = np.zeros(32)
+    for (syndrome, bit), prob in code5.decode_distribution(state, pattern, basis).items():
+        row[2 * syndrome + bit] = prob
+    return row
+
+
+class TestDecodeTable:
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_equals_decode_distribution_for_every_pattern_and_bit(self, basis):
+        table = code5.decode_table(basis)
+        assert table.shape == (120, 2, 32)
+        for r, pattern in enumerate(all_patterns()):
+            for bit in (0, 1):
+                sent = apply_permutation(code5.encode_logical(bit, basis), pattern)
+                np.testing.assert_allclose(table[r, bit], exact_row(sent, IDENTITY, basis), atol=1e-12)
+
+    def test_probabilities_are_exact_dyadic(self):
+        for basis in ("Z", "X"):
+            assert set(code5.decode_table(basis).ravel() * 16) <= {0.0, 1.0, 4.0, 16.0}
+
+    def test_not_built_at_import(self):
+        src = Path(patternqkd.__file__).resolve().parent.parent
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]);"
+            "from patternqkd import cli, code5, patterns;"
+            "print(code5.decode_table.cache_info().currsize, patterns._pattern_arrays.cache_info().currsize)"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "0"]
+
+
+class TestPauliFrames:
+    def test_relabelling_matches_statevector_decodes(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            basis = "ZX"[int(rng.integers(0, 2))]
+            r = int(rng.integers(0, 120))
+            bit = int(rng.integers(0, 2))
+            label = "".join("IXYZ"[int(k)] for k in rng.integers(0, 4, size=5))
+            x, z = code5.pauli_masks(label)
+            sources = code5.frame_outcome_sources(np.array([x]), np.array([z]), basis)[0]
+            sent = apply_permutation(code5.encode_logical(bit, basis), all_patterns()[r])
+            noisy = exact_row(apply_pauli_string(sent, label), IDENTITY, basis)
+            np.testing.assert_allclose(code5.decode_table(basis)[r, bit][sources], noisy, atol=1e-12)
+
+    def test_pauli_masks(self):
+        assert code5.pauli_masks("XIIIZ") == (0b10000, 0b00001)
+        assert code5.pauli_masks("IYIII") == (0b01000, 0b01000)
+
+
+def u(word) -> float:
+    return (int(word) >> 11) * 2.0**-53
+
+
+def bit(word) -> int:
+    return int(word) >> 63
+
+
+def draw(distribution: dict, v: float) -> tuple[int, int]:
+    """First (syndrome, bit), in the order of 2 * syndrome + bit, whose
+    cumulative probability exceeds v."""
+    total = 0.0
+    for key in sorted(distribution):
+        total += distribution[key]
+        if v < total:
+            return key
+    return max(distribution)
+
+
+def replay_block(config: SessionConfig, block_id: int, w) -> BlockRecord:
+    basis = config.logical_basis
+    members = config.secret_set.members()
+    alice_bit, alice_idx, bob_idx = bit(w[0]), bit(w[1]), bit(w[2])
+    state = apply_permutation(code5.encode_logical(alice_bit, basis), members[alice_idx])
+
+    eve = None
+    if config.eve.active:
+        if config.eve.knowledge == "uniform":
+            guess = all_patterns()[(int(w[3]) >> 11) * 120 >> 53]
+        else:
+            guess = config.eve.knowledge.members()[bit(w[3])]
+        _, eve_bit = draw(code5.decode_distribution(state, guess, basis), u(w[4]))
+        state = apply_permutation(code5.encode_logical(eve_bit, basis), guess)
+        eve = EveRecord(guessed_pattern=guess, eve_bit=eve_bit)
+
+    p = config.noise.per_qubit_flip_prob
+    for wire in range(5):
+        v = u(w[7 + wire])
+        if v < p:
+            letter = "X" if v < p / 3 else "Y" if v < 2 * p / 3 else "Z"
+            state = apply_pauli_string(state, "I" * wire + letter + "I" * (4 - wire))
+    lost = u(w[6]) >= config.noise.photon_survival_prob ** 5
+    mu = config.noise.mean_photon_number
+    multiphoton = 1.0 - math.exp(-mu) * (1.0 + mu)
+    leak = sum(u(w[12 + pulse]) < multiphoton for pulse in range(5)) >= 3
+
+    syndrome = bob_bit = None
+    if not lost:
+        syndrome, bob_bit = draw(code5.decode_distribution(state, members[bob_idx], basis), u(w[5]))
+    return BlockRecord(
+        block_id=block_id,
+        alice_bit=alice_bit,
+        alice_pattern_index=alice_idx,
+        bob_pattern_index=bob_idx,
+        lost=lost,
+        syndrome=syndrome,
+        bob_bit=bob_bit,
+        eve=None if lost else eve,
+        sifted=not lost and alice_idx == bob_idx,
+        pns_leak=leak,
+    )
+
+
+def replay_session(config: SessionConfig) -> list[BlockRecord]:
+    stream = np.random.Philox(np.random.SeedSequence(config.master_seed, spawn_key=(0,)))
+    words = stream.random_raw(config.num_blocks * WORDS_PER_BLOCK).reshape(-1, WORDS_PER_BLOCK)
+    records = [replay_block(config, i, w) for i, w in enumerate(words)]
+    sifted = [r for r in records if r.sifted]
+    subset = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(1, 0, 0)))
+    for index in subset.choice(len(sifted), size=math.ceil(config.test_fraction * len(sifted)), replace=False):
+        sifted[int(index)].disclosed_for_test = True
+    return records
+
+
+def replay_config(basis="Z", eve=EveStrategy.intercept_resend("uniform"), mu=0.2, blocks=300, seed=2024):
+    return SessionConfig(
+        num_blocks=blocks,
+        secret_set=SECRET,
+        master_seed=seed,
+        noise=NoiseModel(per_qubit_flip_prob=0.1, distance_km=1.576, loss_db_per_km=0.2, mean_photon_number=mu),
+        eve=eve,
+        logical_basis=basis,
+    )
+
+
+class TestReferenceReplay:
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_uniform_interceptor_session_matches_field_for_field(self, basis):
+        config = replay_config(basis)
+        _, records = run_session(config)
+        expected = replay_session(config)
+        assert records == expected
+        assert any(r.lost for r in records) and any(r.syndrome for r in records)
+
+    @pytest.mark.parametrize(
+        "basis, eve",
+        [("Z", EveStrategy.none()), ("X", EveStrategy.intercept_resend(PatternSet.from_string("12345 21453")))],
+    )
+    def test_other_interceptors_and_leaky_source(self, basis, eve):
+        config = replay_config(basis, eve, mu=1.5, blocks=200, seed=77)
+        _, records = run_session(config)
+        assert records == replay_session(config)
+        assert any(r.pns_leak for r in records)
+
+    def test_golden_records_are_the_replayed_records(self):
+        config = replay_config(blocks=4, seed=2718)
+        text = cli.format_records(replay_session(config))
+        assert text == test_cli.TestGoldenRecords.GOLDEN_RECORDS
+
+
+class TestChunking:
+    def test_run_block_equals_session_record(self):
+        config = replay_config(blocks=150, seed=31)
+        _, records = run_session(config)
+        for i, record in enumerate(records):
+            assert run_block(config, i) == replace(record, disclosed_for_test=False)
+
+    def test_batch_size_does_not_change_records(self, monkeypatch):
+        config = replay_config(blocks=100, seed=32)
+        whole = run_session(config)
+        monkeypatch.setattr(protocol, "_BATCH_BLOCKS", 7)
+        assert run_session(config) == whole
+
+    def test_negative_block_id_rejected(self):
+        with pytest.raises(ValueError):
+            run_block(replay_config(), -1)
+
+
+class TestSessionPath:
+    def test_no_statevector_decode_and_no_per_block_streams(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("statevector path used by the session engine")
+
+        for name in ("_measure_pauli", "decode_block"):
+            monkeypatch.setattr(code5, name, forbidden)
+        created = []
+        real = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            created.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        blocks = 3000
+        run_session(replay_config(blocks=blocks))
+        # One block-stream key per batch plus the disclosed-subset stream.
+        assert len(created) == math.ceil(blocks / protocol._BATCH_BLOCKS) + 1
+
+    def test_relative_permutation_indexing(self):
+        # The engine picks table rows by compose(invert(decoder), sender).
+        patterns = all_patterns()
+        decoder, sender = np.divmod(np.arange(120 * 120), 120)
+        relative = relative_index(decoder, sender)
+        for d, e, r in zip(decoder, sender, relative):
+            assert patterns[r] == compose(invert(patterns[d]), patterns[e])
