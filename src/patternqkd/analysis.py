@@ -28,12 +28,7 @@ import numpy as np
 
 from . import code5
 from .patterns import Pattern, PatternSet, valid_pattern_sets
-from .quantum_core import (
-    apply_permutation,
-    density_from_ensemble,
-    inner_product,
-    von_neumann_entropy,
-)
+from .quantum_core import apply_permutation, inner_product
 
 
 def binary_entropy(p: float) -> float:
@@ -124,72 +119,13 @@ class HolevoReport:
     entropy_rho1: float
 
 
-def holevo_identical_ensembles(pattern_set: PatternSet) -> float:
-    """Chi for the identical-ensembles reading: zero by construction.
-
-    Both logical values are assigned the same mixture of the two pattern
-    states, so the average state equals each conditional state and
-    chi = S(avg) - S(cond) cancels exactly.
-    """
-    members = [
-        (0.5, pattern_state(pattern_set.first)),
-        (0.5, pattern_state(pattern_set.second)),
-    ]
-    rho_conditional = density_from_ensemble(members)
-    rho_average = 0.5 * rho_conditional + 0.5 * rho_conditional
-    s_average = von_neumann_entropy(rho_average)
-    s_conditional = von_neumann_entropy(rho_conditional)
-    return s_average - 0.5 * s_conditional - 0.5 * s_conditional
-
-
-def identical_ensembles_entropy(pattern_set: PatternSet) -> float:
-    """S of the identical-ensembles conditional state, in bits.
-
-    Equals 1 exactly when the two pattern states are orthogonal.
-    """
-    members = [
-        (0.5, pattern_state(pattern_set.first)),
-        (0.5, pattern_state(pattern_set.second)),
-    ]
-    return von_neumann_entropy(density_from_ensemble(members))
-
-
-def holevo_bit_conditioned(pattern_set: PatternSet) -> HolevoReport:
-    """Chi for the bit-conditioned ensembles, with all entropy terms.
-
-    rho_a mixes the bit-a codeword over the two patterns; chi is computed
-    from the Jacobi eigensolver path.  The value is reported as-is in
-    [0, 1]; no agreement with the identical-ensembles model is asserted.
-    """
-    p0, p1 = pattern_set.members()
-    rho = {
-        bit: density_from_ensemble([
-            (0.5, pattern_state(p0, bit)),
-            (0.5, pattern_state(p1, bit)),
-        ])
-        for bit in (0, 1)
-    }
-    rho_average = 0.5 * rho[0] + 0.5 * rho[1]
-    s_average = von_neumann_entropy(rho_average)
-    s0 = von_neumann_entropy(rho[0])
-    s1 = von_neumann_entropy(rho[1])
-    chi = s_average - 0.5 * s0 - 0.5 * s1
-    return HolevoReport(
-        chi_identical_ensembles=holevo_identical_ensembles(pattern_set),
-        chi_bit_conditioned=chi,
-        entropy_average=s_average,
-        entropy_rho0=s0,
-        entropy_rho1=s1,
-    )
-
-
 def gram_entropy(members: list[tuple[float, np.ndarray]]) -> float:
-    """Mixture entropy via the small Gram matrix, an independent route.
+    """Von Neumann entropy in bits of a mixture, via its small Gram matrix.
 
     The nonzero eigenvalues of ``sum_i w_i |psi_i><psi_i|`` equal those of
     ``M[i,j] = sqrt(w_i w_j) <psi_i|psi_j>``, so a k-member mixture only
-    needs a k x k eigenproblem.  Uses LAPACK rather than the Jacobi path,
-    which is the point: the two must agree without sharing code.
+    needs a k x k eigenproblem.  The test suite checks it against a full
+    32x32 Jacobi eigensolver that shares no code with it.
     """
     k = len(members)
     gram = np.empty((k, k), dtype=complex)
@@ -202,11 +138,13 @@ def gram_entropy(members: list[tuple[float, np.ndarray]]) -> float:
 
 
 def holevo_bit_conditioned_gram(pattern_set: PatternSet) -> HolevoReport:
-    """Same quantities as :func:`holevo_bit_conditioned` via the Gram route.
+    """Both chi readings and the bit-conditioned entropy terms for one set.
 
-    Used for exhaustive sweeps where 6540 full 32x32 eigendecompositions
-    would be wasteful; spot-agreement with the full path is enforced by the
-    test suite, not assumed here.
+    rho_a mixes the bit-a codeword over the two patterns, and the
+    entropies come from :func:`gram_entropy`.  The identical-ensembles chi
+    is zero by construction: both logical values get the same mixture, so
+    chi = S(avg) - S(cond) cancels exactly.  The bit-conditioned chi is
+    reported as-is in [0, 1]; no agreement between the two is asserted.
     """
     p0, p1 = pattern_set.members()
     states = {bit: [pattern_state(p0, bit), pattern_state(p1, bit)] for bit in (0, 1)}

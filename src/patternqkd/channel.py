@@ -29,6 +29,7 @@ import numpy as np
 from .patterns import Pattern, PatternSet, sets_sharing
 
 UNIFORM_KNOWLEDGE = "uniform"
+EVE_KINDS = ("none", "intercept_resend")
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class EveStrategy:
     knowledge: Union[PatternSet, str, None] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "intercept_resend"):
+        if self.kind not in EVE_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "intercept_resend":
             if self.knowledge != UNIFORM_KNOWLEDGE and not isinstance(self.knowledge, PatternSet):
@@ -110,7 +111,6 @@ class EveRecord:
 
     guessed_pattern: Pattern
     eve_bit: int
-    acted: bool = True
 
 
 def guessed_set_with_overlap(

@@ -17,13 +17,21 @@ import argparse
 import hashlib
 import sys
 import time
+from dataclasses import replace
+from functools import reduce
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import __version__, analysis, code5
-from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE, guessed_set_with_overlap
+from .channel import (
+    EVE_KINDS,
+    UNIFORM_KNOWLEDGE,
+    EveStrategy,
+    NoiseModel,
+    guessed_set_with_overlap,
+)
 from .patterns import PatternSet, all_patterns, pattern_distance, valid_pattern_sets
 from .protocol import (
     BlockRecord,
@@ -48,20 +56,33 @@ RECORDS_HEADER = (
     "# block_id alice_bit a_idx b_idx lost syndrome bob_bit eve_guess eve_bit sifted tested"
 )
 
-CONFIG_KEYS = (
-    "num_blocks",
-    "master_seed",
-    "secret_set",
-    "test_fraction",
-    "mqer_threshold",
-    "logical_basis",
-    "noise.per_qubit_flip_prob",
-    "noise.distance_km",
-    "noise.loss_db_per_km",
-    "noise.mean_photon_number",
-    "eve.kind",
-    "eve.knowledge",
-)
+
+def _eve_kind(text: str) -> str:
+    if text not in EVE_KINDS:
+        raise ValueError(f"expected one of {' | '.join(EVE_KINDS)}, got {text!r}")
+    return text
+
+
+# The session-config schema, one row per key: key -> (parser, override
+# flag).  A key is also the dotted attribute path of its value in
+# SessionConfig.  Rows drive parsing, the command-line overrides and the
+# manifest echo, in this order.  Absent keys take the dataclass defaults,
+# except num_blocks, which SessionConfig requires.
+FIELDS: dict[str, tuple[Callable[[str], object], Optional[str]]] = {
+    "num_blocks": (int, "--blocks"),
+    "master_seed": (int, "--seed"),
+    "secret_set": (PatternSet.from_string, None),
+    "test_fraction": (float, "--test-fraction"),
+    "mqer_threshold": (float, "--threshold"),
+    "logical_basis": (str, None),
+    "noise.per_qubit_flip_prob": (float, None),
+    "noise.distance_km": (float, None),
+    "noise.loss_db_per_km": (float, None),
+    "noise.mean_photon_number": (float, None),
+    "eve.kind": (_eve_kind, None),
+    "eve.knowledge": (str, None),
+}
+DEFAULT_NUM_BLOCKS = 1000
 
 SWEEP_AXES = ("distance_km", "per_qubit_flip_prob", "mean_photon_number", "eve_overlap")
 
@@ -82,7 +103,7 @@ def parse_config_text(text: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -92,123 +113,77 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _parse_typed(values: dict[str, str], key: str, kind, default):
-    if key not in values:
-        return default
-    try:
-        return kind(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"field {key!r}: {exc}") from exc
-
-
 def build_session_config(
-    values: dict[str, str],
-    blocks: Optional[int] = None,
-    seed: Optional[int] = None,
-    threshold: Optional[float] = None,
-    test_fraction: Optional[float] = None,
+    values: dict[str, str], overrides: Optional[dict[str, object]] = None
 ) -> SessionConfig:
-    """Assemble a validated SessionConfig from parsed values plus overrides.
+    """Assemble a validated SessionConfig from parsed values plus typed
+    command-line overrides (keyed like the values).
 
     A missing secret_set is drawn deterministically from the master seed.
-    ``eve.knowledge`` accepts 'uniform', an explicit 'PPPPP QQQQQ' pair, or
+    ``eve.knowledge`` is read only for ``eve.kind = intercept_resend``; it
+    accepts 'uniform' (the default), an explicit 'PPPPP QQQQQ' pair, or
     'overlap=K' for a seed-derived guess sharing exactly K patterns with
     the secret set.
     """
-    num_blocks = blocks if blocks is not None else _parse_typed(values, "num_blocks", int, 1000)
-    master_seed = seed if seed is not None else _parse_typed(values, "master_seed", int, 0)
-    test_frac = (
-        test_fraction if test_fraction is not None
-        else _parse_typed(values, "test_fraction", float, 0.5)
-    )
-    mqer_threshold = (
-        threshold if threshold is not None
-        else _parse_typed(values, "mqer_threshold", float, 0.10)
-    )
-    basis = _parse_typed(values, "logical_basis", str, "Z")
+    typed: dict[str, object] = {"num_blocks": DEFAULT_NUM_BLOCKS}
+    for key, text in values.items():
+        try:
+            typed[key] = FIELDS[key][0](text)
+        except ValueError as exc:
+            raise ConfigError(f"field {key!r}: {exc}") from exc
+    typed.update(overrides or {})
+
+    seed = typed.get("master_seed", SessionConfig.master_seed)  # the dataclass default
     try:
         # The secret set and the guessed set below are drawn from the seed.
-        check_master_seed(master_seed)
+        check_master_seed(seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    if "secret_set" in values:
-        try:
-            secret = PatternSet.from_string(values["secret_set"])
-        except ValueError as exc:
-            raise ConfigError(f"field 'secret_set': {exc}") from exc
-    else:
-        secret = sample_secret_set(master_seed)
+    if "secret_set" not in typed:
+        typed["secret_set"] = sample_secret_set(seed)
 
     try:
-        noise = NoiseModel(
-            per_qubit_flip_prob=_parse_typed(values, "noise.per_qubit_flip_prob", float, 0.0),
-            distance_km=_parse_typed(values, "noise.distance_km", float, 0.0),
-            loss_db_per_km=_parse_typed(values, "noise.loss_db_per_km", float, 0.2),
-            mean_photon_number=_parse_typed(values, "noise.mean_photon_number", float, 0.0),
-        )
+        noise = NoiseModel(**{
+            key.removeprefix("noise."): value
+            for key, value in typed.items() if key.startswith("noise.")
+        })
     except ValueError as exc:
         raise ConfigError(f"field 'noise': {exc}") from exc
 
-    kind = _parse_typed(values, "eve.kind", str, "none")
-    knowledge = values.get("eve.knowledge")
-    try:
-        if kind == "none":
-            eve = EveStrategy.none()
-        elif knowledge is None or knowledge == UNIFORM_KNOWLEDGE:
-            eve = EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE)
-        elif knowledge.startswith("overlap="):
-            count = int(knowledge.split("=", 1)[1])
-            guess = guessed_set_with_overlap(
-                secret, count, session_rng(master_seed, _SESSION_EVE_GUESS)
-            )
-            eve = EveStrategy.intercept_resend(guess)
-        else:
-            eve = EveStrategy.intercept_resend(PatternSet.from_string(knowledge))
-    except ValueError as exc:
-        raise ConfigError(f"field 'eve.knowledge': {exc}") from exc
+    eve = EveStrategy.none()
+    if typed.get("eve.kind") == "intercept_resend":
+        knowledge = typed.get("eve.knowledge", UNIFORM_KNOWLEDGE)
+        try:
+            if knowledge.startswith("overlap="):
+                count = int(knowledge.split("=", 1)[1])
+                knowledge = guessed_set_with_overlap(
+                    typed["secret_set"], count, session_rng(seed, _SESSION_EVE_GUESS)
+                )
+            elif knowledge != UNIFORM_KNOWLEDGE:
+                knowledge = PatternSet.from_string(knowledge)
+        except ValueError as exc:
+            raise ConfigError(f"field 'eve.knowledge': {exc}") from exc
+        eve = EveStrategy.intercept_resend(knowledge)
 
     try:
         return SessionConfig(
-            num_blocks=num_blocks,
-            secret_set=secret,
-            master_seed=master_seed,
-            test_fraction=test_frac,
-            mqer_threshold=mqer_threshold,
+            **{key: value for key, value in typed.items() if "." not in key},
             noise=noise,
             eve=eve,
-            logical_basis=basis,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def config_echo_items(config: SessionConfig) -> list[tuple[str, str]]:
-    """The resolved configuration as flat key/value pairs."""
-    if not config.eve.active:
-        knowledge = "-"
-    elif config.eve.knowledge == UNIFORM_KNOWLEDGE:
-        knowledge = UNIFORM_KNOWLEDGE
-    else:
-        knowledge = str(config.eve.knowledge)
-    return [
-        ("num_blocks", str(config.num_blocks)),
-        ("master_seed", str(config.master_seed)),
-        ("secret_set", str(config.secret_set)),
-        ("test_fraction", _fmt(config.test_fraction)),
-        ("mqer_threshold", _fmt(config.mqer_threshold)),
-        ("logical_basis", config.logical_basis),
-        ("noise.per_qubit_flip_prob", _fmt(config.noise.per_qubit_flip_prob)),
-        ("noise.distance_km", _fmt(config.noise.distance_km)),
-        ("noise.loss_db_per_km", _fmt(config.noise.loss_db_per_km)),
-        ("noise.mean_photon_number", _fmt(config.noise.mean_photon_number)),
-        ("eve.kind", config.eve.kind),
-        ("eve.knowledge", knowledge),
-    ]
+    """The resolved configuration as flat key/value pairs, one per table
+    row; the knowledge of an absent interceptor is echoed as '-'."""
+    values = [reduce(getattr, key.split("."), config) for key in FIELDS]
+    return [(key, "-" if value is None else _fmt(value)) for key, value in zip(FIELDS, values)]
 
 
-def _fmt(value: float) -> str:
-    """Serialize a float; rejects non-finite values outright."""
+def _fmt(value: object) -> str:
+    """Serialize a value, floats by repr; rejects non-finite floats outright."""
     if isinstance(value, float) and not np.isfinite(value):
         raise ArithmeticError(f"refusing to serialize non-finite value {value!r}")
     return repr(float(value)) if isinstance(value, float) else str(value)
@@ -325,7 +300,7 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
     chosen = sets[set_id]
 
     dist = analysis.guess_outcome_distribution()
-    report = analysis.holevo_bit_conditioned(chosen)
+    report = analysis.holevo_bit_conditioned_gram(chosen)
     overlap = abs(analysis.pattern_state_overlap(chosen))
     total = len(sets)
     lines = [
@@ -399,14 +374,12 @@ def _load_config(args: argparse.Namespace) -> SessionConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = parse_config_text(text)
-    return build_session_config(
-        values,
-        blocks=args.blocks,
-        seed=args.seed,
-        threshold=args.threshold,
-        test_fraction=args.test_fraction,
-    )
+    overrides = {
+        key: getattr(args, key)
+        for key, (_, flag) in FIELDS.items()
+        if flag and getattr(args, key) is not None
+    }
+    return build_session_config(parse_config_text(text), overrides)
 
 
 def _run_and_write(config: SessionConfig, out: Path) -> SessionReport:
@@ -439,49 +412,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _sweep_config(base: SessionConfig, axis: str, value: float, sub_seed: int) -> SessionConfig:
-    noise = base.noise
-    eve = base.eve
-    if axis == "distance_km":
-        noise = NoiseModel(
-            per_qubit_flip_prob=noise.per_qubit_flip_prob,
-            distance_km=value,
-            loss_db_per_km=noise.loss_db_per_km,
-            mean_photon_number=noise.mean_photon_number,
-        )
-    elif axis == "per_qubit_flip_prob":
-        noise = NoiseModel(
-            per_qubit_flip_prob=value,
-            distance_km=noise.distance_km,
-            loss_db_per_km=noise.loss_db_per_km,
-            mean_photon_number=noise.mean_photon_number,
-        )
-    elif axis == "mean_photon_number":
-        noise = NoiseModel(
-            per_qubit_flip_prob=noise.per_qubit_flip_prob,
-            distance_km=noise.distance_km,
-            loss_db_per_km=noise.loss_db_per_km,
-            mean_photon_number=value,
-        )
-    elif axis == "eve_overlap":
-        count = int(value)
-        if count != value or count not in (0, 1, 2):
-            raise ConfigError(f"eve_overlap values must be 0, 1, or 2, got {value}")
-        guess = guessed_set_with_overlap(
-            base.secret_set, count, session_rng(sub_seed, _SESSION_EVE_GUESS)
-        )
-        eve = EveStrategy.intercept_resend(guess)
-    else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
-    return SessionConfig(
-        num_blocks=base.num_blocks,
-        secret_set=base.secret_set,
-        master_seed=sub_seed,
-        test_fraction=base.test_fraction,
-        mqer_threshold=base.mqer_threshold,
-        noise=noise,
-        eve=eve,
-        logical_basis=base.logical_basis,
+    """The base config under ``sub_seed`` with one sweep axis set to ``value``."""
+    if axis != "eve_overlap":
+        return replace(base, master_seed=sub_seed, noise=replace(base.noise, **{axis: value}))
+    count = int(value)
+    if count != value or count not in (0, 1, 2):
+        raise ConfigError(f"eve_overlap values must be 0, 1, or 2, got {value}")
+    guess = guessed_set_with_overlap(
+        base.secret_set, count, session_rng(sub_seed, _SESSION_EVE_GUESS)
     )
+    return replace(base, master_seed=sub_seed, eve=EveStrategy.intercept_resend(guess))
 
 
 def _sub_seed(master_seed: int, index: int) -> int:
@@ -549,24 +489,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--chi-csv", default=None, help="write per-set chi table to this CSV")
     p_an.set_defaults(func=cmd_analyze)
 
-    p_sim = sub.add_parser("simulate", help="run one session from a config file")
-    p_sim.add_argument("--config", required=True, help="session config path")
-    p_sim.add_argument("--out", default="out", help="output directory")
-    p_sim.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_sim.add_argument("--blocks", type=int, default=None, help="override num_blocks")
-    p_sim.add_argument("--threshold", type=float, default=None, help="override mqer_threshold")
-    p_sim.add_argument("--test-fraction", type=float, default=None, help="override test_fraction")
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--config", required=True, help="session config path")
+    session.add_argument("--out", default="out", help="output directory")
+    for key, (parse, flag) in FIELDS.items():
+        if flag:
+            session.add_argument(flag, dest=key, type=parse, default=None, help=f"override {key}")
+
+    p_sim = sub.add_parser("simulate", parents=[session], help="run one session from a config file")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_sw = sub.add_parser("sweep", help="run one session per axis value")
-    p_sw.add_argument("--config", required=True, help="base session config path")
+    p_sw = sub.add_parser("sweep", parents=[session], help="run one session per axis value")
     p_sw.add_argument("--axis", required=True, choices=SWEEP_AXES, help="swept parameter")
     p_sw.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sw.add_argument("--out", default="out", help="output directory")
-    p_sw.add_argument("--seed", type=int, default=None, help="override master_seed")
-    p_sw.add_argument("--blocks", type=int, default=None, help="override num_blocks")
-    p_sw.add_argument("--threshold", type=float, default=None, help="override mqer_threshold")
-    p_sw.add_argument("--test-fraction", type=float, default=None, help="override test_fraction")
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 

@@ -165,12 +165,6 @@ def sample_pattern_set(rng: np.random.Generator) -> PatternSet:
     return table[int(rng.integers(0, len(table)))]
 
 
-def sample_pattern(pattern_set: PatternSet, rng: np.random.Generator) -> tuple[int, Pattern]:
-    """Draw one member of the set uniformly; returns (index, pattern)."""
-    index = int(rng.integers(0, 2))
-    return index, pattern_set.members()[index]
-
-
 def sets_sharing(true_set: PatternSet, count: int) -> tuple[PatternSet, ...]:
     """All valid sets sharing exactly ``count`` patterns with ``true_set``.
 

@@ -1,4 +1,4 @@
-"""Shared test utilities: random states and gates with fixed seeds."""
+"""Shared test utilities: random states and Hermitian matrices."""
 
 from __future__ import annotations
 
@@ -11,13 +11,6 @@ def random_state(rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random pure state of five qubits."""
     amplitudes = rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
     return amplitudes / np.linalg.norm(amplitudes)
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -1,0 +1,191 @@
+"""Jacobi-eigensolver route to the Holevo quantities, for tests only.
+
+An independent oracle for ``analysis.holevo_bit_conditioned_gram``: it
+builds full 32x32 density matrices from the same pattern states and
+diagonalizes them with cyclic Jacobi rotations.  Past the states it shares
+no code with the Gram-matrix route, and it does not call LAPACK.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from patternqkd.analysis import HolevoReport, pattern_state
+from patternqkd.patterns import PatternSet
+from patternqkd.quantum_core import DIM, N_QUBITS
+
+NORM_ATOL = 1e-10
+EIGENVALUE_FLOOR = -1e-9
+
+
+def assert_valid_state(state: np.ndarray) -> None:
+    """Raise if ``state`` is not a unit-norm, finite 32-amplitude vector."""
+    if state.shape != (DIM,):
+        raise ValueError(f"state must have shape (32,), got {state.shape}")
+    if not (np.all(np.isfinite(state.real)) and np.all(np.isfinite(state.imag))):
+        raise ValueError("state contains non-finite amplitudes")
+    norm_sq = float(np.real(np.vdot(state, state)))
+    if abs(norm_sq - 1.0) > NORM_ATOL:
+        raise ValueError(f"state norm^2 = {norm_sq!r} is not 1")
+
+
+def density_from_ensemble(members: list[tuple[float, np.ndarray]]) -> np.ndarray:
+    """Mixture density matrix ``sum_i p_i |psi_i><psi_i|``.
+
+    Probabilities must be nonnegative and sum to 1 within 1e-10.
+    """
+    if not members:
+        raise ValueError("ensemble must have at least one member")
+    total = sum(p for p, _ in members)
+    if any(p < 0 for p, _ in members) or abs(total - 1.0) > NORM_ATOL:
+        raise ValueError(f"ensemble probabilities must be >= 0 and sum to 1, got {total!r}")
+    rho = np.zeros((DIM, DIM), dtype=complex)
+    for prob, psi in members:
+        assert_valid_state(psi)
+        rho += prob * np.outer(psi, psi.conj())
+    return rho
+
+
+def hermitian_eigenvalues(
+    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
+) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+
+    Runs full sweeps over the upper triangle until the off-diagonal
+    Frobenius norm drops below ``tol``.  Dimension here is tiny and fixed,
+    so this is bit-reproducible and needs no external solver.
+
+    Raises ``ArithmeticError`` if ``max_sweeps`` sweeps do not converge.
+    """
+    a = np.array(matrix, dtype=complex, copy=True)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    skip = tol / (4 * n)
+
+    def off_norm() -> float:
+        # Summed directly over off-diagonal entries; the subtractive form
+        # (full norm minus diagonal) cancels catastrophically near zero.
+        off = a.copy()
+        np.fill_diagonal(off, 0.0)
+        return float(np.linalg.norm(off))
+
+    for _ in range(max_sweeps):
+        if off_norm() <= tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                beta = a[p, q]
+                mag = abs(beta)
+                if mag <= skip:
+                    continue
+                alpha = a[p, p].real
+                gamma = a[q, q].real
+                # Diagonalize the 2x2 block: phase it real, then rotate.
+                u = beta / mag
+                tau = (gamma - alpha) / (2.0 * mag)
+                t = 1.0 / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                if tau < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                ubar = u.conjugate()
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                new_p = c * col_p - (s * ubar) * col_q
+                new_q = s * col_p + (c * ubar) * col_q
+                a[:, p] = new_p
+                a[:, q] = new_q
+                a[p, :] = new_p.conjugate()
+                a[q, :] = new_q.conjugate()
+                a[p, p] = alpha - t * mag
+                a[q, q] = gamma + t * mag
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    else:
+        if off_norm() > tol:
+            raise ArithmeticError(
+                f"Jacobi eigensolver did not reach off-norm {tol} in {max_sweeps} sweeps"
+            )
+    return np.sort(np.real(np.diag(a)))
+
+
+def entropy_from_eigenvalues(eigenvalues: np.ndarray) -> float:
+    """Shannon entropy in bits of a spectrum, with 0 log 0 := 0."""
+    positive = eigenvalues[eigenvalues > 1e-12]
+    return float(-np.sum(positive * np.log2(positive)))
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Von Neumann entropy in bits: -sum_i lambda_i log2 lambda_i.
+
+    Always in [0, 5] for a valid 32x32 density matrix.
+    """
+    eigenvalues = hermitian_eigenvalues(rho)
+    if eigenvalues[0] < EIGENVALUE_FLOOR:
+        raise ValueError(f"matrix has eigenvalue {eigenvalues[0]!r} < 0")
+    entropy = entropy_from_eigenvalues(eigenvalues)
+    return min(max(entropy, 0.0), float(N_QUBITS))
+
+
+
+
+def holevo_identical_ensembles(pattern_set: PatternSet) -> float:
+    """Chi for the identical-ensembles reading: zero by construction.
+
+    Both logical values are assigned the same mixture of the two pattern
+    states, so the average state equals each conditional state and
+    chi = S(avg) - S(cond) cancels exactly.
+    """
+    members = [
+        (0.5, pattern_state(pattern_set.first)),
+        (0.5, pattern_state(pattern_set.second)),
+    ]
+    rho_conditional = density_from_ensemble(members)
+    rho_average = 0.5 * rho_conditional + 0.5 * rho_conditional
+    s_average = von_neumann_entropy(rho_average)
+    s_conditional = von_neumann_entropy(rho_conditional)
+    return s_average - 0.5 * s_conditional - 0.5 * s_conditional
+
+
+def identical_ensembles_entropy(pattern_set: PatternSet) -> float:
+    """S of the identical-ensembles conditional state, in bits.
+
+    Equals 1 exactly when the two pattern states are orthogonal.
+    """
+    members = [
+        (0.5, pattern_state(pattern_set.first)),
+        (0.5, pattern_state(pattern_set.second)),
+    ]
+    return von_neumann_entropy(density_from_ensemble(members))
+
+
+def holevo_bit_conditioned(pattern_set: PatternSet) -> HolevoReport:
+    """Chi for the bit-conditioned ensembles, with all entropy terms.
+
+    rho_a mixes the bit-a codeword over the two patterns; chi is computed
+    from the Jacobi eigensolver path.  The value is reported as-is in
+    [0, 1]; no agreement with the identical-ensembles model is asserted.
+    """
+    p0, p1 = pattern_set.members()
+    rho = {
+        bit: density_from_ensemble([
+            (0.5, pattern_state(p0, bit)),
+            (0.5, pattern_state(p1, bit)),
+        ])
+        for bit in (0, 1)
+    }
+    rho_average = 0.5 * rho[0] + 0.5 * rho[1]
+    s_average = von_neumann_entropy(rho_average)
+    s0 = von_neumann_entropy(rho[0])
+    s1 = von_neumann_entropy(rho[1])
+    chi = s_average - 0.5 * s0 - 0.5 * s1
+    return HolevoReport(
+        chi_identical_ensembles=holevo_identical_ensembles(pattern_set),
+        chi_bit_conditioned=chi,
+        entropy_average=s_average,
+        entropy_rho0=s0,
+        entropy_rho1=s1,
+    )

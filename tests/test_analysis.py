@@ -4,16 +4,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import jacobi_oracle
 import numpy as np
 import pytest
 from helpers import random_state
 
 from patternqkd import analysis, code5
 from patternqkd.patterns import PatternSet, valid_pattern_sets
-from patternqkd.quantum_core import (
-    density_from_ensemble,
-    von_neumann_entropy,
-)
 
 
 class TestBinaryEntropy:
@@ -97,7 +94,7 @@ class TestHolevoIdenticalEnsembles:
         rng = np.random.default_rng(1)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=25):
-            assert abs(analysis.holevo_identical_ensembles(table[int(index)])) < 1e-9
+            assert abs(jacobi_oracle.holevo_identical_ensembles(table[int(index)])) < 1e-9
 
     def test_conditional_entropy_tracks_overlap(self):
         # equal two-state mixture has eigenvalues (1 +- |overlap|)/2, so its
@@ -107,7 +104,7 @@ class TestHolevoIdenticalEnsembles:
         for index in rng.integers(0, len(table), size=15):
             chosen = table[int(index)]
             overlap = abs(analysis.pattern_state_overlap(chosen))
-            entropy = analysis.identical_ensembles_entropy(chosen)
+            entropy = jacobi_oracle.identical_ensembles_entropy(chosen)
             expected = analysis.binary_entropy((1 + overlap) / 2)
             assert abs(entropy - expected) < 1e-9
             if overlap < 1e-9:
@@ -130,7 +127,7 @@ class TestHolevoBitConditioned:
         rng = np.random.default_rng(4)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=10):
-            report = analysis.holevo_bit_conditioned(table[int(index)])
+            report = analysis.holevo_bit_conditioned_gram(table[int(index)])
             assert -1e-9 <= report.chi_bit_conditioned <= 1.0 + 1e-9
             for term in (report.entropy_average, report.entropy_rho0, report.entropy_rho1):
                 assert 0.0 <= term <= 5.0
@@ -142,11 +139,13 @@ class TestHolevoBitConditioned:
         rng = np.random.default_rng(5)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=8):
-            full = analysis.holevo_bit_conditioned(table[int(index)])
+            full = jacobi_oracle.holevo_bit_conditioned(table[int(index)])
             fast = analysis.holevo_bit_conditioned_gram(table[int(index)])
             assert abs(full.chi_bit_conditioned - fast.chi_bit_conditioned) < 1e-9
             assert abs(full.entropy_average - fast.entropy_average) < 1e-9
             assert abs(full.entropy_rho0 - fast.entropy_rho0) < 1e-9
+            assert abs(full.entropy_rho1 - fast.entropy_rho1) < 1e-9
+            assert full.chi_identical_ensembles == fast.chi_identical_ensembles == 0.0
 
     def test_bit_parity_makes_chi_one_bit(self):
         # the all-Z parity operator commutes with every wire permutation, so
@@ -155,7 +154,7 @@ class TestHolevoBitConditioned:
         rng = np.random.default_rng(6)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=10):
-            report = analysis.holevo_bit_conditioned(table[int(index)])
+            report = analysis.holevo_bit_conditioned_gram(table[int(index)])
             assert abs(report.chi_bit_conditioned - 1.0) < 1e-9
 
     def test_sweep_rows_shape(self):
@@ -174,7 +173,7 @@ class TestGramEntropy:
             weights = rng.dirichlet(np.ones(size))
             members = [(float(w), random_state(rng)) for w in weights]
             via_gram = analysis.gram_entropy(members)
-            via_jacobi = von_neumann_entropy(density_from_ensemble(members))
+            via_jacobi = jacobi_oracle.von_neumann_entropy(jacobi_oracle.density_from_ensemble(members))
             assert abs(via_gram - via_jacobi) < 1e-9
 
 

@@ -1,16 +1,20 @@
 """Command-line front end: subcommands, exit codes, file formats."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import patternqkd
 from patternqkd import cli
 from patternqkd.channel import UNIFORM_KNOWLEDGE
-from patternqkd.patterns import PatternSet
+from patternqkd.patterns import PatternSet, valid_pattern_sets
+from patternqkd.protocol import SessionConfig
 
 
 HONEST_CFG = """\
@@ -89,6 +93,116 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         values = cli.parse_config_text("\n# hello\nnum_blocks = 7  # trailing\n\n")
         assert values == {"num_blocks": "7"}
+
+
+def _config_text(items):
+    return "".join(f"{key} = {value}\n" for key, value in items)
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# Values as config text, one strategy per table key; None leaves the key out.
+_CONFIG_VALUES = {
+    "num_blocks": st.integers(1, 10**9).map(str),
+    "master_seed": st.integers(0, 2**64 - 1).map(str),
+    "secret_set": st.sampled_from(valid_pattern_sets()).map(str),
+    "test_fraction": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr),
+    "mqer_threshold": _unit.map(repr),
+    "logical_basis": st.sampled_from("ZX"),
+    "noise.per_qubit_flip_prob": _unit.map(repr),
+    "noise.distance_km": _nonnegative.map(repr),
+    "noise.loss_db_per_km": _nonnegative.map(repr),
+    "noise.mean_photon_number": _nonnegative.map(repr),
+    "eve.kind": st.sampled_from(("none", "intercept_resend")),
+    "eve.knowledge": st.one_of(
+        st.just(UNIFORM_KNOWLEDGE),
+        st.sampled_from(("overlap=0", "overlap=1", "overlap=2")),
+        st.sampled_from(valid_pattern_sets()).map(str),
+    ),
+}
+_configs = st.fixed_dictionaries({key: st.none() | value for key, value in _CONFIG_VALUES.items()})
+
+
+class TestConfigSchema:
+    def test_value_strategies_cover_the_table(self):
+        assert list(_CONFIG_VALUES) == list(cli.FIELDS)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_configs)
+    def test_echo_rebuilds_an_equal_config(self, values):
+        text = _config_text((k, v) for k, v in values.items() if v is not None)
+        config = cli.build_session_config(cli.parse_config_text(text))
+        echo = cli.config_echo_items(config)
+        assert [key for key, _ in echo] == list(cli.FIELDS)
+        assert cli.build_session_config(cli.parse_config_text(_config_text(echo))) == config
+
+    def test_echo_text_is_pinned(self):
+        # The manifest's config lines are an external format: order and text.
+        config = cli.build_session_config(cli.parse_config_text(
+            "num_blocks = 50\nmaster_seed = 9\nsecret_set = 12345 23514\ntest_fraction = 0.25\n"
+            "logical_basis = X\nnoise.per_qubit_flip_prob = 0.01\nnoise.distance_km = 2\n"
+            "eve.kind = intercept_resend\neve.knowledge = overlap=1\n"
+        ))
+        assert _config_text(cli.config_echo_items(config)) == (
+            "num_blocks = 50\nmaster_seed = 9\nsecret_set = 12345 23514\ntest_fraction = 0.25\n"
+            "mqer_threshold = 0.1\nlogical_basis = X\nnoise.per_qubit_flip_prob = 0.01\n"
+            "noise.distance_km = 2.0\nnoise.loss_db_per_km = 0.2\nnoise.mean_photon_number = 0.0\n"
+            "eve.kind = intercept_resend\neve.knowledge = 12435 23514\n"
+        )
+        honest = cli.build_session_config(cli.parse_config_text(HONEST_CFG))
+        assert cli.config_echo_items(honest)[-2:] == [("eve.kind", "none"), ("eve.knowledge", "-")]
+
+    @pytest.mark.parametrize("knowledge", ["overlap=0", "overlap=1", "overlap=2", "12345 13452", "uniform"])
+    def test_manifest_config_lines_rebuild_the_config(self, tmp_path, knowledge):
+        # No secret_set, so it is drawn from the seed; overlap=K draws the guess.
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(
+            "num_blocks = 20\nmaster_seed = 31\nnoise.distance_km = 1.5\n"
+            f"eve.kind = intercept_resend\neve.knowledge = {knowledge}\n"
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) in (cli.EXIT_OK, cli.EXIT_ABORT)
+        echoed = [
+            line.removeprefix("config.")
+            for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith("config.")
+        ]
+        assert [line.split(" = ")[0] for line in echoed] == list(cli.FIELDS)
+        rebuilt = cli.build_session_config(cli.parse_config_text("\n".join(echoed)))
+        assert rebuilt == cli.build_session_config(cli.parse_config_text(cfg.read_text()))
+        assert (rebuilt.eve.knowledge == UNIFORM_KNOWLEDGE) == (knowledge == "uniform")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(
+            # near misses of every table key, then arbitrary dotted names
+            st.sampled_from(list(cli.FIELDS)).flatmap(lambda key: st.sampled_from([
+                key[:-1], key + "s", key.upper(), key.replace(".", "_"),
+                key.split(".")[0], key.split(".")[-1], key + ".x",
+            ])),
+            st.text(st.sampled_from("abcdeiklmnorstuw._0123456789"), min_size=1),
+        ).filter(lambda key: key not in cli.FIELDS),
+        st.integers(0, 4),
+    )
+    def test_every_key_outside_the_table_is_rejected(self, key, comments):
+        text = "# comment\n" * comments + f"{key} = 1\nmaster_seed = 2\n"
+        with pytest.raises(cli.ConfigError, match=f"line {comments + 1}: unknown key {re.escape(repr(key))}"):
+            cli.parse_config_text(text)
+
+    @pytest.mark.parametrize("kind", ["intercep_resend", "Intercept_resend", "uniform", "None"])
+    def test_unknown_eve_kind_exits_two_and_writes_nothing(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG + f"eve.kind = {kind}\n")
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert "eve.kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        config = cli.build_session_config({})
+        assert config.num_blocks == cli.DEFAULT_NUM_BLOCKS == 1000
+        default = SessionConfig(num_blocks=1000, secret_set=config.secret_set)
+        assert config == default
 
 
 class TestEnumerate:
@@ -210,12 +324,14 @@ class TestSimulate:
         cli.main([
             "simulate", "--config", str(cfg), "--out", str(out),
             "--blocks", "120", "--seed", "77", "--test-fraction", "0.25",
+            "--threshold", "0.3",
         ])
         report = (out / "report.txt").read_text()
         assert "blocks_sent = 120" in report
         manifest = (out / "manifest.txt").read_text()
         assert "config.master_seed = 77" in manifest
         assert "config.test_fraction = 0.25" in manifest
+        assert "config.mqer_threshold = 0.3" in manifest
 
     def test_records_column_shapes(self, tmp_path):
         cfg = tmp_path / "eve.cfg"
@@ -343,6 +459,36 @@ class TestSweep:
         assert code == cli.EXIT_FAULT
         manifest = (out / "manifest.txt").read_text()
         assert "sweep.partial = true" in manifest
+
+
+    # Pins each run's seed derivation, the axis substitution and the CSV
+    # format: a noise axis and the interceptor-overlap axis on a noisy,
+    # lossy, intercepted link.
+    @pytest.mark.parametrize("axis, values, expected", [
+        ("per_qubit_flip_prob", "0.0,0.05,0.2", (
+            "0.0,0.21,0.47619047619047616,abort,0.5686274509803921",
+            "0.05,0.21,0.42857142857142855,abort,0.4536082474226804",
+            "0.2,0.24,0.625,abort,0.44036697247706424",
+        )),
+        ("eve_overlap", "0,1,2", (
+            "0.0,0.21,0.47619047619047616,abort,0.46078431372549017",
+            "1.0,0.21,0.42857142857142855,abort,0.5051546391752577",
+            "2.0,0.24,0.20833333333333334,abort,0.7155963302752294",
+        )),
+    ])
+    def test_sweep_rows_are_pinned(self, tmp_path, axis, values, expected):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(
+            "master_seed = 3\nsecret_set = 12345 13452\nnoise.per_qubit_flip_prob = 0.07\n"
+            "noise.distance_km = 3\nnoise.mean_photon_number = 0.5\neve.kind = intercept_resend\n"
+        )
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", str(cfg), "--axis", axis,
+            "--values", values, "--blocks", "200", "--out", str(out),
+        ])
+        assert code == cli.EXIT_OK
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == list(expected)
 
 
 class TestGoldenRecords:

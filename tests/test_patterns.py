@@ -12,7 +12,6 @@ from patternqkd.patterns import (
     compose,
     invert,
     pattern_distance,
-    sample_pattern,
     sample_pattern_set,
     sets_sharing,
     valid_pattern_sets,
@@ -148,20 +147,6 @@ class TestSampling:
         for _ in range(100):
             s = sample_pattern_set(rng)
             assert pattern_distance(s.first, s.second) >= 3
-
-    def test_member_choice_is_balanced(self):
-        rng = np.random.default_rng(6)
-        s = valid_pattern_sets()[0]
-        draws = 100_000
-        firsts = sum(1 for _ in range(draws) if sample_pattern(s, rng)[0] == 0)
-        assert abs(firsts / draws - 0.5) < 0.01
-
-    def test_member_index_matches_pattern(self):
-        rng = np.random.default_rng(7)
-        s = valid_pattern_sets()[123]
-        for _ in range(20):
-            idx, p = sample_pattern(s, rng)
-            assert p == s.members()[idx]
 
     def test_set_sampling_uniformity_chi_square(self):
         scipy_stats = pytest.importorskip("scipy.stats")

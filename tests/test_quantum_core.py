@@ -1,111 +1,45 @@
-"""Statevector arithmetic, measurement, density matrices, and the eigensolver."""
+"""Statevector arithmetic, plus the test-side density matrices and
+Jacobi eigensolver that serve as the entropy oracle."""
 
-import math
+from functools import reduce
 
 import numpy as np
 import pytest
-from helpers import random_hermitian, random_state, random_unitary
+from helpers import random_hermitian, random_state
+from jacobi_oracle import (
+    assert_valid_state,
+    density_from_ensemble,
+    entropy_from_eigenvalues,
+    hermitian_eigenvalues,
+    von_neumann_entropy,
+)
 
 from patternqkd.patterns import Pattern, all_patterns, compose, invert
 from patternqkd.quantum_core import (
     DIM,
-    GATE_CNOT,
-    GATE_H,
-    GATE_I,
-    GATE_X,
     apply_pauli_string,
     apply_permutation,
-    apply_single_qubit_gate,
-    apply_two_qubit_gate,
-    as_gate,
-    assert_valid_state,
     basis_state,
-    density_from_ensemble,
-    entropy_from_eigenvalues,
-    hermitian_eigenvalues,
     inner_product,
-    measure_qubit,
-    state_from_bits,
-    von_neumann_entropy,
 )
 
-
-class TestSingleQubitGates:
-    def test_x_on_first_qubit_flips_msb(self):
-        out = apply_single_qubit_gate(state_from_bits([0, 0, 0, 0, 0]), GATE_X, 1)
-        np.testing.assert_allclose(out, state_from_bits([1, 0, 0, 0, 0]), atol=1e-15)
-
-    def test_identity_leaves_state_alone(self):
-        rng = np.random.default_rng(0)
-        psi = random_state(rng)
-        for qubit in range(1, 6):
-            np.testing.assert_allclose(
-                apply_single_qubit_gate(psi, GATE_I, qubit), psi, atol=1e-15
-            )
-
-    def test_hadamard_on_last_qubit(self):
-        out = apply_single_qubit_gate(basis_state(0), GATE_H, 5)
-        expected = (basis_state(0) + basis_state(1)) / math.sqrt(2)
-        np.testing.assert_allclose(out, expected, atol=1e-15)
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_single_qubit_gate(basis_state(0), GATE_X, 0)
-        with pytest.raises(ValueError):
-            apply_single_qubit_gate(basis_state(0), GATE_X, 6)
-
-    def test_non_unitary_gate_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            as_gate(np.array([[1, 0], [0, 2]], dtype=complex))
-
-    def test_norm_preserved_under_random_gates(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            psi = random_state(rng)
-            gate = random_unitary(rng, 2)
-            qubit = int(rng.integers(1, 6))
-            out = apply_single_qubit_gate(psi, gate, qubit)
-            assert abs(np.vdot(out, out).real - 1.0) < 1e-10
-
-    def test_gate_then_adjoint_recovers_input(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            psi = random_state(rng)
-            gate = random_unitary(rng, 2)
-            qubit = int(rng.integers(1, 6))
-            out = apply_single_qubit_gate(psi, gate, qubit)
-            back = apply_single_qubit_gate(out, gate.conj().T, qubit)
-            np.testing.assert_allclose(back, psi, atol=1e-12)
+PAULI_MATRICES = {
+    "I": np.eye(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Y": np.array([[0, -1j], [1j, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+}
 
 
-class TestTwoQubitGates:
-    def test_cnot_basics(self):
-        out = apply_two_qubit_gate(state_from_bits([1, 0, 0, 0, 0]), GATE_CNOT, 1, 2)
-        np.testing.assert_allclose(out, state_from_bits([1, 1, 0, 0, 0]), atol=1e-15)
-        out = apply_two_qubit_gate(basis_state(0), GATE_CNOT, 1, 2)
-        np.testing.assert_allclose(out, basis_state(0), atol=1e-15)
+def kron_all(factors):
+    """Tensor product with the first factor on qubit 1 (the most
+    significant bit of the amplitude index)."""
+    return reduce(np.kron, factors)
 
-    def test_cnot_is_an_involution(self):
-        rng = np.random.default_rng(3)
-        psi = random_state(rng)
-        out = apply_two_qubit_gate(psi, GATE_CNOT, 2, 5)
-        out = apply_two_qubit_gate(out, GATE_CNOT, 2, 5)
-        np.testing.assert_allclose(out, psi, atol=1e-12)
 
-    def test_equal_qubits_rejected(self):
-        with pytest.raises(ValueError):
-            apply_two_qubit_gate(basis_state(0), GATE_CNOT, 3, 3)
-
-    def test_adjoint_round_trip_random_gates(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            psi = random_state(rng)
-            gate = random_unitary(rng, 4)
-            q_a, q_b = rng.choice(np.arange(1, 6), size=2, replace=False)
-            out = apply_two_qubit_gate(psi, gate, int(q_a), int(q_b))
-            assert abs(np.vdot(out, out).real - 1.0) < 1e-10
-            back = apply_two_qubit_gate(out, gate.conj().T, int(q_a), int(q_b))
-            np.testing.assert_allclose(back, psi, atol=1e-12)
+def state_of_bits(bits):
+    """``|b1 b2 b3 b4 b5>`` built one qubit at a time."""
+    return kron_all([np.eye(2, dtype=complex)[b] for b in bits])
 
 
 class TestPermutations:
@@ -118,8 +52,8 @@ class TestPermutations:
 
     def test_swap_of_first_two_positions(self):
         pattern = Pattern((2, 1, 3, 4, 5))
-        out = apply_permutation(state_from_bits([1, 0, 0, 0, 0]), pattern)
-        np.testing.assert_allclose(out, state_from_bits([0, 1, 0, 0, 0]), atol=1e-15)
+        out = apply_permutation(state_of_bits([1, 0, 0, 0, 0]), pattern)
+        np.testing.assert_allclose(out, state_of_bits([0, 1, 0, 0, 0]), atol=1e-15)
 
     def test_inverse_round_trip_all_patterns(self):
         rng = np.random.default_rng(6)
@@ -149,22 +83,21 @@ class TestPermutations:
         moved = [0] * 5
         for i, b in enumerate(bits, start=1):
             moved[pattern(i) - 1] = b
-        out = apply_permutation(state_from_bits(bits), pattern)
-        np.testing.assert_allclose(out, state_from_bits(moved), atol=1e-15)
+        out = apply_permutation(state_of_bits(bits), pattern)
+        np.testing.assert_allclose(out, state_of_bits(moved), atol=1e-15)
 
 
 class TestPauliStrings:
     def test_matches_gate_path(self):
-        # the signed-bit-flip route must agree with matrix application
+        # the signed-bit-flip route must agree with the 32x32 Kronecker operator
         rng = np.random.default_rng(8)
-        gates = {"X": GATE_X, "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.array([[1, 0], [0, -1]])}
         for _ in range(25):
             psi = random_state(rng)
             letter = "IXYZ"[rng.integers(1, 4)]
             qubit = int(rng.integers(1, 6))
             label = "I" * (qubit - 1) + letter + "I" * (5 - qubit)
             via_string = apply_pauli_string(psi, label)
-            via_gate = apply_single_qubit_gate(psi, gates[letter], qubit)
+            via_gate = kron_all([PAULI_MATRICES[ch] for ch in label]) @ psi
             np.testing.assert_allclose(via_string, via_gate, atol=1e-12)
 
     def test_pauli_strings_square_to_identity(self):
@@ -173,31 +106,6 @@ class TestPauliStrings:
         for label in ("XZZXI", "IXZZX", "ZZZZZ", "YYYYY", "XYZIX"):
             out = apply_pauli_string(apply_pauli_string(psi, label), label)
             np.testing.assert_allclose(out, psi, atol=1e-12)
-
-
-class TestMeasurement:
-    def test_deterministic_on_basis_states(self):
-        rng = np.random.default_rng(10)
-        bit, post = measure_qubit(state_from_bits([1, 0, 0, 0, 0]), 1, rng)
-        assert bit == 1
-        np.testing.assert_allclose(post, state_from_bits([1, 0, 0, 0, 0]), atol=1e-15)
-
-    def test_born_frequencies_on_equal_superposition(self):
-        rng = np.random.default_rng(11)
-        plus = (basis_state(0) + basis_state(1)) / math.sqrt(2)
-        trials = 10_000
-        ones = sum(measure_qubit(plus, 5, rng)[0] for _ in range(trials))
-        assert abs(ones / trials - 0.5) < 0.02
-
-    def test_measurement_is_idempotent(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            psi = random_state(rng)
-            qubit = int(rng.integers(1, 6))
-            bit1, post = measure_qubit(psi, qubit, rng)
-            bit2, post2 = measure_qubit(post, qubit, rng)
-            assert bit1 == bit2
-            np.testing.assert_allclose(post2, post, atol=1e-12)
 
 
 class TestDensityMatrices:
