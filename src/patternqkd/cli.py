@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from dataclasses import replace
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from .channel import (
 )
 from .patterns import PatternSet, all_patterns, pattern_distance, valid_pattern_sets
 from .protocol import (
-    BlockRecord,
     DECISION_CONTINUE,
+    Blocks,
     SessionConfig,
     SessionReport,
     check_master_seed,
@@ -55,6 +57,9 @@ _SESSION_EVE_GUESS = 2
 RECORDS_HEADER = (
     "# block_id alice_bit a_idx b_idx lost syndrome bob_bit eve_guess eve_bit sifted tested"
 )
+# Rows of records.txt formatted, hashed and written at a time.  It bounds
+# the formatter's working memory, about 175 B per row.
+RECORDS_CHUNK_ROWS = 2048
 
 
 def _eve_kind(text: str) -> str:
@@ -189,26 +194,34 @@ def _fmt(value: object) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
-def format_records(records: Sequence[BlockRecord]) -> str:
-    """Line-delimited block records in the documented column order."""
-    syndromes = [code5.syndrome_bits(s) for s in range(code5.N_SYNDROMES)]
-    pattern_names = {p: str(p) for p in all_patterns()}
-    lines = [RECORDS_HEADER]
-    for r in records:
-        lines.append(" ".join((
-            str(r.block_id),
-            str(r.alice_bit),
-            str(r.alice_pattern_index),
-            str(r.bob_pattern_index),
-            "1" if r.lost else "0",
-            syndromes[r.syndrome] if r.syndrome is not None else "-",
-            str(r.bob_bit) if r.bob_bit is not None else "-",
-            pattern_names[r.eve.guessed_pattern] if r.eve is not None else "-",
-            str(r.eve.eve_bit) if r.eve is not None else "-",
-            "1" if r.sifted else "0",
-            "1" if r.disclosed_for_test else "0",
-        )))
-    return "\n".join(lines) + "\n"
+@lru_cache(maxsize=1)
+def _record_parts() -> tuple[np.ndarray, ...]:
+    """The text after ``block_id`` of a record line, in four parts, each
+    looked up by the code that ``format_records`` computes for it."""
+    bits = [f"{a} {i} {j} {lost}" for lost in "01" for a in "01" for i in "01" for j in "01"]
+    decodes = [f"{code5.syndrome_bits(s)} {c}" for s in range(code5.N_SYNDROMES) for c in "01"] + ["- -"]
+    guesses = [f"{p} {c}" for p in all_patterns() for c in "01"] + ["- -"]
+    flags = [f"{s} {t}" for s in "01" for t in "01"]
+    return tuple(np.array(part, dtype=object) for part in (bits, decodes, guesses, flags))
+
+
+def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -> str:
+    """Lines of rows ``start .. stop - 1`` in the documented column order,
+    after the header line if ``start`` is 0."""
+    bits, decodes, guesses, flags = _record_parts()
+    rows = slice(start, stop)
+    lost, guess = blocks.lost[rows], blocks.eve_guess[rows].astype(np.int16)
+    codes = (
+        (bits, 8 * lost + 4 * blocks.alice_bit[rows]
+         + 2 * blocks.alice_pattern_index[rows] + blocks.bob_pattern_index[rows]),
+        (decodes, np.where(lost, len(decodes) - 1, 2 * blocks.syndrome[rows] + blocks.bob_bit[rows])),
+        (guesses, np.where(guess < 0, len(guesses) - 1, 2 * guess + blocks.eve_bit[rows])),
+        (flags, 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows]),
+    )
+    parts = [table[code].tolist() for table, code in codes]
+    ids = range(blocks.first + start, blocks.first + start + len(lost))
+    lines = map(" ".join, zip(map(str, ids), *parts))
+    return "\n".join(chain([RECORDS_HEADER] if start == 0 else [], lines)) + "\n"
 
 
 def format_report(report: SessionReport) -> str:
@@ -231,29 +244,44 @@ def format_report(report: SessionReport) -> str:
     return "".join(f"{k} = {v}\n" for k, v in items)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_outputs(out: Path, files: dict[str, Iterable[str]]) -> dict[str, str]:
+    """Write each named file of ``out`` from its text chunks, hashing them
+    as they go, into a temp file; then move the temp files into place.  A
+    failure removes them instead.  Returns each file's SHA-256 digest."""
+    temps = {name: out / f".{name}.partial" for name in files}
+    digests = {}
+    try:
+        for name, chunks in files.items():
+            digest = hashlib.sha256()
+            with temps[name].open("wb") as fh:
+                for chunk in chunks:
+                    data = chunk.encode()
+                    digest.update(data)
+                    fh.write(data)
+            digests[name] = digest.hexdigest()
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    except BaseException:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    return digests
 
 
 def _write_manifest(
-    path: Path,
-    config: SessionConfig,
-    outputs: dict[str, Path],
-    extra: Optional[list[tuple[str, str]]] = None,
+    out: Path, config: SessionConfig, digests: dict[str, str], extra: Optional[list[tuple[str, str]]] = None
 ) -> None:
+    """Write ``out/manifest.txt`` last, naming each output by its file stem."""
     lines = [
         "tool_name = patternqkd",
         f"tool_version = {__version__}",
         f"created_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
     ]
     lines += [f"config.{k} = {v}" for k, v in config_echo_items(config)]
-    for name, out in outputs.items():
-        lines.append(f"output.{name} = {out}")
-    for name, out in outputs.items():
-        lines.append(f"digest.{name} = sha256:{_sha256(out)}")
-    for key, value in extra or []:
-        lines.append(f"{key} = {value}")
-    path.write_text("\n".join(lines) + "\n")
+    lines += [f"output.{Path(name).stem} = {out / name}" for name in digests]
+    lines += [f"digest.{Path(name).stem} = sha256:{digest}" for name, digest in digests.items()]
+    lines += [f"{key} = {value}" for key, value in extra or []]
+    _write_outputs(out, {"manifest.txt": ["\n".join(lines) + "\n"]})
 
 
 def _prepare_out_dir(path_str: str) -> Path:
@@ -268,25 +296,14 @@ def _prepare_out_dir(path_str: str) -> Path:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     patterns = all_patterns()
     sets = valid_pattern_sets()
-    written: list[Path] = []
+    files = {"patterns.csv": ["pattern_id,mapping\n" + "".join(f"{i},{p}\n" for i, p in enumerate(patterns))]}
+    if args.sets_csv:
+        files["sets.csv"] = ["set_id,perm_a,perm_b,distance\n" + "".join(
+            f"{i},{s.first},{s.second},{pattern_distance(s.first, s.second)}\n" for i, s in enumerate(sets)
+        )]
     try:
-        out = _prepare_out_dir(args.out)
-        patterns_csv = out / "patterns.csv"
-        written.append(patterns_csv)
-        with patterns_csv.open("w") as fh:
-            fh.write("pattern_id,mapping\n")
-            for i, p in enumerate(patterns):
-                fh.write(f"{i},{p}\n")
-        if args.sets_csv:
-            sets_csv = out / "sets.csv"
-            written.append(sets_csv)
-            with sets_csv.open("w") as fh:
-                fh.write("set_id,perm_a,perm_b,distance\n")
-                for i, s in enumerate(sets):
-                    fh.write(f"{i},{s.first},{s.second},{pattern_distance(s.first, s.second)}\n")
+        _write_outputs(_prepare_out_dir(args.out), files)
     except OSError as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"patterns={len(patterns)} sets={len(sets)}")
@@ -383,16 +400,15 @@ def _load_config(args: argparse.Namespace) -> SessionConfig:
 
 
 def _run_and_write(config: SessionConfig, out: Path) -> SessionReport:
-    report, records = run_session(config)
-    report_path = out / "report.txt"
-    records_path = out / "records.txt"
-    report_path.write_text(format_report(report))
-    records_path.write_text(format_records(records))
-    _write_manifest(
-        out / "manifest.txt",
-        config,
-        {"report": report_path, "records": records_path},
-    )
+    report, blocks = run_session(config)
+    digests = _write_outputs(out, {
+        "report.txt": [format_report(report)],
+        "records.txt": (
+            format_records(blocks, start, start + RECORDS_CHUNK_ROWS)
+            for start in range(0, len(blocks), RECORDS_CHUNK_ROWS)
+        ),
+    })
+    _write_manifest(out, config, digests)
     return report
 
 
@@ -442,30 +458,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    csv_path = out / "sweep.csv"
     rows: list[str] = ["axis_value,sift_rate,mqer,decision,eve_success"]
+    seeds: list[tuple[str, str]] = []
     fault: Optional[str] = None
     for index, value in enumerate(values):
+        sub_seed = _sub_seed(base.master_seed, index)
         try:
-            config = _sweep_config(base, args.axis, value, _sub_seed(base.master_seed, index))
-            report, _ = run_session(config)
+            report, _ = run_session(_sweep_config(base, args.axis, value, sub_seed))
         except (ConfigError, Exception) as exc:  # noqa: BLE001 - flagged in manifest
             fault = f"run {index} (value {value}): {exc}"
             break
+        seeds.append((f"sweep.seed.{index}", str(sub_seed)))
         success = "-" if report.eve_success_rate is None else _fmt(report.eve_success_rate)
         rows.append(
             f"{_fmt(value)},{_fmt(report.sift_rate)},{_fmt(report.mqer_estimate)},"
             f"{report.decision},{success}"
         )
-    csv_path.write_text("\n".join(rows) + "\n")
+    digests = _write_outputs(out, {"sweep.csv": ["\n".join(rows) + "\n"]})
     extra = [("sweep.axis", args.axis), ("sweep.partial", "true" if fault else "false")]
     if fault:
         extra.append(("sweep.fault", fault))
-    _write_manifest(out / "manifest.txt", base, {"sweep": csv_path}, extra=extra)
+    _write_manifest(out, base, digests, extra=extra + seeds)
     if fault:
         print(f"error: sweep aborted: {fault}", file=sys.stderr)
         return EXIT_FAULT
-    print(f"sweep axis={args.axis} runs={len(values)} -> {csv_path}")
+    print(f"sweep axis={args.axis} runs={len(values)} -> {out / 'sweep.csv'}")
     return EXIT_OK
 
 

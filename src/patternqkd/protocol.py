@@ -39,16 +39,18 @@ of a block means (every word is drawn, used or not):
 
 A decode outcome is the first (syndrome s, bit c), in the order of 2s + c,
 whose cumulative exact probability for the state the decoder holds exceeds
-u(w).  Session-level draws (the disclosed test subset, a seed-drawn secret
-set or guessed set) come from ``session_rng`` streams, disjoint from the
-block stream.  Two runs with the same config are therefore bitwise
-identical.
+u(w).  Every probability is a whole number of sixteenths, so that is the
+outcome numbered by how many cumulative sixteenths are <= w >> 60, which
+is floor(16 u(w)); the engine draws it in that integer form.  Session-level
+draws (the disclosed test subset, a seed-drawn secret set or guessed set)
+come from ``session_rng`` streams, disjoint from the block stream.  Two
+runs with the same config are therefore bitwise identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional
 
@@ -143,6 +145,42 @@ class BlockRecord:
     pns_leak: bool = False
 
 
+@dataclass(eq=False)
+class Blocks:
+    """Consecutive blocks as equal-length columns; row i is block ``first + i``.
+
+    Flags are bool.  Bits, pattern indices and syndromes are int8, -1 where
+    a value does not exist: a lost block's measurements, and the
+    interceptor's guess (an index into ``all_patterns()``) and bit when
+    there is none or the block is lost.
+    """
+
+    first: int
+    alice_bit: np.ndarray
+    alice_pattern_index: np.ndarray
+    bob_pattern_index: np.ndarray
+    lost: np.ndarray
+    syndrome: np.ndarray
+    bob_bit: np.ndarray
+    eve_guess: np.ndarray
+    eve_bit: np.ndarray
+    sifted: np.ndarray
+    disclosed_for_test: np.ndarray
+    pns_leak: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lost)
+
+    def record(self, i: int) -> BlockRecord:
+        """Row ``i`` as a BlockRecord."""
+        row = {f.name: getattr(self, f.name)[i].item() for f in fields(self)[1:]}
+        guess, eve_bit = row.pop("eve_guess"), row.pop("eve_bit")
+        if row["lost"]:
+            row["syndrome"] = row["bob_bit"] = None
+        eve = None if guess < 0 else EveRecord(all_patterns()[guess], eve_bit)
+        return BlockRecord(block_id=self.first + i, eve=eve, **row)
+
+
 @dataclass
 class SessionReport:
     """Aggregate outcome of a session."""
@@ -172,16 +210,26 @@ def _uniform(words: np.ndarray) -> np.ndarray:
 
 
 def _bit(words: np.ndarray) -> np.ndarray:
-    return (words >> 63).astype(np.int64)
+    return (words >> 63).astype(np.int8)
 
 
-def _draw_outcomes(probabilities: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Per row, the first outcome whose cumulative probability exceeds u(word).
+@lru_cache(maxsize=2)
+def _sixteenths(basis: str) -> np.ndarray:
+    """``code5.decode_table(basis)`` counted in sixteenths, as int8."""
+    table = np.rint(code5.decode_table(basis) * 16).astype(np.int8)
+    table.setflags(write=False)
+    return table
 
-    Exact: the table entries are multiples of 1/16, so their running sums
-    carry no rounding.
+
+def _draw_outcomes(sixteenths: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per row, the number of cumulative sixteenths that are <= ``word >> 60``.
+
+    That is the first outcome whose cumulative probability exceeds u(word):
+    a cumulative probability k/16 is <= u(w) iff k <= floor(16 u(w)), and
+    floor(16 u(w)) = w >> 60.
     """
-    return np.sum(np.cumsum(probabilities, axis=1) <= _uniform(words)[:, None], axis=1)
+    cumulative = np.cumsum(sixteenths, axis=1, dtype=np.int8)
+    return np.count_nonzero(cumulative <= (words >> 60).astype(np.int8)[:, None], axis=1)
 
 
 def _noise_frames(
@@ -198,23 +246,17 @@ def _noise_frames(
     return np.sum(x << shifts, axis=1), np.sum(z << shifts, axis=1)
 
 
-@lru_cache(maxsize=1)
-def _intercept_records() -> tuple[EveRecord, ...]:
-    """Entry ``2 * g + b``: the (immutable) record of guess ``all_patterns()[g]``, bit ``b``."""
-    return tuple(EveRecord(pattern, bit) for pattern in all_patterns() for bit in (0, 1))
-
-
-def _simulate(config: SessionConfig, first: int, count: int) -> list[BlockRecord]:
-    """Records of blocks ``first .. first + count - 1`` (none disclosed yet)."""
+def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
+    """Blocks ``first .. first + count - 1`` (none disclosed yet)."""
     words = _block_words(config.master_seed, first, count)
-    table = code5.decode_table(config.logical_basis)
+    table = _sixteenths(config.logical_basis)
     members = np.array([all_patterns().index(p) for p in config.secret_set.members()])
     alice_bit = _bit(words[:, _W_ALICE_BIT])
     alice_pattern = _bit(words[:, _W_ALICE_PATTERN])
     bob_pattern = _bit(words[:, _W_BOB_PATTERN])
     sender, sent_bit = members[alice_pattern], alice_bit
 
-    intercepts = [None] * count
+    guess = heard = np.full(count, -1)
     if config.eve.active:
         if config.eve.knowledge == UNIFORM_KNOWLEDGE:
             guess = ((words[:, _W_EVE_GUESS] >> 11) * len(all_patterns()) >> 53).astype(np.int64)
@@ -223,8 +265,6 @@ def _simulate(config: SessionConfig, first: int, count: int) -> list[BlockRecord
             guess = guessed[_bit(words[:, _W_EVE_GUESS])]
         heard = _draw_outcomes(table[relative_index(guess, sender), sent_bit], words[:, _W_EVE_DECODE]) & 1
         sender, sent_bit = guess, heard
-        eve_records = _intercept_records()
-        intercepts = [eve_records[k] for k in (2 * guess + heard).tolist()]
 
     rows = table[relative_index(members[bob_pattern], sender), sent_bit]
     p = config.noise.per_qubit_flip_prob
@@ -234,73 +274,49 @@ def _simulate(config: SessionConfig, first: int, count: int) -> list[BlockRecord
     bob_outcome = _draw_outcomes(rows, words[:, _W_BOB_DECODE])
     lost = _uniform(words[:, _W_LOSS]) >= config.noise.photon_survival_prob ** 5
     multiphoton = _uniform(words[:, _W_PULSES]) < multiphoton_prob(config.noise.mean_photon_number)
-    leak = np.sum(multiphoton, axis=1) >= 3
 
-    sifted = ~lost & (alice_pattern == bob_pattern)
-    records = []
-    columns = zip(
-        alice_bit.tolist(), alice_pattern.tolist(), bob_pattern.tolist(), lost.tolist(),
-        (bob_outcome >> 1).tolist(), (bob_outcome & 1).tolist(), intercepts, sifted.tolist(), leak.tolist(),
+    syndrome, bob_bit, eve_guess, eve_bit = (
+        np.where(lost, -1, column).astype(np.int8) for column in (bob_outcome >> 1, bob_outcome & 1, guess, heard)
     )
-    for block_id, (a_bit, a_idx, b_idx, is_lost, syndrome, b_bit, intercept, is_sifted, is_leak) in enumerate(
-        columns, start=first
-    ):
-        if is_lost:
-            syndrome = b_bit = intercept = None
-        records.append(BlockRecord(
-            block_id=block_id,
-            alice_bit=a_bit,
-            alice_pattern_index=a_idx,
-            bob_pattern_index=b_idx,
-            lost=is_lost,
-            syndrome=syndrome,
-            bob_bit=b_bit,
-            eve=intercept,
-            sifted=is_sifted,
-            pns_leak=is_leak,
-        ))
-    return records
+    return Blocks(
+        first, alice_bit, alice_pattern, bob_pattern, lost, syndrome, bob_bit, eve_guess, eve_bit,
+        sifted=~lost & (alice_pattern == bob_pattern),
+        disclosed_for_test=np.zeros(count, dtype=bool),
+        pns_leak=np.count_nonzero(multiphoton, axis=1) >= 3,
+    )
 
 
 def run_block(config: SessionConfig, block_id: int) -> BlockRecord:
     """Simulate one block: the record ``run_session`` gives it, before disclosure."""
     if block_id < 0:
         raise ValueError(f"block_id must be >= 0, got {block_id}")
-    return _simulate(config, block_id, 1)[0]
+    return _simulate(config, block_id, 1).record(0)
 
 
-def sift(records: list[BlockRecord]) -> list[BlockRecord]:
-    """Keep exactly the records flagged sifted, in order."""
-    return [r for r in records if r.sifted]
+def sift(blocks: Blocks) -> np.ndarray:
+    """Row indices of exactly the blocks flagged sifted, in order."""
+    return np.flatnonzero(blocks.sifted)
 
 
 def estimate_mqer(
-    sifted: list[BlockRecord],
-    test_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[float, int, list[BlockRecord]]:
+    errors: np.ndarray, test_fraction: float, rng: np.random.Generator
+) -> tuple[float, int, np.ndarray]:
     """Disclose a uniform test subset and estimate the multi-qubit error rate.
 
-    Samples ``ceil(test_fraction * len(sifted))`` records without
-    replacement, marks them disclosed, and counts a multi-qubit error for
-    every disclosed record whose corrected bit mismatches Alice's.  An
-    empty sifted list yields (0.0, 0, []); callers flag that as a warning.
+    ``errors[j]`` says whether sifted block j's corrected bit mismatches
+    Alice's.  Samples ``ceil(test_fraction * len(errors))`` blocks without
+    replacement; returns the fraction of them in error, their number and
+    the disclosure mask over the sifted blocks.  No sifted blocks yield
+    (0.0, 0, an empty mask); callers flag that as a warning.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be strictly inside (0,1), got {test_fraction}")
-    if not sifted:
-        return 0.0, 0, []
-    n_test = math.ceil(test_fraction * len(sifted))
-    chosen = rng.choice(len(sifted), size=n_test, replace=False)
-    tested = []
-    mismatches = 0
-    for index in sorted(int(i) for i in chosen):
-        record = sifted[index]
-        record.disclosed_for_test = True
-        tested.append(record)
-        if record.bob_bit != record.alice_bit:
-            mismatches += 1
-    return mismatches / n_test, n_test, tested
+    disclosed = np.zeros(len(errors), dtype=bool)
+    if not len(errors):
+        return 0.0, 0, disclosed
+    n_test = math.ceil(test_fraction * len(errors))
+    disclosed[rng.choice(len(errors), size=n_test, replace=False)] = True
+    return int(np.count_nonzero(errors & disclosed)) / n_test, n_test, disclosed
 
 
 def decide(mqer: float, threshold: float) -> str:
@@ -310,40 +326,37 @@ def decide(mqer: float, threshold: float) -> str:
     return DECISION_CONTINUE if mqer < threshold else DECISION_ABORT
 
 
-def run_session(config: SessionConfig) -> tuple[SessionReport, list[BlockRecord]]:
+def run_session(config: SessionConfig) -> tuple[SessionReport, Blocks]:
     """Run the whole session: blocks, sifting, estimation, decision, key."""
-    records: list[BlockRecord] = []
-    for first in range(0, config.num_blocks, _BATCH_BLOCKS):
-        records += _simulate(config, first, min(_BATCH_BLOCKS, config.num_blocks - first))
+    batches = [
+        _simulate(config, first, min(_BATCH_BLOCKS, config.num_blocks - first))
+        for first in range(0, config.num_blocks, _BATCH_BLOCKS)
+    ]
+    blocks = Blocks(0, *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(Blocks)[1:]))
 
-    sifted = sift(records)
+    kept = sift(blocks)
     rng_test = session_rng(config.master_seed, _SESSION_TEST_SUBSET)
-    mqer, n_tested, _ = estimate_mqer(sifted, config.test_fraction, rng_test)
-    decision = decide(mqer, config.mqer_threshold)
+    errors = blocks.bob_bit[kept] != blocks.alice_bit[kept]
+    mqer, n_tested, disclosed = estimate_mqer(errors, config.test_fraction, rng_test)
+    blocks.disclosed_for_test[kept[disclosed]] = True
 
-    raw_key = [r.bob_bit for r in sifted if not r.disclosed_for_test]
+    observed = blocks.eve_guess >= 0
+    hits = np.count_nonzero(blocks.eve_bit[observed] == blocks.alice_bit[observed])
+    eve_success = int(hits) / int(np.count_nonzero(observed)) if observed.any() else None
 
-    eve_success: Optional[float] = None
-    if config.eve.active:
-        observed = [r for r in records if r.eve is not None]
-        if observed:
-            hits = sum(1 for r in observed if r.eve.eve_bit == r.alice_bit)
-            eve_success = hits / len(observed)
-
-    report = SessionReport(
+    return SessionReport(
         blocks_sent=config.num_blocks,
-        blocks_lost=sum(1 for r in records if r.lost),
-        blocks_sifted=len(sifted),
+        blocks_lost=int(np.count_nonzero(blocks.lost)),
+        blocks_sifted=len(kept),
         blocks_tested=n_tested,
         mqer_estimate=mqer,
-        mqer_warning=(len(sifted) == 0),
-        decision=decision,
-        sift_rate=len(sifted) / config.num_blocks,
-        raw_key=raw_key,
+        mqer_warning=(len(kept) == 0),
+        decision=decide(mqer, config.mqer_threshold),
+        sift_rate=len(kept) / config.num_blocks,
+        raw_key=blocks.bob_bit[kept[~disclosed]].tolist(),
         eve_success_rate=eve_success,
-        pns_leak_blocks=sum(1 for r in records if r.pns_leak),
-    )
-    return report, records
+        pns_leak_blocks=int(np.count_nonzero(blocks.pns_leak)),
+    ), blocks
 
 
 def sample_secret_set(master_seed: int) -> PatternSet:

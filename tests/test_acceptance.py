@@ -24,6 +24,7 @@ from fractions import Fraction
 import jacobi_oracle
 import numpy as np
 import pytest
+from records_oracle import as_records
 
 from patternqkd import analysis, cli, code5
 from patternqkd.channel import EveStrategy, NoiseModel, guessed_set_with_overlap
@@ -429,7 +430,7 @@ def test_c10_eve_knowledge_sweep(eve_knows_outcome):
     ok = True
 
     report_k2, records_k2 = eve_knows_outcome
-    observed = sum(1 for r in records_k2 if r.eve is not None)
+    observed = sum(1 for r in as_records(records_k2) if r.eve is not None)
     sigma = math.sqrt(0.75 * 0.25 / observed)
     ok &= abs(report_k2.eve_success_rate - 0.75) <= 3 * sigma
     lines.append(
@@ -440,7 +441,7 @@ def test_c10_eve_knowledge_sweep(eve_knows_outcome):
     for k, seed, model_value in ((1, 1004, 0.625), (0, 1005, 0.5)):
         guessed = guessed_set_with_overlap(SECRET, k, np.random.default_rng(2024 + k))
         report, records = _session(seed, EveStrategy.intercept_resend(guessed))
-        n = sum(1 for r in records if r.eve is not None)
+        n = sum(1 for r in as_records(records) if r.eve is not None)
         sigma = math.sqrt(model_value * (1 - model_value) / n)
         measured = report.eve_success_rate
         if abs(measured - model_value) <= 3 * sigma:

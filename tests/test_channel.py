@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from records_oracle import as_records
 
 from patternqkd import code5, protocol
 from patternqkd.analysis import multiphoton_prob, pns_block_leak_prob
@@ -20,7 +21,8 @@ SECRET = PatternSet.from_string("12345 13452")
 
 def session(blocks, seed, eve=EveStrategy.none(), **noise):
     config = SessionConfig(num_blocks=blocks, secret_set=SECRET, master_seed=seed, noise=NoiseModel(**noise), eve=eve)
-    return run_session(config)
+    report, columns = run_session(config)
+    return report, as_records(columns)
 
 
 def noise_weights(p, blocks, seed):
@@ -150,7 +152,7 @@ class TestPhotonStatistics:
         # (words 12-16 of the block's layout).
         config = SessionConfig(num_blocks=400, secret_set=SECRET, master_seed=12,
                                noise=NoiseModel(mean_photon_number=1.0))
-        _, records = run_session(config)
+        records = as_records(run_session(config)[1])
         pulses = protocol._uniform(protocol._block_words(12, 0, 400)[:, 12:17]) < multiphoton_prob(1.0)
         counts = pulses.sum(axis=1)
         assert {0, 1, 2, 3, 4} <= set(counts.tolist())

@@ -4,17 +4,19 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from records_oracle import as_records, format_records
 
 import patternqkd
 from patternqkd import cli
-from patternqkd.channel import UNIFORM_KNOWLEDGE
+from patternqkd.channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
 from patternqkd.patterns import PatternSet, valid_pattern_sets
-from patternqkd.protocol import SessionConfig
+from patternqkd.protocol import SessionConfig, run_session
 
 
 HONEST_CFG = """\
@@ -489,6 +491,118 @@ class TestSweep:
         ])
         assert code == cli.EXIT_OK
         assert (out / "sweep.csv").read_text().splitlines()[1:] == list(expected)
+
+
+    @pytest.mark.parametrize("axis, key, values", [
+        ("per_qubit_flip_prob", "noise.per_qubit_flip_prob", "0.0,0.05,0.2"),
+        ("eve_overlap", "eve.knowledge", "0,1,2"),
+    ])
+    def test_rows_replay_from_the_manifest(self, tmp_path, axis, key, values):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(
+            "master_seed = 3\nnoise.per_qubit_flip_prob = 0.07\n"
+            "noise.distance_km = 3\nnoise.mean_photon_number = 0.5\neve.kind = intercept_resend\n"
+        )
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", str(cfg), "--axis", axis,
+            "--values", values, "--blocks", "200", "--out", str(out),
+        ])
+        assert code == cli.EXIT_OK
+        manifest = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+        echo = {k.removeprefix("config."): v for k, v in manifest.items() if k.startswith("config.")}
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [k for k in manifest if k.startswith("sweep.seed.")] == [f"sweep.seed.{i}" for i in range(len(rows))]
+        for index, row in enumerate(rows):
+            value, sift_rate, mqer, _, success = row.split(",")
+            replay = dict(echo, **{key: f"overlap={int(float(value))}" if axis == "eve_overlap" else value})
+            replay_cfg = tmp_path / f"replay{index}.cfg"
+            replay_cfg.write_text("".join(f"{k} = {v}\n" for k, v in replay.items()))
+            run = tmp_path / f"replay{index}"
+            cli.main([
+                "simulate", "--config", str(replay_cfg), "--out", str(run),
+                "--seed", manifest[f"sweep.seed.{index}"],
+            ])
+            report = dict(line.split(" = ", 1) for line in (run / "report.txt").read_text().splitlines())
+            assert (report["sift_rate"], report["mqer_estimate"], report["eve_success_rate"]) == (sift_rate, mqer, success)
+
+    def test_faulted_run_has_no_seed_line(self, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG)
+        out = tmp_path / "sweep"
+        code = cli.main([
+            "sweep", "--config", str(cfg), "--axis", "eve_overlap",
+            "--values", "1,0.5,2", "--blocks", "50", "--out", str(out),
+        ])
+        assert code == cli.EXIT_FAULT
+        seeds = [line for line in (out / "manifest.txt").read_text().splitlines() if line.startswith("sweep.seed.")]
+        assert len(seeds) == 1 and seeds[0].startswith("sweep.seed.0 = ")
+
+
+class TestColumnarRecords:
+    # The columnar formatter against the per-record reference it replaced.
+    @pytest.mark.parametrize("config", [
+        dict(noise=NoiseModel(per_qubit_flip_prob=0.1)),
+        dict(noise=NoiseModel(distance_km=5.0, loss_db_per_km=1.0, mean_photon_number=0.5)),
+        dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(distance_km=3.0)),
+        dict(eve=EveStrategy.intercept_resend(PatternSet.from_string("12345 21453")), logical_basis="X",
+             noise=NoiseModel(per_qubit_flip_prob=0.05)),
+        dict(noise=NoiseModel(distance_km=400.0)),
+    ], ids=["noisy", "lossy", "interceptor", "x-basis", "zero-sifted"])
+    def test_equals_the_per_record_formatter(self, config):
+        session = SessionConfig(num_blocks=700, secret_set=PatternSet.from_string("12345 13452"), master_seed=41, **config)
+        _, blocks = run_session(session)
+        expected = format_records(as_records(blocks))
+        assert cli.format_records(blocks) == expected
+        chunks = [cli.format_records(blocks, start, start + 97) for start in range(0, len(blocks), 97)]
+        assert "".join(chunks) == expected
+
+
+class TestOutputFiles:
+    def test_records_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(EVE_CFG)
+        real = cli.format_records
+
+        def failing(blocks, start=0, stop=None):
+            if start > 0:
+                raise OSError("disk full")
+            return real(blocks, start, stop)
+
+        monkeypatch.setattr(cli, "RECORDS_CHUNK_ROWS", 100)
+        monkeypatch.setattr(cli, "format_records", failing)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
+        assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    def test_records_span_several_chunks(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(EVE_CFG)
+        out_whole, out_chunked = tmp_path / "whole", tmp_path / "chunked"
+        cli.main(["simulate", "--config", str(cfg), "--out", str(out_whole)])
+        monkeypatch.setattr(cli, "RECORDS_CHUNK_ROWS", 7)
+        cli.main(["simulate", "--config", str(cfg), "--out", str(out_chunked)])
+        for name in ("records.txt", "report.txt"):
+            assert (out_chunked / name).read_bytes() == (out_whole / name).read_bytes()
+        assert sorted(p.name for p in out_chunked.iterdir()) == ["manifest.txt", "records.txt", "report.txt"]
+
+    def test_traced_peak_of_a_long_run_is_bounded(self, tmp_path):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(
+            "secret_set = 12345 13452\nnoise.per_qubit_flip_prob = 0.05\nnoise.distance_km = 2\n"
+            "noise.mean_photon_number = 0.3\neve.kind = intercept_resend\n"
+        )
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        cli.main(argv + ["--blocks", "10"])  # builds the tables cached for the whole process
+        blocks = 200_000
+        tracemalloc.start()
+        try:
+            cli.main(argv + ["--blocks", str(blocks)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * blocks, f"{peak / blocks:.1f} B/block"
 
 
 class TestGoldenRecords:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import test_cli
+from records_oracle import as_records, format_records
 
 import patternqkd
 from patternqkd import cli, code5, protocol
@@ -81,6 +82,45 @@ class TestPauliFrames:
     def test_pauli_masks(self):
         assert code5.pauli_masks("XIIIZ") == (0b10000, 0b00001)
         assert code5.pauli_masks("IYIII") == (0b01000, 0b01000)
+
+
+# Every value of w >> 60, each with the low 60 bits all 0 and all 1.
+EDGE_WORDS = np.array([top << 60 | low for top in range(16) for low in (0, 2**60 - 1)], dtype=np.uint64)
+
+
+def assert_integer_draws_follow_the_definition(sixteenths, probabilities):
+    """The engine's integer draw on rows of sixteenths equals the documented
+    draw on the float rows: sum(cumsum(p) <= u(w))."""
+    np.testing.assert_array_equal(sixteenths / 16, probabilities)
+    cumulative = np.cumsum(probabilities, axis=1)
+    outcomes = set()
+    for word in EDGE_WORDS:
+        words = np.full(len(sixteenths), word)
+        drawn = protocol._draw_outcomes(sixteenths, words)
+        np.testing.assert_array_equal(drawn, np.sum(cumulative <= u(word), axis=1))
+        outcomes.update(drawn.tolist())
+    assert len(outcomes) > 1
+
+
+class TestIntegerDraw:
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_every_table_row(self, basis):
+        sixteenths = protocol._sixteenths(basis)
+        assert sixteenths.dtype == np.int8
+        assert_integer_draws_follow_the_definition(
+            sixteenths.reshape(-1, 32), code5.decode_table(basis).reshape(-1, 32)
+        )
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_every_table_row_under_every_frame(self, basis):
+        x, z = np.divmod(np.arange(1024), 32)
+        # The distinct relabellings of all 1024 five-qubit Pauli frames.
+        sources = np.unique(code5.frame_outcome_sources(x, z, basis), axis=0)
+        assert len(sources) > 1
+        assert_integer_draws_follow_the_definition(
+            protocol._sixteenths(basis).reshape(-1, 32)[:, sources].reshape(-1, 32),
+            code5.decode_table(basis).reshape(-1, 32)[:, sources].reshape(-1, 32),
+        )
 
 
 def u(word) -> float:
@@ -172,7 +212,7 @@ class TestReferenceReplay:
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_uniform_interceptor_session_matches_field_for_field(self, basis):
         config = replay_config(basis)
-        _, records = run_session(config)
+        records = as_records(run_session(config)[1])
         expected = replay_session(config)
         assert records == expected
         assert any(r.lost for r in records) and any(r.syndrome for r in records)
@@ -183,28 +223,30 @@ class TestReferenceReplay:
     )
     def test_other_interceptors_and_leaky_source(self, basis, eve):
         config = replay_config(basis, eve, mu=1.5, blocks=200, seed=77)
-        _, records = run_session(config)
+        records = as_records(run_session(config)[1])
         assert records == replay_session(config)
         assert any(r.pns_leak for r in records)
 
     def test_golden_records_are_the_replayed_records(self):
         config = replay_config(blocks=4, seed=2718)
-        text = cli.format_records(replay_session(config))
+        text = format_records(replay_session(config))
         assert text == test_cli.TestGoldenRecords.GOLDEN_RECORDS
 
 
 class TestChunking:
     def test_run_block_equals_session_record(self):
         config = replay_config(blocks=150, seed=31)
-        _, records = run_session(config)
+        records = as_records(run_session(config)[1])
         for i, record in enumerate(records):
             assert run_block(config, i) == replace(record, disclosed_for_test=False)
 
     def test_batch_size_does_not_change_records(self, monkeypatch):
         config = replay_config(blocks=100, seed=32)
-        whole = run_session(config)
+        report, blocks = run_session(config)
         monkeypatch.setattr(protocol, "_BATCH_BLOCKS", 7)
-        assert run_session(config) == whole
+        batched_report, batched_blocks = run_session(config)
+        assert batched_report == report
+        assert as_records(batched_blocks) == as_records(blocks)
 
     def test_negative_block_id_rejected(self):
         with pytest.raises(ValueError):
@@ -230,6 +272,26 @@ class TestSessionPath:
         run_session(replay_config(blocks=blocks))
         # One block-stream key per batch plus the disclosed-subset stream.
         assert len(created) == math.ceil(blocks / protocol._BATCH_BLOCKS) + 1
+
+    def test_no_block_record_and_no_float_cumsum_in_a_session(self, monkeypatch):
+        built, cumsum_dtypes = [], []
+        record_class, cumsum = protocol.BlockRecord, np.cumsum
+
+        def counting_record(*args, **kwargs):
+            built.append(1)
+            return record_class(*args, **kwargs)
+
+        def checking_cumsum(a, *args, **kwargs):
+            cumsum_dtypes.append(np.asarray(a).dtype)
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "BlockRecord", counting_record)
+        monkeypatch.setattr(np, "cumsum", checking_cumsum)
+        _, blocks = run_session(replay_config(blocks=3000))
+        assert built == []
+        assert cumsum_dtypes and all(dtype == np.int8 for dtype in cumsum_dtypes)
+        blocks.record(0)
+        assert built == [1]
 
     def test_relative_permutation_indexing(self):
         # The engine picks table rows by compose(invert(decoder), sender).

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from records_oracle import as_records, take_rows
 
 from patternqkd.channel import EveStrategy, NoiseModel
 from patternqkd.patterns import PatternSet
@@ -97,20 +98,19 @@ class TestRunBlock:
 
 class TestSift:
     def test_keeps_only_sifted(self):
-        config = make_config()
-        records = [run_block(config, i) for i in range(200)]
-        kept = sift(records)
-        assert all(r.sifted for r in kept)
-        assert len(kept) == sum(1 for r in records if r.sifted)
+        _, blocks = run_session(make_config(num_blocks=200))
+        kept = sift(blocks)
+        assert all(r.sifted for r in as_records(take_rows(blocks, kept)))
+        assert len(kept) == sum(1 for r in as_records(blocks) if r.sifted)
 
     def test_idempotent(self):
-        config = make_config()
-        records = [run_block(config, i) for i in range(50)]
-        once = sift(records)
-        assert sift(once) == once
+        _, blocks = run_session(make_config(num_blocks=50))
+        once = take_rows(blocks, sift(blocks))
+        assert as_records(take_rows(once, sift(once))) == as_records(once)
 
     def test_empty_input(self):
-        assert sift([]) == []
+        _, blocks = run_session(make_config(num_blocks=50))
+        assert len(sift(take_rows(blocks, []))) == 0
 
     def test_sift_rate_near_half(self):
         report, _ = run_session(make_config(num_blocks=4000, master_seed=9))
@@ -126,18 +126,31 @@ class TestEstimateMqer:
 
     def test_empty_sifted_list_warns(self):
         rng = session_rng(0, 0)
-        mqer, tested, marked = estimate_mqer([], 0.5, rng)
-        assert (mqer, tested, marked) == (0.0, 0, [])
+        mqer, tested, disclosed = estimate_mqer(np.zeros(0, dtype=bool), 0.5, rng)
+        assert (mqer, tested, disclosed.tolist()) == (0.0, 0, [])
 
     def test_subset_size_is_ceiling(self):
         config = make_config(num_blocks=101, master_seed=11)
-        records = [run_block(config, i) for i in range(config.num_blocks)]
-        sifted = sift(records)
+        _, blocks = run_session(config)
+        kept = sift(blocks)
         rng = session_rng(config.master_seed, 0)
-        _, tested, marked = estimate_mqer(sifted, 0.3, rng)
-        assert tested == math.ceil(0.3 * len(sifted))
-        assert len(marked) == tested
-        assert all(r.disclosed_for_test for r in marked)
+        _, tested, disclosed = estimate_mqer(blocks.bob_bit[kept] != blocks.alice_bit[kept], 0.3, rng)
+        assert tested == math.ceil(0.3 * len(kept))
+        assert np.count_nonzero(disclosed) == tested
+        assert disclosed.shape == kept.shape
+
+    def test_input_is_not_modified(self):
+        config = make_config(num_blocks=400, master_seed=22, noise=NoiseModel(per_qubit_flip_prob=0.2))
+        _, blocks = run_session(config)
+        kept = sift(blocks)
+        errors = blocks.bob_bit[kept] != blocks.alice_bit[kept]
+        before = errors.copy()
+        mqer, tested, disclosed = estimate_mqer(errors, 0.37, session_rng(config.master_seed, 0))
+        np.testing.assert_array_equal(errors, before)
+        assert errors.any() and not errors.all()
+        assert disclosed.dtype == bool and disclosed.shape == errors.shape
+        assert np.count_nonzero(disclosed) == tested == math.ceil(0.37 * len(errors))
+        assert mqer == np.count_nonzero(errors[disclosed]) / tested
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
@@ -163,10 +176,10 @@ class TestDecide:
 class TestRunSession:
     def test_determinism_bitwise(self):
         config = make_config(num_blocks=600, master_seed=12)
-        report_a, records_a = run_session(config)
-        report_b, records_b = run_session(config)
+        report_a, blocks_a = run_session(config)
+        report_b, blocks_b = run_session(config)
         assert report_a == report_b
-        assert records_a == records_b
+        assert as_records(blocks_a) == as_records(blocks_b)
 
     def test_accounting_invariants(self):
         config = make_config(
@@ -174,7 +187,8 @@ class TestRunSession:
             master_seed=13,
             noise=NoiseModel(distance_km=3.0, loss_db_per_km=1.0),
         )
-        report, records = run_session(config)
+        report, blocks = run_session(config)
+        records = as_records(blocks)
         unsifted_alive = sum(1 for r in records if not r.lost and not r.sifted)
         assert report.blocks_sent == report.blocks_lost + unsifted_alive + report.blocks_sifted
         assert len(report.raw_key) + report.blocks_tested == report.blocks_sifted
@@ -182,9 +196,9 @@ class TestRunSession:
 
     def test_raw_key_is_undisclosed_sifted_bits(self):
         config = make_config(num_blocks=500, master_seed=14)
-        report, records = run_session(config)
+        report, blocks = run_session(config)
         expected = [
-            r.bob_bit for r in records if r.sifted and not r.disclosed_for_test
+            r.bob_bit for r in as_records(blocks) if r.sifted and not r.disclosed_for_test
         ]
         assert report.raw_key == expected
 
