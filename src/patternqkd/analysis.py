@@ -11,7 +11,9 @@ ensembles* model assigns both logical values the same mixture of the two
 pattern states, so its chi vanishes by construction.  The *physical* model
 conditions the ensemble on the logical bit (each bit's codeword mixed over
 the two patterns) and reports whatever the spectra say; the two need not
-agree, and nothing here asserts that they do.
+agree, and nothing here asserts that they do.  Every overlap comes from
+one exact integer product of the 240 pattern states, and the spectra of
+all sets from one stack of eigensolves (see :func:`_relative_spectra`).
 
 Combinatorial probabilities use exact rational arithmetic; floating point
 appears only in entropies and Poisson terms.
@@ -27,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import code5
-from .patterns import Pattern, PatternSet, valid_pattern_sets
-from .quantum_core import apply_permutation, inner_product
+from .patterns import PatternSet, pattern_indices, relative_index, set_index_array, sets_sharing, valid_pattern_sets
 
 
 def binary_entropy(p: float) -> float:
@@ -66,19 +67,11 @@ def guess_outcome_distribution(true_set: Optional[PatternSet] = None) -> GuessOu
     counting is invariant under relabeling); the default uses the first
     enumerated set.
     """
-    table = valid_pattern_sets()
     if true_set is None:
-        true_set = table[0]
-    truth = set(true_set.members())
-    counts = [0, 0, 0]
-    for candidate in table:
-        counts[len(truth.intersection(candidate.members()))] += 1
-    total = len(table)
-    return GuessOutcomeDistribution(
-        p_both=Fraction(counts[2], total),
-        p_one=Fraction(counts[1], total),
-        p_none=Fraction(counts[0], total),
-    )
+        true_set = valid_pattern_sets()[0]
+    total = len(valid_pattern_sets())
+    both, one, none = (Fraction(len(sets_sharing(true_set, k)), total) for k in (2, 1, 0))
+    return GuessOutcomeDistribution(p_both=both, p_one=one, p_none=none)
 
 
 def eve_success_probability(correct_patterns_in_guess: int) -> float:
@@ -93,19 +86,50 @@ def eve_success_probability(correct_patterns_in_guess: int) -> float:
     return 0.5 + correct_patterns_in_guess / 8.0
 
 
-def pattern_state(pattern: Pattern, bit: int = 0, basis: str = "Z") -> np.ndarray:
-    """The transmitted state for one (pattern, bit) choice."""
-    return apply_permutation(code5.encode_logical(bit, basis=basis), pattern)
+def gram_entropies(grams: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a stack of mixtures, one per Gram matrix.
+
+    The nonzero eigenvalues of ``sum_i w_i |psi_i><psi_i|`` equal those of
+    ``M[i,j] = sqrt(w_i w_j) <psi_i|psi_j>``, so a k-member mixture only
+    needs a k x k eigenproblem; ``grams[..., :, :]`` holds one such M.  The
+    test suite checks it against a full 32x32 Jacobi eigensolver that
+    shares no code with it.
+    """
+    eigenvalues = np.linalg.eigvalsh(grams)
+    positive = eigenvalues > 1e-12
+    terms = np.where(positive, eigenvalues * np.log2(np.where(positive, eigenvalues, 1.0)), 0.0)
+    return -np.sum(terms, axis=-1)
 
 
-def pattern_state_overlap(pattern_set: PatternSet, bit: int = 0) -> complex:
+def _relative_spectra() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Gram matrices and entropies (average, rho0, rho1) of the pattern
+    sets, one per relative permutation.
+
+    A set's states are ordered (first, 0), (second, 0), (first, 1),
+    (second, 1).  Wire permutations are unitary, so their Gram matrix
+    depends only on the relative permutation r (first inverted, composed
+    with second): it is that of the pair (identity, r).  The 120 matrices
+    are one exact integer product of :func:`code5.pattern_codewords` (0 or
+    +-1 entries, so no partial sum of 32 terms leaves int8), and their
+    spectra one stack of eigensolves.
+    """
+    states = code5.pattern_codewords("Z")
+    identity = np.broadcast_to(states[:1], states.shape)
+    vectors = np.stack([identity[:, 0], states[:, 0], identity[:, 1], states[:, 1]], axis=1)
+    products = vectors @ vectors.transpose(0, 2, 1)
+    grams = products / products[0, 0, 0]
+    halves = (gram_entropies(0.5 * grams[:, :2, :2]), gram_entropies(0.5 * grams[:, 2:, 2:]))
+    return grams, (gram_entropies(0.25 * grams), *halves)
+
+
+def pattern_state_overlap(pattern_set: PatternSet, bit: int = 0) -> float:
     """Overlap of the two pattern states carrying the same logical bit.
 
     Not zero in general; it is computed, reported, and never assumed.
     """
-    a = pattern_state(pattern_set.first, bit)
-    b = pattern_state(pattern_set.second, bit)
-    return inner_product(a, b)
+    grams, _ = _relative_spectra()
+    r = relative_index(*pattern_indices(pattern_set.members()))
+    return float(grams[r, 2 * bit, 2 * bit + 1])
 
 
 @dataclass(frozen=True)
@@ -119,38 +143,18 @@ class HolevoReport:
     entropy_rho1: float
 
 
-def gram_entropy(members: list[tuple[float, np.ndarray]]) -> float:
-    """Von Neumann entropy in bits of a mixture, via its small Gram matrix.
-
-    The nonzero eigenvalues of ``sum_i w_i |psi_i><psi_i|`` equal those of
-    ``M[i,j] = sqrt(w_i w_j) <psi_i|psi_j>``, so a k-member mixture only
-    needs a k x k eigenproblem.  The test suite checks it against a full
-    32x32 Jacobi eigensolver that shares no code with it.
-    """
-    k = len(members)
-    gram = np.empty((k, k), dtype=complex)
-    for i, (wi, psi_i) in enumerate(members):
-        for j, (wj, psi_j) in enumerate(members):
-            gram[i, j] = math.sqrt(wi * wj) * inner_product(psi_i, psi_j)
-    eigenvalues = np.linalg.eigvalsh(gram)
-    positive = eigenvalues[eigenvalues > 1e-12]
-    return float(-np.sum(positive * np.log2(positive)))
-
-
 def holevo_bit_conditioned_gram(pattern_set: PatternSet) -> HolevoReport:
     """Both chi readings and the bit-conditioned entropy terms for one set.
 
     rho_a mixes the bit-a codeword over the two patterns, and the
-    entropies come from :func:`gram_entropy`.  The identical-ensembles chi
-    is zero by construction: both logical values get the same mixture, so
-    chi = S(avg) - S(cond) cancels exactly.  The bit-conditioned chi is
+    entropies come from :func:`gram_entropies`.  The identical-ensembles
+    chi is zero by construction: both logical values get the same mixture,
+    so chi = S(avg) - S(cond) cancels exactly.  The bit-conditioned chi is
     reported as-is in [0, 1]; no agreement between the two is asserted.
     """
-    p0, p1 = pattern_set.members()
-    states = {bit: [pattern_state(p0, bit), pattern_state(p1, bit)] for bit in (0, 1)}
-    s0 = gram_entropy([(0.5, s) for s in states[0]])
-    s1 = gram_entropy([(0.5, s) for s in states[1]])
-    s_average = gram_entropy([(0.25, s) for s in states[0] + states[1]])
+    _, entropies = _relative_spectra()
+    r = relative_index(*pattern_indices(pattern_set.members()))
+    s_average, s0, s1 = (float(e[r]) for e in entropies)
     return HolevoReport(
         chi_identical_ensembles=0.0,
         chi_bit_conditioned=s_average - 0.5 * s0 - 0.5 * s1,
@@ -160,37 +164,22 @@ def holevo_bit_conditioned_gram(pattern_set: PatternSet) -> HolevoReport:
     )
 
 
-def chi_physical_sweep(
-    sets: Optional[list[PatternSet]] = None,
-) -> list[tuple[int, float, float, float]]:
-    """Rows (set_id, chi_physical_bits, overlap_00, overlap_01) per set.
+def chi_physical_sweep(sets: Optional[list[PatternSet]] = None) -> list[tuple[int, float, float, float]]:
+    """Rows (set_id, chi_physical_bits, overlap_00, overlap_01) per set,
+    ``set_id`` counting from 0 in the order given (default: all valid sets).
 
     overlap_00 is |<pattern-0 state of bit 0 | pattern-1 state of bit 0>|;
     overlap_01 crosses bit 0 under the first pattern with bit 1 under the
     second.
     """
-    table = list(valid_pattern_sets()) if sets is None else sets
-    rows = []
-    for set_id, pattern_set in enumerate(table):
-        report = holevo_bit_conditioned_gram(pattern_set)
-        overlap_00 = abs(pattern_state_overlap(pattern_set, bit=0))
-        overlap_01 = abs(inner_product(
-            pattern_state(pattern_set.first, 0),
-            pattern_state(pattern_set.second, 1),
-        ))
-        rows.append((set_id, report.chi_bit_conditioned, overlap_00, overlap_01))
-    return rows
-
-
-def poisson_pmf(n: int, mu: float) -> float:
-    """P(N = n) for N ~ Poisson(mu)."""
-    if n < 0:
-        raise ValueError(f"count must be >= 0, got {n}")
-    if mu < 0.0:
-        raise ValueError(f"mean photon number must be >= 0, got {mu}")
-    if mu == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return mu**n * math.exp(-mu) / math.factorial(n)
+    if sets is None:
+        pairs = set_index_array()
+    else:
+        pairs = pattern_indices([p for s in sets for p in s.members()]).reshape(-1, 2)
+    grams, (s_average, s0, s1) = _relative_spectra()
+    columns = (s_average - 0.5 * s0 - 0.5 * s1, np.abs(grams[:, 0, 1]), np.abs(grams[:, 0, 3]))
+    relative = relative_index(pairs[:, 0], pairs[:, 1])
+    return list(zip(range(len(pairs)), *(column[relative].tolist() for column in columns)))
 
 
 def multiphoton_prob(mu: float) -> float:
@@ -210,21 +199,3 @@ def pns_block_leak_prob(mu: float) -> float:
     q = multiphoton_prob(mu)
     return sum(math.comb(5, j) * q**j * (1.0 - q) ** (5 - j) for j in range(3, 6))
 
-
-def wrong_decode_agreement(pattern_set: PatternSet, basis: str = "Z") -> float:
-    """Exact chance that decoding with the *other* set member returns the
-    encoded bit, averaged over the bit and the encoding pattern.
-
-    The simple success model assumes this is exactly 1/2; this computes
-    the true value for one set from the exact decode distribution.
-    """
-    p0, p1 = pattern_set.members()
-    total = 0.0
-    cases = 0
-    for bit in (0, 1):
-        for encode_with, decode_with in ((p0, p1), (p1, p0)):
-            state = pattern_state(encode_with, bit, basis=basis)
-            distribution = code5.decode_distribution(state, decode_with, basis=basis)
-            total += sum(p for (_, b), p in distribution.items() if b == bit)
-            cases += 1
-    return total / cases

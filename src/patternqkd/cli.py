@@ -22,7 +22,7 @@ from dataclasses import replace
 from functools import lru_cache, reduce
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -57,8 +57,8 @@ _SESSION_EVE_GUESS = 2
 RECORDS_HEADER = (
     "# block_id alice_bit a_idx b_idx lost syndrome bob_bit eve_guess eve_bit sifted tested"
 )
-# Rows of records.txt formatted, hashed and written at a time.  It bounds
-# the formatter's working memory, about 175 B per row.
+# Rows of records.txt (or of the chi CSV) formatted, hashed and written at
+# a time.  It bounds the formatter's working memory, about 175 B per row.
 RECORDS_CHUNK_ROWS = 2048
 
 
@@ -244,23 +244,23 @@ def format_report(report: SessionReport) -> str:
     return "".join(f"{k} = {v}\n" for k, v in items)
 
 
-def _write_outputs(out: Path, files: dict[str, Iterable[str]]) -> dict[str, str]:
-    """Write each named file of ``out`` from its text chunks, hashing them
-    as they go, into a temp file; then move the temp files into place.  A
-    failure removes them instead.  Returns each file's SHA-256 digest."""
-    temps = {name: out / f".{name}.partial" for name in files}
+def _write_outputs(files: dict[Path, Iterable[str]]) -> dict[Path, str]:
+    """Write each file from its text chunks, hashing them as they go, into
+    a temp file beside it; then move the temp files into place.  A failure
+    removes them instead.  Returns each file's SHA-256 digest."""
+    temps = {path: path.with_name(f".{path.name}.partial") for path in files}
     digests = {}
     try:
-        for name, chunks in files.items():
+        for path, chunks in files.items():
             digest = hashlib.sha256()
-            with temps[name].open("wb") as fh:
+            with temps[path].open("wb") as fh:
                 for chunk in chunks:
                     data = chunk.encode()
                     digest.update(data)
                     fh.write(data)
-            digests[name] = digest.hexdigest()
-        for name, temp in temps.items():
-            os.replace(temp, out / name)
+            digests[path] = digest.hexdigest()
+        for path, temp in temps.items():
+            os.replace(temp, path)
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
@@ -269,7 +269,7 @@ def _write_outputs(out: Path, files: dict[str, Iterable[str]]) -> dict[str, str]
 
 
 def _write_manifest(
-    out: Path, config: SessionConfig, digests: dict[str, str], extra: Optional[list[tuple[str, str]]] = None
+    out: Path, config: SessionConfig, digests: dict[Path, str], extra: Optional[list[tuple[str, str]]] = None
 ) -> None:
     """Write ``out/manifest.txt`` last, naming each output by its file stem."""
     lines = [
@@ -278,10 +278,10 @@ def _write_manifest(
         f"created_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
     ]
     lines += [f"config.{k} = {v}" for k, v in config_echo_items(config)]
-    lines += [f"output.{Path(name).stem} = {out / name}" for name in digests]
-    lines += [f"digest.{Path(name).stem} = sha256:{digest}" for name, digest in digests.items()]
+    lines += [f"output.{path.stem} = {path}" for path in digests]
+    lines += [f"digest.{path.stem} = sha256:{digest}" for path, digest in digests.items()]
     lines += [f"{key} = {value}" for key, value in extra or []]
-    _write_outputs(out, {"manifest.txt": ["\n".join(lines) + "\n"]})
+    _write_outputs({out / "manifest.txt": ["\n".join(lines) + "\n"]})
 
 
 def _prepare_out_dir(path_str: str) -> Path:
@@ -296,13 +296,14 @@ def _prepare_out_dir(path_str: str) -> Path:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     patterns = all_patterns()
     sets = valid_pattern_sets()
-    files = {"patterns.csv": ["pattern_id,mapping\n" + "".join(f"{i},{p}\n" for i, p in enumerate(patterns))]}
-    if args.sets_csv:
-        files["sets.csv"] = ["set_id,perm_a,perm_b,distance\n" + "".join(
-            f"{i},{s.first},{s.second},{pattern_distance(s.first, s.second)}\n" for i, s in enumerate(sets)
-        )]
     try:
-        _write_outputs(_prepare_out_dir(args.out), files)
+        out = _prepare_out_dir(args.out)
+        files = {out / "patterns.csv": ["pattern_id,mapping\n" + "".join(f"{i},{p}\n" for i, p in enumerate(patterns))]}
+        if args.sets_csv:
+            files[out / "sets.csv"] = ["set_id,perm_a,perm_b,distance\n" + "".join(
+                f"{i},{s.first},{s.second},{pattern_distance(s.first, s.second)}\n" for i, s in enumerate(sets)
+            )]
+        _write_outputs(files)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -355,6 +356,17 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
     return lines
 
 
+def _chi_csv_chunks() -> Iterator[str]:
+    """The chi CSV over all valid sets, header first, in chunks of rows."""
+    yield "set_id,chi_physical_bits,overlap_00,overlap_01\n"
+    rows = analysis.chi_physical_sweep()
+    for start in range(0, len(rows), RECORDS_CHUNK_ROWS):
+        yield "".join(
+            f"{set_id},{chi:.9f},{ov00:.9f},{ov01:.9f}\n"
+            for set_id, chi, ov00, ov01 in rows[start:start + RECORDS_CHUNK_ROWS]
+        )
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         mu_values = [float(v) for v in args.mu.split(",")] if args.mu else [0.0, 0.1, 0.5]
@@ -371,14 +383,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
+    outputs = {args.out: [text], args.chi_csv: _chi_csv_chunks()}
     try:
-        if args.out:
-            Path(args.out).write_text(text)
-        if args.chi_csv:
-            with Path(args.chi_csv).open("w") as fh:
-                fh.write("set_id,chi_physical_bits,overlap_00,overlap_01\n")
-                for set_id, chi, ov00, ov01 in analysis.chi_physical_sweep():
-                    fh.write(f"{set_id},{chi:.9f},{ov00:.9f},{ov01:.9f}\n")
+        _write_outputs({Path(path): chunks for path, chunks in outputs.items() if path})
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -401,9 +408,9 @@ def _load_config(args: argparse.Namespace) -> SessionConfig:
 
 def _run_and_write(config: SessionConfig, out: Path) -> SessionReport:
     report, blocks = run_session(config)
-    digests = _write_outputs(out, {
-        "report.txt": [format_report(report)],
-        "records.txt": (
+    digests = _write_outputs({
+        out / "report.txt": [format_report(report)],
+        out / "records.txt": (
             format_records(blocks, start, start + RECORDS_CHUNK_ROWS)
             for start in range(0, len(blocks), RECORDS_CHUNK_ROWS)
         ),
@@ -474,7 +481,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{_fmt(value)},{_fmt(report.sift_rate)},{_fmt(report.mqer_estimate)},"
             f"{report.decision},{success}"
         )
-    digests = _write_outputs(out, {"sweep.csv": ["\n".join(rows) + "\n"]})
+    digests = _write_outputs({out / "sweep.csv": ["\n".join(rows) + "\n"]})
     extra = [("sweep.axis", args.axis), ("sweep.partial", "true" if fault else "false")]
     if fault:
         extra.append(("sweep.fault", fault))

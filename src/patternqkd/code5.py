@@ -217,12 +217,7 @@ def decode_distribution(
     of sampling; useful as an oracle for the sampling path and to quantify
     the bit bias of wrong-pattern decoding.
     """
-    if basis == "Z":
-        logical = LOGICAL_Z
-    elif basis == "X":
-        logical = LOGICAL_X
-    else:
-        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+    logical = _logical_label(basis)
     start = apply_permutation(state, invert(pattern))
     branches: list[tuple[float, np.ndarray, int]] = [(1.0, start, 0)]
     for generator in STABILIZER_GENERATORS:
@@ -274,6 +269,23 @@ def _recovery_masks() -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
+def pattern_codewords(basis: str = "Z") -> np.ndarray:
+    """``states[p, b]`` is ``apply_permutation(encode_logical(b, basis),
+    all_patterns()[p]) / a``: the codeword amplitudes are 0 or +-a for one
+    a per basis, so its entries are 0 or +-1 and their products exact."""
+    logical = np.array([encode_logical(bit, basis) for bit in (0, 1)])
+    unit = np.abs(logical[logical != 0]).min()
+    scaled = np.rint(logical.real / unit).astype(np.int8)
+    if not np.allclose(scaled * unit, logical):
+        raise ArithmeticError("codeword amplitudes are not multiples of one value")
+    # apply_permutation(v, p) == v[gather] with gather = apply_permutation(arange, p)
+    gathers = np.array([apply_permutation(np.arange(DIM), p) for p in all_patterns()])
+    states = scaled[:, gathers].transpose(1, 0, 2)
+    states.setflags(write=False)
+    return states
+
+
+@lru_cache(maxsize=2)
 def decode_table(basis: str = "Z") -> np.ndarray:
     """Exact decode distributions of every relative permutation, as one array.
 
@@ -285,24 +297,18 @@ def decode_table(basis: str = "Z") -> np.ndarray:
     (240x32)(32x32) product gives every row.  Equals
     :func:`decode_distribution` entry for entry.  Built on first use.
 
-    The product is taken in integers, so every entry is an exact fraction
-    (0, 1/16, 1/4 or 1) and sums of entries are exact too: the codeword
-    amplitudes are 0 or +-a for one a per basis, and ``E_s`` acts on the
-    scaled codewords as an index flip with signs (its phase drops out).
+    The product is taken in integers (:func:`pattern_codewords`), so every
+    entry is an exact fraction (0, 1/16, 1/4 or 1) and sums of entries are
+    exact too: ``E_s`` acts on the scaled codewords as an index flip with
+    signs (its phase drops out).
     """
-    logical = np.array([encode_logical(bit, basis) for bit in (0, 1)])
-    unit = np.abs(logical[logical != 0]).min()
-    scaled = np.rint(logical.real / unit).astype(np.int64)
-    if not np.allclose(scaled * unit, logical):
-        raise ArithmeticError("codeword amplitudes are not multiples of one value")
+    sent = pattern_codewords(basis).astype(np.int64)
+    scaled = sent[0]  # under the identity, all_patterns()[0]
     # (X^x Z^z v)[j] = (-1)^|(j ^ x) & z| v[j ^ x]
     x, z = _recovery_masks()
     source = np.arange(DIM) ^ x[:, None]
     signs = 1 - 2 * _PARITY[source & z[:, None]]
     outcomes = (signs[:, None, :] * scaled[:, source].transpose(1, 0, 2)).reshape(DIM, DIM)
-    # apply_permutation(v, p) == v[gather] with gather = apply_permutation(arange, p)
-    gathers = np.array([apply_permutation(np.arange(DIM), p) for p in all_patterns()])
-    sent = scaled[:, gathers].transpose(1, 0, 2)
     norm = np.sum(scaled[0] ** 2)
     table = (sent @ outcomes.T) ** 2 / norm**2
     table.setflags(write=False)

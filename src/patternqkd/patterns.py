@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -132,9 +133,10 @@ def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pattern's one-line notation (0-based), its inverse's, and the
     lookup from one-line notation read as a base-5 number to the index."""
     maps = np.array([p.mapping for p in all_patterns()]) - 1
+    inverse = np.array([invert(p).mapping for p in all_patterns()]) - 1
     index = np.zeros(5 ** len(POSITIONS), dtype=np.int64)
     index[maps @ _BASE5] = np.arange(len(maps))
-    return maps, np.argsort(maps, axis=1), index
+    return maps, inverse, index
 
 
 def relative_index(decoder: np.ndarray, sender: np.ndarray) -> np.ndarray:
@@ -146,17 +148,29 @@ def relative_index(decoder: np.ndarray, sender: np.ndarray) -> np.ndarray:
     return index[inverse[decoder[..., None], maps[sender]] @ _BASE5]
 
 
+def pattern_indices(patterns: Iterable[Pattern]) -> np.ndarray:
+    """Index of each pattern into :func:`all_patterns`."""
+    index = _pattern_arrays()[2]
+    return index[(np.array([p.mapping for p in patterns]) - 1) @ _BASE5]
+
+
+@lru_cache(maxsize=1)
+def set_index_array() -> np.ndarray:
+    """Pattern indices ``(first, second)`` of all 6540 valid sets, one row
+    per set in the order of :func:`valid_pattern_sets`."""
+    maps = _pattern_arrays()[0]
+    far = np.count_nonzero(maps[:, None] != maps[None], axis=2) >= MIN_SET_DISTANCE
+    pairs = np.argwhere(np.triu(far, k=1))
+    pairs.setflags(write=False)
+    return pairs
+
+
 @lru_cache(maxsize=1)
 def valid_pattern_sets() -> tuple[PatternSet, ...]:
     """All 6540 unordered pattern pairs at distance >= 3, in lexicographic
     order of (first, second)."""
     patterns = all_patterns()
-    sets = []
-    for i, p in enumerate(patterns):
-        for q in patterns[i + 1:]:
-            if pattern_distance(p, q) >= MIN_SET_DISTANCE:
-                sets.append(PatternSet(p, q))
-    return tuple(sets)
+    return tuple(PatternSet(patterns[i], patterns[j]) for i, j in zip(*set_index_array().T.tolist()))
 
 
 def sample_pattern_set(rng: np.random.Generator) -> PatternSet:
@@ -168,12 +182,12 @@ def sample_pattern_set(rng: np.random.Generator) -> PatternSet:
 def sets_sharing(true_set: PatternSet, count: int) -> tuple[PatternSet, ...]:
     """All valid sets sharing exactly ``count`` patterns with ``true_set``.
 
-    ``count = 2`` yields the set itself; 1 and 0 partition the rest.
+    ``count = 2`` yields the set itself; 1 and 0 partition the rest, in
+    table order.
     """
     if count not in (0, 1, 2):
         raise ValueError("count must be 0, 1, or 2")
-    truth = set(true_set.members())
-    return tuple(
-        s for s in valid_pattern_sets()
-        if len(truth.intersection(s.members())) == count
-    )
+    held = np.zeros(len(all_patterns()), dtype=bool)
+    held[pattern_indices(true_set.members())] = True
+    table = valid_pattern_sets()
+    return tuple(table[k] for k in np.flatnonzero(held[set_index_array()].sum(axis=1) == count))

@@ -59,7 +59,7 @@ import numpy as np
 from . import code5
 from .analysis import multiphoton_prob
 from .channel import EveRecord, EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
-from .patterns import POSITIONS, PatternSet, all_patterns, invert, relative_index
+from .patterns import POSITIONS, PatternSet, all_patterns, invert, pattern_indices, relative_index
 
 DECISION_CONTINUE = "continue"
 DECISION_ABORT = "abort"
@@ -250,7 +250,7 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
     """Blocks ``first .. first + count - 1`` (none disclosed yet)."""
     words = _block_words(config.master_seed, first, count)
     table = _sixteenths(config.logical_basis)
-    members = np.array([all_patterns().index(p) for p in config.secret_set.members()])
+    members = pattern_indices(config.secret_set.members())
     alice_bit = _bit(words[:, _W_ALICE_BIT])
     alice_pattern = _bit(words[:, _W_ALICE_PATTERN])
     bob_pattern = _bit(words[:, _W_BOB_PATTERN])
@@ -261,7 +261,7 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
         if config.eve.knowledge == UNIFORM_KNOWLEDGE:
             guess = ((words[:, _W_EVE_GUESS] >> 11) * len(all_patterns()) >> 53).astype(np.int64)
         else:
-            guessed = np.array([all_patterns().index(p) for p in config.eve.knowledge.members()])
+            guessed = pattern_indices(config.eve.knowledge.members())
             guess = guessed[_bit(words[:, _W_EVE_GUESS])]
         heard = _draw_outcomes(table[relative_index(guess, sender), sent_bit], words[:, _W_EVE_DECODE]) & 1
         sender, sent_bit = guess, heard

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from helpers import pattern_state
 
-from patternqkd.analysis import HolevoReport, pattern_state
+from patternqkd.analysis import HolevoReport
 from patternqkd.patterns import PatternSet
 from patternqkd.quantum_core import DIM, N_QUBITS
 

@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import helpers
 import jacobi_oracle
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def _exact_success(secret: PatternSet, guessed: PatternSet) -> float:
                 total += 1.0
                 continue
             for bit in (0, 1):
-                state = analysis.pattern_state(alice_pattern, bit)
+                state = helpers.pattern_state(alice_pattern, bit)
                 dist = code5.decode_distribution(state, eve_guess)
                 total += 0.5 * sum(p for (_, b), p in dist.items() if b == bit)
     return total / 4.0
@@ -423,7 +424,7 @@ def test_c09_eve_uniform(eve_uniform_outcome, relative_bit_distributions):
 def test_c10_eve_knowledge_sweep(eve_knows_outcome):
     # the fixture secret set has wrong-decode agreement exactly 1/2, so the
     # k=2 model value 0.75 is exact for it
-    bias_free = abs(analysis.wrong_decode_agreement(SECRET) - 0.5) < 1e-9
+    bias_free = abs(helpers.wrong_decode_agreement(SECRET) - 0.5) < 1e-9
     assert bias_free, "acceptance secret set must be bias-free for the 0.75 model"
 
     lines = []
@@ -481,7 +482,7 @@ def test_c12_pns_analytics():
     zero_ok = analysis.pns_block_leak_prob(0.0) == 0.0
 
     def oracle(mu: float) -> float:
-        q = sum(analysis.poisson_pmf(n, mu) for n in range(2, 80))
+        q = sum(helpers.poisson_pmf(n, mu) for n in range(2, 80))
         total = 0.0
         for pulses in itertools.product((False, True), repeat=5):
             if sum(pulses) >= 3:

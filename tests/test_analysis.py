@@ -4,13 +4,14 @@ import itertools
 import math
 from fractions import Fraction
 
+import helpers
 import jacobi_oracle
 import numpy as np
 import pytest
 from helpers import random_state
 
-from patternqkd import analysis, code5
-from patternqkd.patterns import PatternSet, valid_pattern_sets
+from patternqkd import analysis, code5, quantum_core
+from patternqkd.patterns import PatternSet, all_patterns, relative_index, valid_pattern_sets
 
 
 class TestBinaryEntropy:
@@ -166,26 +167,104 @@ class TestHolevoBitConditioned:
             assert ov01 < 1e-9  # opposite parity sectors never overlap
 
 
+def weighted_gram(members):
+    """M[i, j] = sqrt(w_i w_j) <psi_i|psi_j> of a weighted ensemble."""
+    return np.array([
+        [math.sqrt(wi * wj) * np.vdot(psi_i, psi_j) for wj, psi_j in members]
+        for wi, psi_i in members
+    ])
+
+
 class TestGramEntropy:
     def test_matches_full_entropy_on_random_ensembles(self):
         rng = np.random.default_rng(7)
         for size in (2, 3, 4):
             weights = rng.dirichlet(np.ones(size))
             members = [(float(w), random_state(rng)) for w in weights]
-            via_gram = analysis.gram_entropy(members)
+            via_gram = float(analysis.gram_entropies(weighted_gram(members)))
             via_jacobi = jacobi_oracle.von_neumann_entropy(jacobi_oracle.density_from_ensemble(members))
             assert abs(via_gram - via_jacobi) < 1e-9
+
+    def test_stack_equals_each_matrix_alone(self):
+        rng = np.random.default_rng(11)
+        grams = np.array([
+            weighted_gram([(float(w), random_state(rng)) for w in rng.dirichlet(np.ones(3))])
+            for _ in range(6)
+        ])
+        stacked = analysis.gram_entropies(grams)
+        assert stacked.tolist() == [float(analysis.gram_entropies(g)) for g in grams]
+
+
+class TestRelativeGram:
+    def test_every_pair_has_the_gram_matrix_of_its_relative_permutation(self):
+        # statevector overlaps of all 120 x 120 pattern pairs, exact in floats
+        states = np.array([helpers.pattern_state(p, bit) for p in all_patterns() for bit in (0, 1)])
+        overlaps = states.conj() @ states.T
+        p, q = np.indices((120, 120)).reshape(2, -1)
+        members = np.stack([2 * p, 2 * q, 2 * p + 1, 2 * q + 1], axis=1)
+        blocks = overlaps[members[:, :, None], members[:, None, :]]
+        grams, _ = analysis._relative_spectra()
+        assert not blocks.imag.any()
+        assert np.array_equal(blocks.real, grams[relative_index(p, q)])
+
+
+class TestBatchedSweep:
+    STATEVECTOR_CALLS = ("apply_permutation", "apply_pauli_string", "encode_logical", "inner_product")
+
+    def count_calls(self, monkeypatch, sets):
+        """eigvalsh calls and per-state statevector calls made by one sweep."""
+        analysis.chi_physical_sweep(list(valid_pattern_sets()[:1]))  # build the cached tables
+        counts = {"eigvalsh": 0, "statevector": 0}
+
+        def counting(key, function):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        for module in (analysis, code5, quantum_core):
+            for name in self.STATEVECTOR_CALLS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting("statevector", getattr(module, name)))
+        rows = analysis.chi_physical_sweep(sets)
+        monkeypatch.undo()
+        assert len(rows) == len(sets)
+        return counts
+
+    def test_call_count_does_not_grow_with_sets(self, monkeypatch):
+        table = list(valid_pattern_sets())
+        few = self.count_calls(monkeypatch, table[:25])
+        every = self.count_calls(monkeypatch, table)
+        assert few == every == {"eigvalsh": 3, "statevector": 0}
+
+    def test_rows_equal_the_statevector_overlaps(self):
+        rng = np.random.default_rng(12)
+        table = valid_pattern_sets()
+        chosen = [table[int(i)] for i in rng.integers(0, len(table), size=40)]
+        for row, pattern_set in zip(analysis.chi_physical_sweep(chosen), chosen):
+            first, second = pattern_set.members()
+            zero_zero = np.vdot(helpers.pattern_state(first, 0), helpers.pattern_state(second, 0))
+            zero_one = np.vdot(helpers.pattern_state(first, 0), helpers.pattern_state(second, 1))
+            report = analysis.holevo_bit_conditioned_gram(pattern_set)
+            assert row[1:] == (report.chi_bit_conditioned, abs(zero_zero), abs(zero_one))
+            assert analysis.pattern_state_overlap(pattern_set, 1) == np.vdot(
+                helpers.pattern_state(first, 1), helpers.pattern_state(second, 1)
+            )
+
+    def test_default_sweep_is_the_sweep_of_every_set(self):
+        assert analysis.chi_physical_sweep() == analysis.chi_physical_sweep(list(valid_pattern_sets()))
 
 
 class TestPoissonStatistics:
     def test_pmf_at_zero(self):
-        assert abs(analysis.poisson_pmf(0, 0.1) - math.exp(-0.1)) < 1e-12
-        assert analysis.poisson_pmf(0, 0.0) == 1.0
-        assert analysis.poisson_pmf(3, 0.0) == 0.0
+        assert abs(helpers.poisson_pmf(0, 0.1) - math.exp(-0.1)) < 1e-12
+        assert helpers.poisson_pmf(0, 0.0) == 1.0
+        assert helpers.poisson_pmf(3, 0.0) == 0.0
 
     def test_pmf_sums_to_one(self):
         for mu in (0.05, 0.5, 1.0, 2.0):
-            total = sum(analysis.poisson_pmf(n, mu) for n in range(31))
+            total = sum(helpers.poisson_pmf(n, mu) for n in range(31))
             assert abs(total - 1.0) < 1e-12
 
     def test_multiphoton_prob(self):
@@ -200,7 +279,7 @@ class TestPoissonStatistics:
     def test_leak_against_independent_oracle(self):
         # oracle: truncated pmf series for q, then raw subset enumeration
         def oracle(mu):
-            q = sum(analysis.poisson_pmf(n, mu) for n in range(2, 60))
+            q = sum(helpers.poisson_pmf(n, mu) for n in range(2, 60))
             total = 0.0
             for pulses in itertools.product((False, True), repeat=5):
                 if sum(pulses) >= 3:
@@ -223,7 +302,7 @@ class TestPoissonStatistics:
 
     def test_negative_arguments_rejected(self):
         with pytest.raises(ValueError):
-            analysis.poisson_pmf(1, -0.1)
+            helpers.poisson_pmf(1, -0.1)
         with pytest.raises(ValueError):
             analysis.multiphoton_prob(-1.0)
 
@@ -234,13 +313,13 @@ class TestWrongDecodeAgreement:
         rng = np.random.default_rng(8)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=25):
-            value = analysis.wrong_decode_agreement(table[int(index)])
+            value = helpers.wrong_decode_agreement(table[int(index)])
             assert min(abs(value - v) for v in (0.375, 0.5, 1.0)) < 1e-9
 
     def test_monte_carlo_consistency(self):
         # sampling the decoder reproduces the exact agreement
         chosen = PatternSet.from_string("12345 13452")
-        exact = analysis.wrong_decode_agreement(chosen)
+        exact = helpers.wrong_decode_agreement(chosen)
         rng = np.random.default_rng(9)
         trials = 4000
         agree = 0
@@ -249,7 +328,7 @@ class TestWrongDecodeAgreement:
             encode_with, decode_with = (
                 chosen.members() if rng.integers(0, 2) == 0 else chosen.members()[::-1]
             )
-            state = analysis.pattern_state(encode_with, bit)
+            state = helpers.pattern_state(encode_with, bit)
             out, _ = code5.decode_block(state, decode_with, rng)
             agree += out == bit
         sigma = math.sqrt(exact * (1 - exact) / trials)
@@ -261,7 +340,7 @@ class TestWrongDecodeAgreement:
         rng = np.random.default_rng(10)
         table = valid_pattern_sets()
         values = [
-            analysis.wrong_decode_agreement(table[int(i)])
+            helpers.wrong_decode_agreement(table[int(i)])
             for i in rng.integers(0, len(table), size=30)
         ]
         deviations = [abs(v - 0.5) for v in values]

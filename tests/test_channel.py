@@ -200,6 +200,18 @@ class TestEveStrategy:
         report, _ = session(4000, 16, eve=EveStrategy.intercept_resend("uniform"))
         assert abs(report.eve_success_rate - 0.5) < 0.05
 
+    def test_uniform_guess_success_at_exact_value(self):
+        # A uniform guess makes the relative permutation uniform, so the
+        # success is the decode table's bit agreement averaged over all 120
+        # of them and both bits: exactly 23/48.  Every block is
+        # intercepted, so the rate is a mean of 4000 Bernoulli draws.
+        table = code5.decode_table("Z")
+        exact = 23 / 48
+        assert abs(np.mean([table[:, b, b::2].sum(axis=1) for b in (0, 1)]) - exact) < 1e-12
+        report, _ = session(4000, 16, eve=EveStrategy.intercept_resend("uniform"))
+        sigma = math.sqrt(exact * (1 - exact) / 4000)
+        assert abs(report.eve_success_rate - exact) < 3 * sigma
+
 
 class TestGuessedSetConstruction:
     def test_overlap_counts(self):

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, file formats."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -262,6 +263,45 @@ class TestAnalyze:
         rows = csv_path.read_text().splitlines()
         assert rows[0] == "set_id,chi_physical_bits,overlap_00,overlap_01"
         assert len(rows) == 6541
+
+    def test_chi_csv_bytes_are_pinned(self, tmp_path, capsys):
+        # digest of the CSV written by the per-set statevector route
+        csv_path = tmp_path / "chi.csv"
+        assert cli.main(["analyze", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "ecbbfe3e8016f6c12381d8feb5f9c8416f50339af711f6144a885938fdc01e8c"
+        )
+
+    # Digests of the stdout of `analyze --set-id N` as printed by the
+    # per-set statevector route.  Sets 4 and 16 carry the other two
+    # overlaps (1/2 and 1); set 16 prints its pure-state entropies as
+    # -0.000000000.
+    STDOUT_SHA256 = {
+        0: "e70720e4e5a7bb2968fdfa97cf119efb415ef78d42c54b72abf00608df1f3b32",
+        4: "5143c9317bc8819d7b01b7f5c986de6b2a6f5c030498cb7eea9cc797d1317798",
+        16: "bf367674782f57390b767d5ff94b342b4e835468fac7ecea7c22bb5ec7cc66f9",
+        17: "e1f9e90c512b538cefe17e1d87e9192fb072d02310101923dc6ef22de16a0431",
+        1234: "7b4bf800ec4f5f4c4e1a35afbad6cf0ecf364fb7a556647c3201d8df5288e9fd",
+        4000: "6e7e7872f3e11b30eee4a05ce84b5f48f964400f8c63b8b4923e3ce2cb18f36f",
+        6539: "d110aaaae7fedf91296394d528f4d510cf4d4616f7ff320660284b3535018d7f",
+    }
+
+    @pytest.mark.parametrize("set_id", sorted(STDOUT_SHA256))
+    def test_stdout_is_pinned(self, set_id, capsys):
+        assert cli.main(["analyze", "--set-id", str(set_id)]) == cli.EXIT_OK
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.STDOUT_SHA256[set_id]
+
+    def test_sweep_fault_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        def broken(sets=None):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(cli.analysis, "chi_physical_sweep", broken)
+        csv_path, out_path = tmp_path / "chi.csv", tmp_path / "report.txt"
+        code = cli.main(["analyze", "--chi-csv", str(csv_path), "--out", str(out_path)])
+        assert code == cli.EXIT_FAULT
+        assert "sweep failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:

@@ -12,7 +12,9 @@ from patternqkd.patterns import (
     compose,
     invert,
     pattern_distance,
+    pattern_indices,
     sample_pattern_set,
+    set_index_array,
     sets_sharing,
     valid_pattern_sets,
 )
@@ -129,6 +131,21 @@ class TestPatternSet:
                     count += 1
         assert count == 6540
         assert count == 120 * 109 // 2
+
+    def test_set_index_array_matches_the_sets(self):
+        pairs = set_index_array()
+        assert pairs.shape == (6540, 2) and not pairs.flags.writeable
+        members = [p for s in valid_pattern_sets() for p in s.members()]
+        assert pattern_indices(members).reshape(-1, 2).tolist() == pairs.tolist()
+        assert pattern_indices(all_patterns()).tolist() == list(range(120))
+
+    def test_sets_sharing_keeps_table_order(self):
+        table = valid_pattern_sets()
+        for secret in (table[0], table[17], table[4321]):
+            truth = set(secret.members())
+            counts = [len(truth.intersection(s.members())) for s in table]
+            for count in (0, 1, 2):
+                assert sets_sharing(secret, count) == tuple(s for s, c in zip(table, counts) if c == count)
 
     def test_sets_sharing_partition(self):
         s = valid_pattern_sets()[17]
