@@ -11,9 +11,10 @@ ensembles* model assigns both logical values the same mixture of the two
 pattern states, so its chi vanishes by construction.  The *physical* model
 conditions the ensemble on the logical bit (each bit's codeword mixed over
 the two patterns) and reports whatever the spectra say; the two need not
-agree, and nothing here asserts that they do.  Every overlap comes from
-one exact integer product of the 240 pattern states, and the spectra of
-all sets from one stack of eigensolves (see :func:`_relative_spectra`).
+agree, and nothing here asserts that they do.  A set's overlaps and
+spectra depend only on its relative permutation: :func:`_relative_spectra`
+computes them once for all 120, and :func:`chi_by_relative` gives the chi
+sweep as those 120 rows plus each set's row.
 
 Combinatorial probabilities use exact rational arithmetic; floating point
 appears only in entropies and Poisson terms.
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from . import code5
-from .patterns import PatternSet, pattern_indices, relative_index, set_index_array, sets_sharing, valid_pattern_sets
+from .patterns import PatternSet, pattern_indices, relative_index, set_index_array, shared_counts, valid_pattern_sets
 
 
 def binary_entropy(p: float) -> float:
@@ -70,7 +72,8 @@ def guess_outcome_distribution(true_set: Optional[PatternSet] = None) -> GuessOu
     if true_set is None:
         true_set = valid_pattern_sets()[0]
     total = len(valid_pattern_sets())
-    both, one, none = (Fraction(len(sets_sharing(true_set, k)), total) for k in (2, 1, 0))
+    counts = np.bincount(shared_counts(true_set), minlength=3).tolist()
+    none, one, both = (Fraction(count, total) for count in counts)
     return GuessOutcomeDistribution(p_both=both, p_one=one, p_none=none)
 
 
@@ -101,9 +104,10 @@ def gram_entropies(grams: np.ndarray) -> np.ndarray:
     return -np.sum(terms, axis=-1)
 
 
+@lru_cache(maxsize=1)
 def _relative_spectra() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Gram matrices and entropies (average, rho0, rho1) of the pattern
-    sets, one per relative permutation.
+    sets, one per relative permutation; built once, read-only.
 
     A set's states are ordered (first, 0), (second, 0), (first, 1),
     (second, 1).  Wire permutations are unitary, so their Gram matrix
@@ -119,7 +123,10 @@ def _relative_spectra() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.nd
     products = vectors @ vectors.transpose(0, 2, 1)
     grams = products / products[0, 0, 0]
     halves = (gram_entropies(0.5 * grams[:, :2, :2]), gram_entropies(0.5 * grams[:, 2:, 2:]))
-    return grams, (gram_entropies(0.25 * grams), *halves)
+    entropies = (gram_entropies(0.25 * grams), *halves)
+    for array in (grams, *entropies):
+        array.setflags(write=False)
+    return grams, entropies
 
 
 def pattern_state_overlap(pattern_set: PatternSet, bit: int = 0) -> float:
@@ -164,9 +171,11 @@ def holevo_bit_conditioned_gram(pattern_set: PatternSet) -> HolevoReport:
     )
 
 
-def chi_physical_sweep(sets: Optional[list[PatternSet]] = None) -> list[tuple[int, float, float, float]]:
-    """Rows (set_id, chi_physical_bits, overlap_00, overlap_01) per set,
-    ``set_id`` counting from 0 in the order given (default: all valid sets).
+def chi_by_relative(sets: Optional[list[PatternSet]] = None) -> tuple[np.ndarray, np.ndarray]:
+    """``(columns, relative)``: ``columns[r]`` is (chi_physical_bits,
+    overlap_00, overlap_01) of relative permutation r, for all 120, and
+    ``relative[i]`` is the r of set i in the order given (default: all
+    valid sets).
 
     overlap_00 is |<pattern-0 state of bit 0 | pattern-1 state of bit 0>|;
     overlap_01 crosses bit 0 under the first pattern with bit 1 under the
@@ -177,9 +186,16 @@ def chi_physical_sweep(sets: Optional[list[PatternSet]] = None) -> list[tuple[in
     else:
         pairs = pattern_indices([p for s in sets for p in s.members()]).reshape(-1, 2)
     grams, (s_average, s0, s1) = _relative_spectra()
-    columns = (s_average - 0.5 * s0 - 0.5 * s1, np.abs(grams[:, 0, 1]), np.abs(grams[:, 0, 3]))
-    relative = relative_index(pairs[:, 0], pairs[:, 1])
-    return list(zip(range(len(pairs)), *(column[relative].tolist() for column in columns)))
+    columns = np.stack([s_average - 0.5 * s0 - 0.5 * s1, np.abs(grams[:, 0, 1]), np.abs(grams[:, 0, 3])], axis=1)
+    return columns, relative_index(pairs[:, 0], pairs[:, 1])
+
+
+def chi_physical_sweep(sets: Optional[list[PatternSet]] = None) -> list[tuple[int, float, float, float]]:
+    """Rows (set_id, chi_physical_bits, overlap_00, overlap_01) per set,
+    ``set_id`` counting from 0 in the order given (default: all valid
+    sets); the rows of :func:`chi_by_relative`, one per set."""
+    columns, relative = chi_by_relative(sets)
+    return list(zip(range(len(relative)), *columns[relative].T.tolist()))
 
 
 def multiphoton_prob(mu: float) -> float:

@@ -20,7 +20,6 @@ import sys
 import time
 from dataclasses import replace
 from functools import lru_cache, reduce
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -195,33 +194,36 @@ def _fmt(value: object) -> str:
 
 
 @lru_cache(maxsize=1)
-def _record_parts() -> tuple[np.ndarray, ...]:
-    """The text after ``block_id`` of a record line, in four parts, each
-    looked up by the code that ``format_records`` computes for it."""
-    bits = [f"{a} {i} {j} {lost}" for lost in "01" for a in "01" for i in "01" for j in "01"]
+def _record_parts() -> tuple[list[str], list[str]]:
+    """The text after ``block_id`` of a record line, in two parts, each
+    looked up by the code that ``format_records`` computes for it: the
+    sender's bit, both pattern indices, the loss and Bob's decode; then the
+    interceptor's guess and bit, and the flags."""
     decodes = [f"{code5.syndrome_bits(s)} {c}" for s in range(code5.N_SYNDROMES) for c in "01"] + ["- -"]
     guesses = [f"{p} {c}" for p in all_patterns() for c in "01"] + ["- -"]
-    flags = [f"{s} {t}" for s in "01" for t in "01"]
-    return tuple(np.array(part, dtype=object) for part in (bits, decodes, guesses, flags))
+    front = [f" {a} {i} {j} {lost} {d}" for lost in "01" for a in "01" for i in "01" for j in "01" for d in decodes]
+    return front, [f" {g} {s} {t}\n" for g in guesses for s in "01" for t in "01"]
 
 
 def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -> str:
     """Lines of rows ``start .. stop - 1`` in the documented column order,
     after the header line if ``start`` is 0."""
-    bits, decodes, guesses, flags = _record_parts()
+    front, back = _record_parts()
     rows = slice(start, stop)
     lost, guess = blocks.lost[rows], blocks.eve_guess[rows].astype(np.int16)
+    bits = 8 * lost + 4 * blocks.alice_bit[rows] + 2 * blocks.alice_pattern_index[rows] + blocks.bob_pattern_index[rows]
+    decode = np.where(lost, 2 * code5.N_SYNDROMES, 2 * blocks.syndrome[rows] + blocks.bob_bit[rows])
+    guess = np.where(guess < 0, 2 * len(all_patterns()), 2 * guess + blocks.eve_bit[rows])
     codes = (
-        (bits, 8 * lost + 4 * blocks.alice_bit[rows]
-         + 2 * blocks.alice_pattern_index[rows] + blocks.bob_pattern_index[rows]),
-        (decodes, np.where(lost, len(decodes) - 1, 2 * blocks.syndrome[rows] + blocks.bob_bit[rows])),
-        (guesses, np.where(guess < 0, len(guesses) - 1, 2 * guess + blocks.eve_bit[rows])),
-        (flags, 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows]),
+        (2 * code5.N_SYNDROMES + 1) * bits + decode,
+        4 * guess + 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows],
     )
-    parts = [table[code].tolist() for table, code in codes]
-    ids = range(blocks.first + start, blocks.first + start + len(lost))
-    lines = map(" ".join, zip(map(str, ids), *parts))
-    return "\n".join(chain([RECORDS_HEADER] if start == 0 else [], lines)) + "\n"
+    first = blocks.first + start
+    lines = [
+        f"{block_id}{front[i]}{back[j]}"
+        for block_id, i, j in zip(range(first, first + len(lost)), *(code.tolist() for code in codes))
+    ]
+    return (f"{RECORDS_HEADER}\n" if start == 0 else "") + "".join(lines)
 
 
 def format_report(report: SessionReport) -> str:
@@ -357,14 +359,17 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
 
 
 def _chi_csv_chunks() -> Iterator[str]:
-    """The chi CSV over all valid sets, header first, in chunks of rows."""
+    """The chi CSV over all valid sets, header first, in chunks of rows.
+
+    A row's values depend only on the set's relative permutation, so each
+    of the 120 row tails is formatted once."""
     yield "set_id,chi_physical_bits,overlap_00,overlap_01\n"
-    rows = analysis.chi_physical_sweep()
-    for start in range(0, len(rows), RECORDS_CHUNK_ROWS):
-        yield "".join(
-            f"{set_id},{chi:.9f},{ov00:.9f},{ov01:.9f}\n"
-            for set_id, chi, ov00, ov01 in rows[start:start + RECORDS_CHUNK_ROWS]
-        )
+    columns, relative = analysis.chi_by_relative()
+    tails = [f",{chi:.9f},{ov00:.9f},{ov01:.9f}\n" for chi, ov00, ov01 in columns.tolist()]
+    relative = relative.tolist()
+    for start in range(0, len(relative), RECORDS_CHUNK_ROWS):
+        chunk = relative[start:start + RECORDS_CHUNK_ROWS]
+        yield "".join(str(set_id) + tails[r] for set_id, r in enumerate(chunk, start))
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

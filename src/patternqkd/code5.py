@@ -315,6 +315,20 @@ def decode_table(basis: str = "Z") -> np.ndarray:
     return table
 
 
+def _relabel(x: np.ndarray, z: np.ndarray, basis: str, seen: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """``(s ^ syn(E), f)`` of :func:`frame_outcome_sources` for the frame
+    with masks ``x``, ``z`` and the syndromes ``seen`` (the ``s'`` there)."""
+    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    syndrome = np.zeros_like(x)
+    for generator in STABILIZER_GENERATORS:
+        gx, gz = pauli_masks(generator)
+        syndrome = (syndrome << 1) | _anticommute(x, z, gx, gz)
+    cx, cz = _recovery_masks()
+    before = seen ^ syndrome
+    lx, lz = pauli_masks(_logical_label(basis))
+    return before, _anticommute(cx[before] ^ x ^ cx[seen], cz[before] ^ z ^ cz[seen], lx, lz)
+
+
 def frame_outcome_sources(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.ndarray:
     """How a Pauli frame relabels decode outcomes, one row per frame.
 
@@ -327,16 +341,15 @@ def frame_outcome_sources(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.
     that becomes ``(s', c')`` under frame ``n``, so the disturbed
     distribution is the undisturbed row gathered at ``src``.
     """
-    x = np.asarray(x, dtype=np.int64)[:, None]
-    z = np.asarray(z, dtype=np.int64)[:, None]
-    syndrome = np.zeros_like(x)
-    for generator in STABILIZER_GENERATORS:
-        gx, gz = pauli_masks(generator)
-        syndrome = (syndrome << 1) | _anticommute(x, z, gx, gz)
-    cx, cz = _recovery_masks()
-    seen = np.arange(N_SYNDROMES)
-    before = seen ^ syndrome
-    lx, lz = pauli_masks(_logical_label(basis))
-    flip = _anticommute(cx[before] ^ x ^ cx[seen], cz[before] ^ z ^ cz[seen], lx, lz)
+    before, flip = _relabel(np.asarray(x)[:, None], np.asarray(z)[:, None], basis, np.arange(N_SYNDROMES))
     sources = 2 * before[:, :, None] + (np.arange(2) ^ flip[:, :, None])
-    return sources.reshape(len(x), 2 * N_SYNDROMES)
+    return sources.reshape(len(before), 2 * N_SYNDROMES)
+
+
+def frame_classes(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.ndarray:
+    """``frame_outcome_sources(x, z, basis)[:, 0]``: ``2 * syn(E) + f``,
+    with ``f`` 1 iff ``E C(syn(E))`` anticommutes with the logical read
+    out.  Anticommutation adds up over products, so this class fixes the
+    whole row: the 32 classes are the 32 distinct relabellings."""
+    before, flip = _relabel(x, z, basis, 0)
+    return 2 * before + flip

@@ -130,27 +130,27 @@ _BASE5 = 5 ** np.arange(len(POSITIONS) - 1, -1, -1)
 
 @lru_cache(maxsize=1)
 def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pattern's one-line notation (0-based), its inverse's, and the
-    lookup from one-line notation read as a base-5 number to the index."""
+    """Every pattern's one-line notation (0-based); the lookup from
+    one-line notation read as a base-5 number to the index; and the table
+    of relative permutations, ``relative[d, e]`` the index of
+    ``compose(invert(d), e)``."""
     maps = np.array([p.mapping for p in all_patterns()]) - 1
     inverse = np.array([invert(p).mapping for p in all_patterns()]) - 1
     index = np.zeros(5 ** len(POSITIONS), dtype=np.int64)
     index[maps @ _BASE5] = np.arange(len(maps))
-    return maps, inverse, index
+    return maps, index, index[inverse[:, maps] @ _BASE5].astype(np.int8)
 
 
 def relative_index(decoder: np.ndarray, sender: np.ndarray) -> np.ndarray:
     """Index of ``compose(invert(d), e)`` for each pair of pattern indices
     (into :func:`all_patterns`) in the two arrays: the relative permutation
     that a decoder holding pattern d sees on a block sent under pattern e."""
-    maps, inverse, index = _pattern_arrays()
-    decoder = np.asarray(decoder)
-    return index[inverse[decoder[..., None], maps[sender]] @ _BASE5]
+    return _pattern_arrays()[2][decoder, sender]
 
 
 def pattern_indices(patterns: Iterable[Pattern]) -> np.ndarray:
     """Index of each pattern into :func:`all_patterns`."""
-    index = _pattern_arrays()[2]
+    index = _pattern_arrays()[1]
     return index[(np.array([p.mapping for p in patterns]) - 1) @ _BASE5]
 
 
@@ -179,6 +179,14 @@ def sample_pattern_set(rng: np.random.Generator) -> PatternSet:
     return table[int(rng.integers(0, len(table)))]
 
 
+def shared_counts(true_set: PatternSet) -> np.ndarray:
+    """How many patterns each valid set shares with ``true_set``, in the
+    order of :func:`valid_pattern_sets`."""
+    held = np.zeros(len(all_patterns()), dtype=bool)
+    held[pattern_indices(true_set.members())] = True
+    return held[set_index_array()].sum(axis=1)
+
+
 def sets_sharing(true_set: PatternSet, count: int) -> tuple[PatternSet, ...]:
     """All valid sets sharing exactly ``count`` patterns with ``true_set``.
 
@@ -187,7 +195,5 @@ def sets_sharing(true_set: PatternSet, count: int) -> tuple[PatternSet, ...]:
     """
     if count not in (0, 1, 2):
         raise ValueError("count must be 0, 1, or 2")
-    held = np.zeros(len(all_patterns()), dtype=bool)
-    held[pattern_indices(true_set.members())] = True
     table = valid_pattern_sets()
-    return tuple(table[k] for k in np.flatnonzero(held[set_index_array()].sum(axis=1) == count))
+    return tuple(table[k] for k in np.flatnonzero(shared_counts(true_set) == count))

@@ -10,11 +10,12 @@ corrected logical value disagrees with Alice's.  The session continues
 only if the estimate is strictly below the configured threshold.
 
 Engine: the block pipeline is a stabilizer process, so no statevector is
-built.  Each decode draws its (syndrome, bit) outcome from the exact tables
-of ``code5.decode_table``, picked by the relative permutation between the
-decoder's and the sender's pattern and by the bit sent; depolarizing noise
-reaches Bob's decode as a Pauli frame that relabels the outcomes
-(``code5.frame_outcome_sources``).  Blocks are simulated in numpy batches.
+built.  A decode's (syndrome, bit) outcome is fixed by the relative
+permutation between the decoder's and the sender's pattern, the bit sent,
+the class of the Pauli frame that depolarizing noise leaves in the
+decoder's frame (``code5.frame_classes``) and ``w >> 60`` of its word w,
+so it is one gather from a cached int8 table over all four, built from
+``code5.decode_table``.  Blocks are simulated in numpy batches.
 
 Reproducibility contract: all block randomness comes from one Philox4x64
 stream, ``numpy.random.Philox(SeedSequence(master_seed, spawn_key=(0,)))``.
@@ -213,23 +214,30 @@ def _bit(words: np.ndarray) -> np.ndarray:
     return (words >> 63).astype(np.int8)
 
 
-@lru_cache(maxsize=2)
-def _sixteenths(basis: str) -> np.ndarray:
-    """``code5.decode_table(basis)`` counted in sixteenths, as int8."""
-    table = np.rint(code5.decode_table(basis) * 16).astype(np.int8)
+@lru_cache(maxsize=4)
+def _draw_table(basis: str, noisy: bool) -> np.ndarray:
+    """``table[r, b, k, w >> 60]`` is the outcome ``2s + c`` a decode draws
+    with word w: relative permutation r, bit sent b, frame class k
+    (``code5.frame_classes``).  Only class 0, the undisturbed frame, unless
+    ``noisy``.
+
+    Every row of ``decode_table`` is a whole number of sixteenths and sums
+    to 16, so repeating each outcome by its count lists, at position t, the
+    outcome numbered by how many cumulative sixteenths are <= t.
+    """
+    sources = np.arange(2 * code5.N_SYNDROMES)[None]
+    if noisy:
+        # The relabellings of all 1024 frames, each put at its class, which
+        # is its first entry.
+        x, z = np.divmod(np.arange(code5.DIM**2), code5.DIM)
+        relabellings = code5.frame_outcome_sources(x, z, basis)
+        sources = np.empty_like(relabellings[:2 * code5.N_SYNDROMES])
+        sources[relabellings[:, 0]] = relabellings
+    counts = np.rint(code5.decode_table(basis) * 16).astype(np.int64)[:, :, sources]
+    outcomes = np.broadcast_to(np.arange(counts.shape[-1], dtype=np.int8), counts.shape)
+    table = np.repeat(outcomes.ravel(), counts.ravel()).reshape(*counts.shape[:-1], 16)
     table.setflags(write=False)
     return table
-
-
-def _draw_outcomes(sixteenths: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Per row, the number of cumulative sixteenths that are <= ``word >> 60``.
-
-    That is the first outcome whose cumulative probability exceeds u(word):
-    a cumulative probability k/16 is <= u(w) iff k <= floor(16 u(w)), and
-    floor(16 u(w)) = w >> 60.
-    """
-    cumulative = np.cumsum(sixteenths, axis=1, dtype=np.int8)
-    return np.count_nonzero(cumulative <= (words >> 60).astype(np.int8)[:, None], axis=1)
 
 
 def _noise_frames(
@@ -249,7 +257,8 @@ def _noise_frames(
 def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
     """Blocks ``first .. first + count - 1`` (none disclosed yet)."""
     words = _block_words(config.master_seed, first, count)
-    table = _sixteenths(config.logical_basis)
+    p = config.noise.per_qubit_flip_prob
+    draws = _draw_table(config.logical_basis, p > 0.0)
     members = pattern_indices(config.secret_set.members())
     alice_bit = _bit(words[:, _W_ALICE_BIT])
     alice_pattern = _bit(words[:, _W_ALICE_PATTERN])
@@ -263,15 +272,14 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
         else:
             guessed = pattern_indices(config.eve.knowledge.members())
             guess = guessed[_bit(words[:, _W_EVE_GUESS])]
-        heard = _draw_outcomes(table[relative_index(guess, sender), sent_bit], words[:, _W_EVE_DECODE]) & 1
+        heard = draws[relative_index(guess, sender), sent_bit, 0, words[:, _W_EVE_DECODE] >> 60] & 1
         sender, sent_bit = guess, heard
 
-    rows = table[relative_index(members[bob_pattern], sender), sent_bit]
-    p = config.noise.per_qubit_flip_prob
+    frame = 0
     if p > 0.0:
         x, z = _noise_frames(words[:, _W_NOISE], p, config.secret_set, bob_pattern)
-        rows = np.take_along_axis(rows, code5.frame_outcome_sources(x, z, config.logical_basis), axis=1)
-    bob_outcome = _draw_outcomes(rows, words[:, _W_BOB_DECODE])
+        frame = code5.frame_classes(x, z, config.logical_basis)
+    bob_outcome = draws[relative_index(members[bob_pattern], sender), sent_bit, frame, words[:, _W_BOB_DECODE] >> 60]
     lost = _uniform(words[:, _W_LOSS]) >= config.noise.photon_survival_prob ** 5
     multiphoton = _uniform(words[:, _W_PULSES]) < multiphoton_prob(config.noise.mean_photon_number)
 
@@ -328,11 +336,13 @@ def decide(mqer: float, threshold: float) -> str:
 
 def run_session(config: SessionConfig) -> tuple[SessionReport, Blocks]:
     """Run the whole session: blocks, sifting, estimation, decision, key."""
-    batches = [
-        _simulate(config, first, min(_BATCH_BLOCKS, config.num_blocks - first))
-        for first in range(0, config.num_blocks, _BATCH_BLOCKS)
-    ]
-    blocks = Blocks(0, *(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(Blocks)[1:]))
+    columns = [f.name for f in fields(Blocks)[1:]]
+    for first in range(0, config.num_blocks, _BATCH_BLOCKS):
+        batch = _simulate(config, first, min(_BATCH_BLOCKS, config.num_blocks - first))
+        if first == 0:
+            blocks = Blocks(0, *(np.empty(config.num_blocks, getattr(batch, c).dtype) for c in columns))
+        for c in columns:
+            getattr(blocks, c)[first:first + len(batch)] = getattr(batch, c)
 
     kept = sift(blocks)
     rng_test = session_rng(config.master_seed, _SESSION_TEST_SUBSET)

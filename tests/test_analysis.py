@@ -212,8 +212,10 @@ class TestBatchedSweep:
     STATEVECTOR_CALLS = ("apply_permutation", "apply_pauli_string", "encode_logical", "inner_product")
 
     def count_calls(self, monkeypatch, sets):
-        """eigvalsh calls and per-state statevector calls made by one sweep."""
-        analysis.chi_physical_sweep(list(valid_pattern_sets()[:1]))  # build the cached tables
+        """eigvalsh calls and per-state statevector calls made by one sweep
+        that builds the cached spectra from the cached codewords."""
+        analysis.chi_physical_sweep(list(valid_pattern_sets()[:1]))  # build the cached codewords
+        analysis._relative_spectra.cache_clear()
         counts = {"eigvalsh": 0, "statevector": 0}
 
         def counting(key, function):

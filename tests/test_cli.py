@@ -296,7 +296,7 @@ class TestAnalyze:
         def broken(sets=None):
             raise RuntimeError("sweep failed")
 
-        monkeypatch.setattr(cli.analysis, "chi_physical_sweep", broken)
+        monkeypatch.setattr(cli.analysis, "chi_by_relative", broken)
         csv_path, out_path = tmp_path / "chi.csv", tmp_path / "report.txt"
         code = cli.main(["analyze", "--chi-csv", str(csv_path), "--out", str(out_path)])
         assert code == cli.EXIT_FAULT
@@ -642,7 +642,7 @@ class TestOutputFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * blocks, f"{peak / blocks:.1f} B/block"
+        assert peak <= 32 * blocks, f"{peak / blocks:.1f} B/block"
 
 
 class TestGoldenRecords:

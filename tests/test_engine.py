@@ -88,39 +88,66 @@ class TestPauliFrames:
 EDGE_WORDS = np.array([top << 60 | low for top in range(16) for low in (0, 2**60 - 1)], dtype=np.uint64)
 
 
-def assert_integer_draws_follow_the_definition(sixteenths, probabilities):
-    """The engine's integer draw on rows of sixteenths equals the documented
-    draw on the float rows: sum(cumsum(p) <= u(w))."""
-    np.testing.assert_array_equal(sixteenths / 16, probabilities)
-    cumulative = np.cumsum(probabilities, axis=1)
+def all_frames():
+    """The (x, z) masks of all 1024 five-qubit Pauli frames."""
+    return np.divmod(np.arange(1024), 32)
+
+
+def assert_table_follows_the_definition(table, probabilities):
+    """``table[..., w >> 60]`` equals the documented draw on the float rows
+    ``probabilities[...]``, sum(cumsum(p) <= u(w)), at every edge word."""
+    assert table.dtype == np.int8
+    cumulative = np.cumsum(probabilities, axis=-1)
     outcomes = set()
     for word in EDGE_WORDS:
-        words = np.full(len(sixteenths), word)
-        drawn = protocol._draw_outcomes(sixteenths, words)
-        np.testing.assert_array_equal(drawn, np.sum(cumulative <= u(word), axis=1))
-        outcomes.update(drawn.tolist())
+        drawn = table[..., int(word) >> 60]
+        np.testing.assert_array_equal(drawn, np.sum(cumulative <= u(word), axis=-1))
+        outcomes.update(drawn.ravel().tolist())
     assert len(outcomes) > 1
 
 
 class TestIntegerDraw:
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_every_table_row(self, basis):
-        sixteenths = protocol._sixteenths(basis)
-        assert sixteenths.dtype == np.int8
-        assert_integer_draws_follow_the_definition(
-            sixteenths.reshape(-1, 32), code5.decode_table(basis).reshape(-1, 32)
-        )
+        # A noiseless session builds only class 0, the undisturbed frame.
+        table = protocol._draw_table(basis, False)
+        assert table.shape == (120, 2, 1, 16)
+        assert_table_follows_the_definition(table[:, :, 0], code5.decode_table(basis))
 
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_every_table_row_under_every_frame(self, basis):
-        x, z = np.divmod(np.arange(1024), 32)
-        # The distinct relabellings of all 1024 five-qubit Pauli frames.
-        sources = np.unique(code5.frame_outcome_sources(x, z, basis), axis=0)
-        assert len(sources) > 1
-        assert_integer_draws_follow_the_definition(
-            protocol._sixteenths(basis).reshape(-1, 32)[:, sources].reshape(-1, 32),
-            code5.decode_table(basis).reshape(-1, 32)[:, sources].reshape(-1, 32),
+        # table[r, b, k] draws from the row of (r, b) relabelled by the
+        # frames of class k, which is the relabelling's first entry.
+        table = protocol._draw_table(basis, True)
+        assert table.shape == (120, 2, 32, 16)
+        sources = np.unique(code5.frame_outcome_sources(*all_frames(), basis), axis=0)
+        assert len(sources) == 32
+        assert_table_follows_the_definition(
+            table[:, :, sources[:, 0]], code5.decode_table(basis)[:, :, sources]
         )
+        np.testing.assert_array_equal(table[:, :, :1], protocol._draw_table(basis, False))
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_class_key_fixes_the_relabelling(self, basis):
+        # The key 2 * syn(E) + f, with f = 1 iff E C(syn(E)) anticommutes
+        # with the logical read out, worked out here from Pauli strings.
+        x, z = all_frames()
+        lx, lz = code5.pauli_masks(code5.LOGICAL_Z if basis == "Z" else code5.LOGICAL_X)
+        keys = []
+        for fx, fz in zip(x.tolist(), z.tolist()):
+            label = "".join("IXZY"[(fx >> (4 - k) & 1) + 2 * (fz >> (4 - k) & 1)] for k in range(5))
+            syndrome = code5.pauli_syndrome(label)
+            cx, cz = code5.pauli_masks(code5.correction_table()[syndrome])
+            flip = bin((fx ^ cx) & lz ^ (fz ^ cz) & lx).count("1") & 1
+            keys.append(2 * syndrome + flip)
+        classes = code5.frame_classes(x, z, basis)
+        assert classes.tolist() == keys
+        sources = code5.frame_outcome_sources(x, z, basis)
+        by_class = np.full((32, 32), -1)
+        by_class[classes] = sources
+        np.testing.assert_array_equal(by_class[classes], sources)
+        assert np.all(by_class >= 0)
+        assert by_class[0].tolist() == list(range(32))
 
 
 def u(word) -> float:
@@ -274,29 +301,31 @@ class TestSessionPath:
         assert len(created) == math.ceil(blocks / protocol._BATCH_BLOCKS) + 1
 
     def test_no_block_record_and_no_float_cumsum_in_a_session(self, monkeypatch):
-        built, cumsum_dtypes = [], []
+        config = replay_config(blocks=3000)
+        run_session(replace(config, num_blocks=10))  # builds the cached tables
+        assert protocol._draw_table(config.logical_basis, True).dtype == np.int8
+        built, cumsums = [], []
         record_class, cumsum = protocol.BlockRecord, np.cumsum
 
         def counting_record(*args, **kwargs):
             built.append(1)
             return record_class(*args, **kwargs)
 
-        def checking_cumsum(a, *args, **kwargs):
-            cumsum_dtypes.append(np.asarray(a).dtype)
-            return cumsum(a, *args, **kwargs)
+        def counting_cumsum(*args, **kwargs):
+            cumsums.append(1)
+            return cumsum(*args, **kwargs)
 
         monkeypatch.setattr(protocol, "BlockRecord", counting_record)
-        monkeypatch.setattr(np, "cumsum", checking_cumsum)
-        _, blocks = run_session(replay_config(blocks=3000))
-        assert built == []
-        assert cumsum_dtypes and all(dtype == np.int8 for dtype in cumsum_dtypes)
+        monkeypatch.setattr(np, "cumsum", counting_cumsum)
+        _, blocks = run_session(config)
+        assert built == [] and cumsums == []
         blocks.record(0)
         assert built == [1]
 
     def test_relative_permutation_indexing(self):
         # The engine picks table rows by compose(invert(decoder), sender).
         patterns = all_patterns()
-        decoder, sender = np.divmod(np.arange(120 * 120), 120)
-        relative = relative_index(decoder, sender)
-        for d, e, r in zip(decoder, sender, relative):
+        table = relative_index(*np.divmod(np.arange(120 * 120), 120)).reshape(120, 120)
+        assert table.dtype == np.int8
+        for (d, e), r in np.ndenumerate(table):
             assert patterns[r] == compose(invert(patterns[d]), patterns[e])

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patternqkd.patterns import (
     Pattern,
@@ -13,6 +15,7 @@ from patternqkd.patterns import (
     invert,
     pattern_distance,
     pattern_indices,
+    relative_index,
     sample_pattern_set,
     set_index_array,
     sets_sharing,
@@ -88,6 +91,21 @@ class TestGroupOperations:
         r = compose(p, q)
         for i in range(1, 6):
             assert r(i) == p(q(i))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(*[st.sampled_from(all_patterns())] * 3)
+    def test_group_laws(self, p, q, r):
+        assert compose(p, compose(q, r)) == compose(compose(p, q), r)
+        assert compose(p, IDENTITY) == p == compose(IDENTITY, p)
+        assert compose(p, invert(p)) == IDENTITY == compose(invert(p), p)
+        assert invert(compose(p, q)) == compose(invert(q), invert(p))
+        # The relative permutation of (p, q) composed with that of (q, r) is that of (p, r).
+        d, e, f = pattern_indices([p, q, r])
+        assert all_patterns()[relative_index(d, e)] == compose(invert(p), q)
+        assert relative_index(d, d) == 0
+        assert all_patterns()[relative_index(d, f)] == compose(
+            all_patterns()[relative_index(d, e)], all_patterns()[relative_index(e, f)]
+        )
 
 
 class TestPatternSet:
