@@ -57,7 +57,8 @@ RECORDS_HEADER = (
     "# block_id alice_bit a_idx b_idx lost syndrome bob_bit eve_guess eve_bit sifted tested"
 )
 # Rows of records.txt (or of the chi CSV) formatted, hashed and written at
-# a time.  It bounds the formatter's working memory, about 175 B per row.
+# a time.  It bounds the formatter's working memory, about 175 B per
+# record row and 150 B per chi row.
 RECORDS_CHUNK_ROWS = 2048
 
 
@@ -362,14 +363,33 @@ def _chi_csv_chunks() -> Iterator[str]:
     """The chi CSV over all valid sets, header first, in chunks of rows.
 
     A row's values depend only on the set's relative permutation, so each
-    of the 120 row tails is formatted once."""
+    of the 120 row tails is formatted once, as a row of a byte matrix.
+    Every tail has the same width (each value lies in [0, 1] and prints as
+    11 characters), and so do the ids of one decimal width.  The rows of
+    a chunk, split where the id width changes, are then one byte matrix:
+    the id's ASCII digits next to the set's tail."""
     yield "set_id,chi_physical_bits,overlap_00,overlap_01\n"
     columns, relative = analysis.chi_by_relative()
     tails = [f",{chi:.9f},{ov00:.9f},{ov01:.9f}\n" for chi, ov00, ov01 in columns.tolist()]
-    relative = relative.tolist()
-    for start in range(0, len(relative), RECORDS_CHUNK_ROWS):
-        chunk = relative[start:start + RECORDS_CHUNK_ROWS]
-        yield "".join(str(set_id) + tails[r] for set_id, r in enumerate(chunk, start))
+    if len({len(tail) for tail in tails}) != 1:
+        raise ValueError(f"chi CSV row tails differ in width: {sorted(set(tails))}")
+    tails = np.frombuffer("".join(tails).encode("ascii"), np.uint8).reshape(len(tails), -1)
+    # Digits by lookup: a cast to uint8 would page in numpy code that the
+    # analyze path runs nowhere else (peak RSS counts code pages).
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    total = len(relative)
+    for start in range(0, total, RECORDS_CHUNK_ROWS):
+        stop = min(start + RECORDS_CHUNK_ROWS, total)
+        cuts = [10 ** width for width in range(1, len(str(total))) if start < 10 ** width < stop]
+        for first, end in zip([start] + cuts, cuts + [stop]):
+            width = len(str(end - 1))
+            rows = np.empty((end - first, width + tails.shape[1]), np.uint8)
+            ids = np.arange(first, end)
+            for column in range(width - 1, -1, -1):
+                ids, digit = np.divmod(ids, 10)
+                rows[:, column] = digits[digit]
+            rows[:, width:] = tails[relative[first:end]]
+            yield rows.tobytes().decode("ascii")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -378,8 +398,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: bad --mu list: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if any(mu < 0 for mu in mu_values):
-        print("error: --mu values must be >= 0", file=sys.stderr)
+    if not all(0 <= mu < float("inf") for mu in mu_values):
+        print("error: --mu values must be finite and >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    if args.out and args.chi_csv and Path(args.out).resolve() == Path(args.chi_csv).resolve():
+        print("error: --out and --chi-csv name the same file", file=sys.stderr)
         return EXIT_USAGE
     try:
         lines = _analyze_lines(mu_values, args.set_id)
@@ -498,7 +521,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: parsing
+    leaves it unchanged, and callers must not change it either.  ``main``
+    looks each subcommand's ``cmd_*`` handler up by name when it runs, so a
+    replaced handler is the one called."""
     parser = argparse.ArgumentParser(
         prog="patternqkd",
         description="Pattern-based QKD over the five-qubit perfect code",
@@ -509,14 +537,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="dump pattern and pattern-set tables")
     p_enum.add_argument("--out", default="out", help="output directory")
     p_enum.add_argument("--sets-csv", action="store_true", help="also write the 6540-row set table")
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_an = sub.add_parser("analyze", help="emit closed-form security quantities")
     p_an.add_argument("--mu", default=None, help="comma-separated mean photon numbers")
     p_an.add_argument("--set-id", type=int, default=0, help="pattern-set id for the chi report")
     p_an.add_argument("--out", default=None, help="also write the report to this file")
     p_an.add_argument("--chi-csv", default=None, help="write per-set chi table to this CSV")
-    p_an.set_defaults(func=cmd_analyze)
 
     session = argparse.ArgumentParser(add_help=False)
     session.add_argument("--config", required=True, help="session config path")
@@ -525,21 +551,18 @@ def build_parser() -> argparse.ArgumentParser:
         if flag:
             session.add_argument(flag, dest=key, type=parse, default=None, help=f"override {key}")
 
-    p_sim = sub.add_parser("simulate", parents=[session], help="run one session from a config file")
-    p_sim.set_defaults(func=cmd_simulate)
+    sub.add_parser("simulate", parents=[session], help="run one session from a config file")
 
     p_sw = sub.add_parser("sweep", parents=[session], help="run one session per axis value")
     p_sw.add_argument("--axis", required=True, choices=SWEEP_AXES, help="swept parameter")
     p_sw.add_argument("--values", required=True, help="comma-separated axis values")
-    p_sw.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except Exception as exc:  # noqa: BLE001 - internal-fault exit contract
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAULT

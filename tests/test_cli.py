@@ -256,6 +256,25 @@ class TestAnalyze:
     def test_negative_mu_rejected(self):
         assert cli.main(["analyze", "--mu", "-0.5"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mu_exits_two_before_any_output(self, tmp_path, capsys, mu):
+        out_path = tmp_path / "report.txt"
+        code = cli.main(["analyze", "--mu", f"0.1,{mu}", "--out", str(out_path)])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--mu values must be finite" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("csv_name", ["F", "./F"])
+    def test_report_and_csv_on_one_file_exits_two(self, tmp_path, monkeypatch, capsys, csv_name):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analyze", "--out", "F", "--chi-csv", csv_name]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "name the same file" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_chi_csv_written(self, tmp_path, capsys):
         csv_path = tmp_path / "chi.csv"
         code = cli.main(["analyze", "--chi-csv", str(csv_path)])
@@ -264,13 +283,23 @@ class TestAnalyze:
         assert rows[0] == "set_id,chi_physical_bits,overlap_00,overlap_01"
         assert len(rows) == 6541
 
+    # digest of the CSV written by the per-set statevector route
+    CHI_CSV_SHA256 = "ecbbfe3e8016f6c12381d8feb5f9c8416f50339af711f6144a885938fdc01e8c"
+
     def test_chi_csv_bytes_are_pinned(self, tmp_path, capsys):
-        # digest of the CSV written by the per-set statevector route
         csv_path = tmp_path / "chi.csv"
         assert cli.main(["analyze", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
-        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
-            "ecbbfe3e8016f6c12381d8feb5f9c8416f50339af711f6144a885938fdc01e8c"
-        )
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == self.CHI_CSV_SHA256
+
+    # 7 and 999 split chunks at the id-width boundaries (10, 100, 1000);
+    # 10 ends chunks exactly on them; 10000 writes every row in one chunk.
+    @pytest.mark.parametrize("chunk_rows", [7, 10, 999, 10000])
+    def test_chi_csv_spans_several_chunks(self, tmp_path, monkeypatch, capsys, chunk_rows):
+        monkeypatch.setattr(cli, "RECORDS_CHUNK_ROWS", chunk_rows)
+        csv_path = tmp_path / "chi.csv"
+        assert cli.main(["analyze", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == self.CHI_CSV_SHA256
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chi.csv"]
 
     # Digests of the stdout of `analyze --set-id N` as printed by the
     # per-set statevector route.  Sets 4 and 16 carry the other two
@@ -302,6 +331,48 @@ class TestAnalyze:
         assert code == cli.EXIT_FAULT
         assert "sweep failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_analyze_out_does_not_carry_into_the_next_call(self, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        assert cli.main(["analyze", "--out", str(report)]) == cli.EXIT_OK
+        report.unlink()
+        assert cli.main(["analyze"]) == cli.EXIT_OK
+        assert list(tmp_path.iterdir()) == []
+
+    def test_seed_does_not_carry_into_the_next_call(self, tmp_path, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG)
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "run"), "--blocks", "20"]
+        cli.main(argv + ["--seed", "77"])
+        assert "config.master_seed = 77\n" in (tmp_path / "run" / "manifest.txt").read_text()
+        cli.main(argv)
+        assert "config.master_seed = 5\n" in (tmp_path / "run" / "manifest.txt").read_text()
+
+    def test_bad_flag_exits_two_after_the_parser_is_cached(self, capsys):
+        cli.build_parser()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["analyze", "--no-such-flag"])
+        assert excinfo.value.code == cli.EXIT_USAGE
+        assert cli.main(["analyze", "--set-id", "6540"]) == cli.EXIT_USAGE
+        assert cli.main(["analyze"]) == cli.EXIT_OK
+
+    def test_a_replaced_handler_is_called(self, monkeypatch):
+        # The benchmark's tracer replaces cmd_* functions after the first call.
+        cli.build_parser()
+        calls = []
+
+        def handler(args):
+            calls.append(args.set_id)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_analyze", handler)
+        assert cli.main(["analyze", "--set-id", "3"]) == 7
+        assert calls == [3]
 
 
 class TestSimulate:
