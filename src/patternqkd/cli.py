@@ -57,7 +57,7 @@ RECORDS_HEADER = (
     "# block_id alice_bit a_idx b_idx lost syndrome bob_bit eve_guess eve_bit sifted tested"
 )
 # Rows of records.txt (or of the chi CSV) formatted, hashed and written at
-# a time.  It bounds the formatter's working memory, about 175 B per
+# a time.  It bounds the formatter's working memory, about 115 B per
 # record row and 150 B per chi row.
 RECORDS_CHUNK_ROWS = 2048
 
@@ -194,37 +194,61 @@ def _fmt(value: object) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def _byte_rows(lines: list[str]) -> np.ndarray:
+    """``lines`` as the rows of a ``uint8`` matrix, NUL-padded to the longest."""
+    width = max(map(len, lines))
+    text = "".join(line.ljust(width, "\0") for line in lines)
+    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(lines), width)
+
+
+def _write_ids(rows: np.ndarray, first: int, width: int) -> None:
+    """Write the ids ``first, first + 1, ...`` of ``rows`` into its first
+    ``width`` columns as right-aligned ASCII digits, NUL for leading zeros."""
+    # Digits by lookup: a cast to uint8 would page in numpy code that the
+    # CLI runs nowhere else (peak RSS counts code pages).
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    ids = np.arange(first, first + len(rows))
+    for column in range(width - 1, -1, -1):
+        ids, digit = np.divmod(ids, 10)
+        rows[:, column] = digits[digit]
+    for column in range(width - 1):
+        rows[:max(0, 10 ** (width - 1 - column) - first), column] = 0
+
+
 @lru_cache(maxsize=1)
-def _record_parts() -> tuple[list[str], list[str]]:
-    """The text after ``block_id`` of a record line, in two parts, each
-    looked up by the code that ``format_records`` computes for it: the
-    sender's bit, both pattern indices, the loss and Bob's decode; then the
-    interceptor's guess and bit, and the flags."""
+def _record_parts() -> tuple[np.ndarray, np.ndarray]:
+    """The text after ``block_id`` of a record line, in two parts, each a
+    NUL-padded ``uint8`` row looked up by the code that ``format_records``
+    computes for it: the sender's bit, both pattern indices, the loss and
+    Bob's decode (528 x 15); then the interceptor's guess and bit, and the
+    flags (964 x 13).  NUL never occurs in the format."""
     decodes = [f"{code5.syndrome_bits(s)} {c}" for s in range(code5.N_SYNDROMES) for c in "01"] + ["- -"]
     guesses = [f"{p} {c}" for p in all_patterns() for c in "01"] + ["- -"]
     front = [f" {a} {i} {j} {lost} {d}" for lost in "01" for a in "01" for i in "01" for j in "01" for d in decodes]
-    return front, [f" {g} {s} {t}\n" for g in guesses for s in "01" for t in "01"]
+    return _byte_rows(front), _byte_rows([f" {g} {s} {t}\n" for g in guesses for s in "01" for t in "01"])
 
 
 def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -> str:
     """Lines of rows ``start .. stop - 1`` in the documented column order,
-    after the header line if ``start`` is 0."""
+    after the header line if ``start`` is 0.
+
+    The rows are one ``uint8`` matrix: the block id's digits, then the
+    two parts of ``_record_parts`` gathered by code, all NUL-padded to
+    fixed widths; deleting the NULs leaves the lines."""
     front, back = _record_parts()
     rows = slice(start, stop)
     lost, guess = blocks.lost[rows], blocks.eve_guess[rows].astype(np.int16)
     bits = 8 * lost + 4 * blocks.alice_bit[rows] + 2 * blocks.alice_pattern_index[rows] + blocks.bob_pattern_index[rows]
     decode = np.where(lost, 2 * code5.N_SYNDROMES, 2 * blocks.syndrome[rows] + blocks.bob_bit[rows])
     guess = np.where(guess < 0, 2 * len(all_patterns()), 2 * guess + blocks.eve_bit[rows])
-    codes = (
-        (2 * code5.N_SYNDROMES + 1) * bits + decode,
-        4 * guess + 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows],
-    )
     first = blocks.first + start
-    lines = [
-        f"{block_id}{front[i]}{back[j]}"
-        for block_id, i, j in zip(range(first, first + len(lost)), *(code.tolist() for code in codes))
-    ]
-    return (f"{RECORDS_HEADER}\n" if start == 0 else "") + "".join(lines)
+    width = len(str(first + len(lost) - 1))
+    middle = width + front.shape[1]
+    lines = np.empty((len(lost), middle + back.shape[1]), np.uint8)
+    _write_ids(lines, first, width)
+    lines[:, width:middle] = front.take((2 * code5.N_SYNDROMES + 1) * bits + decode, axis=0)
+    lines[:, middle:] = back.take(4 * guess + 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows], axis=0)
+    return (f"{RECORDS_HEADER}\n" if start == 0 else "") + lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def format_report(report: SessionReport) -> str:
@@ -242,7 +266,7 @@ def format_report(report: SessionReport) -> str:
         ("eve_success_rate", success),
         ("pns_leak_blocks", str(report.pns_leak_blocks)),
         ("raw_key_length", str(len(report.raw_key))),
-        ("raw_key", "".join(str(b) for b in report.raw_key) or "-"),
+        ("raw_key", "".join(map(str, report.raw_key)) or "-"),
     ]
     return "".join(f"{k} = {v}\n" for k, v in items)
 
@@ -373,10 +397,7 @@ def _chi_csv_chunks() -> Iterator[str]:
     tails = [f",{chi:.9f},{ov00:.9f},{ov01:.9f}\n" for chi, ov00, ov01 in columns.tolist()]
     if len({len(tail) for tail in tails}) != 1:
         raise ValueError(f"chi CSV row tails differ in width: {sorted(set(tails))}")
-    tails = np.frombuffer("".join(tails).encode("ascii"), np.uint8).reshape(len(tails), -1)
-    # Digits by lookup: a cast to uint8 would page in numpy code that the
-    # analyze path runs nowhere else (peak RSS counts code pages).
-    digits = np.frombuffer(b"0123456789", np.uint8)
+    tails = _byte_rows(tails)
     total = len(relative)
     for start in range(0, total, RECORDS_CHUNK_ROWS):
         stop = min(start + RECORDS_CHUNK_ROWS, total)
@@ -384,17 +405,14 @@ def _chi_csv_chunks() -> Iterator[str]:
         for first, end in zip([start] + cuts, cuts + [stop]):
             width = len(str(end - 1))
             rows = np.empty((end - first, width + tails.shape[1]), np.uint8)
-            ids = np.arange(first, end)
-            for column in range(width - 1, -1, -1):
-                ids, digit = np.divmod(ids, 10)
-                rows[:, column] = digits[digit]
+            _write_ids(rows, first, width)
             rows[:, width:] = tails[relative[first:end]]
             yield rows.tobytes().decode("ascii")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        mu_values = [float(v) for v in args.mu.split(",")] if args.mu else [0.0, 0.1, 0.5]
+        mu_values = [0.0, 0.1, 0.5] if args.mu is None else [float(v) for v in args.mu.split(",")]
     except ValueError as exc:
         print(f"error: bad --mu list: {exc}", file=sys.stderr)
         return EXIT_USAGE

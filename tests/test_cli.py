@@ -5,7 +5,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from records_oracle import as_records, format_records
 import patternqkd
 from patternqkd import cli
 from patternqkd.channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
-from patternqkd.patterns import PatternSet, valid_pattern_sets
+from patternqkd.patterns import PatternSet, all_patterns, valid_pattern_sets
 from patternqkd.protocol import SessionConfig, run_session
 
 
@@ -124,6 +126,18 @@ _CONFIG_VALUES = {
     ),
 }
 _configs = st.fixed_dictionaries({key: st.none() | value for key, value in _CONFIG_VALUES.items()})
+# Values outside every key's domain: junk numbers and words, and pattern
+# pairs that are no valid set (equal members, or members at distance 2).
+_JUNK_VALUES = st.one_of(
+    st.sampled_from(("nan", "inf", "-1", "1e308", "x", "overlap=3")),
+    st.sampled_from([str(p) for p in all_patterns()]).flatmap(
+        lambda p: st.sampled_from((f"{p} {p}", f"{p} {p[1]}{p[0]}{p[2:]}"))
+    ),
+)
+# Configs with up to two keys set to junk.
+_junk_configs = st.tuples(
+    _configs, st.dictionaries(st.sampled_from(list(cli.FIELDS)), _JUNK_VALUES, max_size=2)
+).map(lambda parts: {**parts[0], **parts[1]})
 
 
 class TestConfigSchema:
@@ -266,6 +280,14 @@ class TestAnalyze:
         assert "--mu values must be finite" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_mu_exits_two_before_any_output(self, tmp_path, capsys):
+        code = cli.main(["analyze", "--mu", "", "--out", str(tmp_path / "report.txt")])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad --mu list" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("csv_name", ["F", "./F"])
     def test_report_and_csv_on_one_file_exits_two(self, tmp_path, monkeypatch, capsys, csv_name):
         monkeypatch.chdir(tmp_path)
@@ -387,6 +409,15 @@ class TestSimulate:
         records = (out / "records.txt").read_text().splitlines()
         assert records[0].startswith("# block_id")
         assert len(records) == 301
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_junk_configs, st.integers(0, 64))
+    def test_generated_config_runs_or_exits_two(self, values, blocks):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "session.cfg"
+            cfg.write_text(_config_text((k, v) for k, v in values.items() if v is not None))
+            code = cli.main(["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "run"), "--blocks", str(blocks)])
+        assert code in (cli.EXIT_OK, cli.EXIT_ABORT, cli.EXIT_USAGE)
 
     def test_eavesdropped_run_exits_three(self, tmp_path):
         cfg = tmp_path / "eve.cfg"
@@ -668,6 +699,23 @@ class TestColumnarRecords:
         chunks = [cli.format_records(blocks, start, start + 97) for start in range(0, len(blocks), 97)]
         assert "".join(chunks) == expected
 
+    # Sessions shifted to start 5 rows before an id gains a digit, so that
+    # one chunk of each bound but 1 crosses 10, 100, ..., 100000.
+    @pytest.mark.parametrize("first", [5, 95, 995, 9995, 99995])
+    @pytest.mark.parametrize("config", [
+        dict(noise=NoiseModel(distance_km=400.0)),
+        dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(per_qubit_flip_prob=0.05)),
+    ], ids=["all-lost", "all-intercepted"])
+    def test_equals_the_per_record_formatter_across_id_widths(self, config, first):
+        session = SessionConfig(num_blocks=4200, secret_set=PatternSet.from_string("12345 13452"), master_seed=43, **config)
+        blocks = replace(run_session(session)[1], first=first)
+        assert blocks.lost.all() or (blocks.eve_guess >= 0).all()
+        expected = format_records(as_records(blocks))
+        assert cli.format_records(blocks) == expected
+        for rows in (1, 97, 4096):
+            chunks = [cli.format_records(blocks, start, start + rows) for start in range(0, len(blocks), rows)]
+            assert "".join(chunks) == expected
+
 
 class TestOutputFiles:
     def test_records_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys):
@@ -751,6 +799,30 @@ class TestGoldenRecords:
         assert "blocks_lost = 1" in report
         assert "mqer_estimate = 0.5" in report
         assert "decision = abort" in report
+
+    # Digests taken before records.txt was built as a byte matrix and
+    # before 2048-block batches: several batches, several chunks, and a
+    # seed at the top of its range.
+    PINNED_SHA256 = {
+        "records.txt": "84a084741b1378bcdebdf363d8499a4b6cf5a8ccfbefc52bf830a9cf520ba6c6",
+        "report.txt": "161ca57861bc666dacb8da2133fe9ceace16edace0e9f341bd7bd24af92a4cc6",
+    }
+
+    def test_long_noisy_intercepted_run_is_pinned(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(
+            "num_blocks = 12289\n"
+            f"master_seed = {2**64 - 1}\n"
+            "secret_set = 12345 13452\n"
+            "noise.per_qubit_flip_prob = 0.05\n"
+            "noise.distance_km = 5\n"
+            "noise.mean_photon_number = 0.8\n"
+            "eve.kind = intercept_resend\n"
+        )
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ABORT
+        for name, digest in self.PINNED_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
 class TestInternalFaultContract:
