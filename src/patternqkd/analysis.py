@@ -62,6 +62,7 @@ class GuessOutcomeDistribution:
             raise ValueError("guess-outcome probabilities must sum to 1 exactly")
 
 
+@lru_cache(maxsize=16)
 def guess_outcome_distribution(true_set: Optional[PatternSet] = None) -> GuessOutcomeDistribution:
     """Enumerate all valid sets against a fixed secret set.
 

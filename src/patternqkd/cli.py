@@ -195,33 +195,44 @@ def _fmt(value: object) -> str:
 
 
 def _byte_rows(lines: list[str]) -> np.ndarray:
-    """``lines`` as the rows of a ``uint8`` matrix, NUL-padded to the longest."""
+    """``lines`` as a 1-D array of ``V{width}`` byte strings, NUL-padded to the longest."""
     width = max(map(len, lines))
-    text = "".join(line.ljust(width, "\0") for line in lines)
-    return np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(lines), width)
+    return np.frombuffer("".join(line.ljust(width, "\0") for line in lines).encode("ascii"), f"V{width}")
 
 
-def _write_ids(rows: np.ndarray, first: int, width: int) -> None:
-    """Write the ids ``first, first + 1, ...`` of ``rows`` into its first
-    ``width`` columns as right-aligned ASCII digits, NUL for leading zeros."""
-    # Digits by lookup: a cast to uint8 would page in numpy code that the
-    # CLI runs nowhere else (peak RSS counts code pages).
+@lru_cache(maxsize=1)
+def _digit_groups() -> np.ndarray:
+    """Row n is n (0 <= n < 10**4) as four zero-padded ASCII digits."""
+    # The digits' own bytes: a cast to uint8 would page in numpy code (peak RSS counts code pages).
     digits = np.frombuffer(b"0123456789", np.uint8)
-    ids = np.arange(first, first + len(rows))
-    for column in range(width - 1, -1, -1):
-        ids, digit = np.divmod(ids, 10)
-        rows[:, column] = digits[digit]
-    for column in range(width - 1):
-        rows[:max(0, 10 ** (width - 1 - column) - first), column] = 0
+    groups = np.stack(np.meshgrid(*[digits] * 4, indexing="ij", copy=False), axis=-1).reshape(10**4, 4)
+    groups.setflags(write=False)
+    return groups
+
+
+def _id_text(first: int, count: int, width: int) -> np.ndarray:
+    """The ids ``first .. first + count - 1`` as ``V{width}`` ASCII digits, right-aligned
+    with NUL for leading zeros, taken one 4-digit group at a time from ``_digit_groups``."""
+    table, groups = _digit_groups().view("V4")[:, 0], -(-width // 4)
+    text = np.empty((count, groups), "V4")
+    ids = np.arange(first, first + count)
+    for k in range(groups - 1, 0, -1):
+        ids, low = np.divmod(ids, 10**4)
+        text[:, k] = table.take(low)
+    text[:, 0] = table.take(ids)
+    digits = text.view(np.uint8)[:, -width:]
+    for column in range(width - 1):  # ids ascend, so leading zeros lie in a prefix of rows
+        digits[:max(0, 10 ** (width - 1 - column) - first), column] = 0
+    return digits.view(f"V{width}")[:, 0]
 
 
 @lru_cache(maxsize=1)
 def _record_parts() -> tuple[np.ndarray, np.ndarray]:
     """The text after ``block_id`` of a record line, in two parts, each a
-    NUL-padded ``uint8`` row looked up by the code that ``format_records``
+    NUL-padded byte string looked up by the code that ``format_records``
     computes for it: the sender's bit, both pattern indices, the loss and
-    Bob's decode (528 x 15); then the interceptor's guess and bit, and the
-    flags (964 x 13).  NUL never occurs in the format."""
+    Bob's decode (528 of ``V15``); then the interceptor's guess and bit, and
+    the flags (964 of ``V13``).  NUL never occurs in the format."""
     decodes = [f"{code5.syndrome_bits(s)} {c}" for s in range(code5.N_SYNDROMES) for c in "01"] + ["- -"]
     guesses = [f"{p} {c}" for p in all_patterns() for c in "01"] + ["- -"]
     front = [f" {a} {i} {j} {lost} {d}" for lost in "01" for a in "01" for i in "01" for j in "01" for d in decodes]
@@ -232,9 +243,10 @@ def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -
     """Lines of rows ``start .. stop - 1`` in the documented column order,
     after the header line if ``start`` is 0.
 
-    The rows are one ``uint8`` matrix: the block id's digits, then the
-    two parts of ``_record_parts`` gathered by code, all NUL-padded to
-    fixed widths; deleting the NULs leaves the lines."""
+    Each row is one record of fixed-width byte-string fields, each filled
+    by one 1-D ``take``: the block id (``_id_text``), then the two parts of
+    ``_record_parts`` looked up by code, all NUL-padded; deleting the NULs
+    leaves the lines."""
     front, back = _record_parts()
     rows = slice(start, stop)
     lost, guess = blocks.lost[rows], blocks.eve_guess[rows].astype(np.int16)
@@ -243,11 +255,10 @@ def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -
     guess = np.where(guess < 0, 2 * len(all_patterns()), 2 * guess + blocks.eve_bit[rows])
     first = blocks.first + start
     width = len(str(first + len(lost) - 1))
-    middle = width + front.shape[1]
-    lines = np.empty((len(lost), middle + back.shape[1]), np.uint8)
-    _write_ids(lines, first, width)
-    lines[:, width:middle] = front.take((2 * code5.N_SYNDROMES + 1) * bits + decode, axis=0)
-    lines[:, middle:] = back.take(4 * guess + 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows], axis=0)
+    lines = np.empty(len(lost), [("id", f"V{width}"), ("front", front.dtype), ("back", back.dtype)])
+    lines["id"] = _id_text(first, len(lost), width)
+    lines["front"] = front.take((2 * code5.N_SYNDROMES + 1) * bits + decode)
+    lines["back"] = back.take(4 * guess + 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows])
     return (f"{RECORDS_HEADER}\n" if start == 0 else "") + lines.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -266,7 +277,7 @@ def format_report(report: SessionReport) -> str:
         ("eve_success_rate", success),
         ("pns_leak_blocks", str(report.pns_leak_blocks)),
         ("raw_key_length", str(len(report.raw_key))),
-        ("raw_key", "".join(map(str, report.raw_key)) or "-"),
+        ("raw_key", bytes(report.raw_key).translate(bytes.maketrans(b"\0\1", b"01")).decode() or "-"),
     ]
     return "".join(f"{k} = {v}\n" for k, v in items)
 
@@ -386,27 +397,28 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
 def _chi_csv_chunks() -> Iterator[str]:
     """The chi CSV over all valid sets, header first, in chunks of rows.
 
-    A row's values depend only on the set's relative permutation, so each
-    of the 120 row tails is formatted once, as a row of a byte matrix.
-    Every tail has the same width (each value lies in [0, 1] and prints as
-    11 characters), and so do the ids of one decimal width.  The rows of
-    a chunk, split where the id width changes, are then one byte matrix:
-    the id's ASCII digits next to the set's tail."""
+    A row's values depend only on the set's relative permutation, and the
+    120 permutations share a few distinct value triples, so each distinct
+    triple is formatted once, and each permutation's row tail is a ``V37``
+    (each value lies in [0, 1] and prints as 11 characters).  The rows of
+    a chunk, split where the id gains a digit so that no NUL is left, are
+    records of two fields: the id (``_id_text``) and the set's tail."""
     yield "set_id,chi_physical_bits,overlap_00,overlap_01\n"
     columns, relative = analysis.chi_by_relative()
-    tails = [f",{chi:.9f},{ov00:.9f},{ov01:.9f}\n" for chi, ov00, ov01 in columns.tolist()]
-    if len({len(tail) for tail in tails}) != 1:
-        raise ValueError(f"chi CSV row tails differ in width: {sorted(set(tails))}")
-    tails = _byte_rows(tails)
+    triples = columns.view("V24")[:, 0].tolist()  # each row's three float64s as bytes
+    text = {triple: ",{:.9f},{:.9f},{:.9f}\n".format(*np.frombuffer(triple)) for triple in set(triples)}
+    if len({len(tail) for tail in text.values()}) != 1:
+        raise ValueError(f"chi CSV row tails differ in width: {sorted(text.values())}")
+    tails = _byte_rows([text[triple] for triple in triples])
     total = len(relative)
     for start in range(0, total, RECORDS_CHUNK_ROWS):
         stop = min(start + RECORDS_CHUNK_ROWS, total)
         cuts = [10 ** width for width in range(1, len(str(total))) if start < 10 ** width < stop]
         for first, end in zip([start] + cuts, cuts + [stop]):
             width = len(str(end - 1))
-            rows = np.empty((end - first, width + tails.shape[1]), np.uint8)
-            _write_ids(rows, first, width)
-            rows[:, width:] = tails[relative[first:end]]
+            rows = np.empty(end - first, [("id", f"V{width}"), ("tail", tails.dtype)])
+            rows["id"] = _id_text(first, end - first, width)
+            rows["tail"] = tails.take(relative[first:end])
             yield rows.tobytes().decode("ascii")
 
 

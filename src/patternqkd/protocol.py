@@ -208,8 +208,10 @@ def _block_words(master_seed: int, first: int, count: int) -> np.ndarray:
     return stream.random_raw(count * WORDS_PER_BLOCK).reshape(count, WORDS_PER_BLOCK)
 
 
-def _uniform(words: np.ndarray) -> np.ndarray:
-    return (words >> 11) * 2.0**-53
+def _below(words: np.ndarray, prob: float) -> np.ndarray:
+    """``u(w) < prob`` for each word w, in integers: ``(w >> 11) <
+    ceil(prob * 2**53)``, that is ``w < ceil(prob * 2**53) << 11``."""
+    return words < math.ceil(prob * 2.0**53) << 11
 
 
 def _bit(words: np.ndarray) -> np.ndarray:
@@ -246,9 +248,8 @@ def _noise_frames(
     words: np.ndarray, p: float, secret_set: PatternSet, bob_pattern: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(x, z) masks of the depolarizing errors, moved into Bob's decoder frame."""
-    v = _uniform(words)
-    x = (v < 2 * p / 3).astype(np.int64)
-    z = ((v >= p / 3) & (v < p)).astype(np.int64)
+    x = _below(words, 2 * p / 3).astype(np.int64)
+    z = (_below(words, p) ^ _below(words, p / 3)).astype(np.int64)  # p / 3 <= u(w) < p
     # Un-permuting with q moves physical wire j to position q^-1(j), whose
     # mask bit is 5 - q^-1(j).
     shifts = np.array([[5 - invert(q)(j) for j in POSITIONS] for q in secret_set.members()])
@@ -282,8 +283,12 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
         x, z = _noise_frames(words[:, _W_NOISE], p, config.secret_set, bob_pattern)
         frame = code5.frame_classes(x, z, config.logical_basis)
     bob_outcome = draws[relative_index(members[bob_pattern], sender), sent_bit, frame, words[:, _W_BOB_DECODE] >> 60]
-    lost = _uniform(words[:, _W_LOSS]) >= config.noise.photon_survival_prob ** 5
-    multiphoton = _uniform(words[:, _W_PULSES]) < multiphoton_prob(config.noise.mean_photon_number)
+    lost = ~_below(words[:, _W_LOSS], config.noise.photon_survival_prob ** 5)
+    q = multiphoton_prob(config.noise.mean_photon_number)
+    pns_leak = np.zeros(count, dtype=bool)
+    if q > 0.0:
+        # The multi-photon pulses of a block, counted as a sum of uint8 columns.
+        pns_leak = sum(_below(pulse, q).view(np.uint8) for pulse in words[:, _W_PULSES].T) >= 3
 
     syndrome, bob_bit, eve_guess, eve_bit = (
         np.where(lost, -1, column).astype(np.int8) for column in (bob_outcome >> 1, bob_outcome & 1, guess, heard)
@@ -292,7 +297,7 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
         first, alice_bit, alice_pattern, bob_pattern, lost, syndrome, bob_bit, eve_guess, eve_bit,
         sifted=~lost & (alice_pattern == bob_pattern),
         disclosed_for_test=np.zeros(count, dtype=bool),
-        pns_leak=np.count_nonzero(multiphoton, axis=1) >= 3,
+        pns_leak=pns_leak,
     )
 
 

@@ -153,7 +153,8 @@ class TestPhotonStatistics:
         config = SessionConfig(num_blocks=400, secret_set=SECRET, master_seed=12,
                                noise=NoiseModel(mean_photon_number=1.0))
         records = as_records(run_session(config)[1])
-        pulses = protocol._uniform(protocol._block_words(12, 0, 400)[:, 12:17]) < multiphoton_prob(1.0)
+        # u(w) = (w >> 11) * 2**-53, as the word layout defines it.
+        pulses = (protocol._block_words(12, 0, 400)[:, 12:17] >> 11) * 2.0**-53 < multiphoton_prob(1.0)
         counts = pulses.sum(axis=1)
         assert {0, 1, 2, 3, 4} <= set(counts.tolist())
         assert [r.pns_leak for r in records] == (counts >= 3).tolist()

@@ -10,6 +10,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ import patternqkd
 from patternqkd import cli
 from patternqkd.channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
 from patternqkd.patterns import PatternSet, all_patterns, valid_pattern_sets
-from patternqkd.protocol import SessionConfig, run_session
+from patternqkd.protocol import SessionConfig, SessionReport, run_session
 
 
 HONEST_CFG = """\
@@ -700,8 +701,9 @@ class TestColumnarRecords:
         assert "".join(chunks) == expected
 
     # Sessions shifted to start 5 rows before an id gains a digit, so that
-    # one chunk of each bound but 1 crosses 10, 100, ..., 100000.
-    @pytest.mark.parametrize("first", [5, 95, 995, 9995, 99995])
+    # one chunk of each bound but 1 crosses 10, 100, ..., 100000, and
+    # 99999999 -> 100000000, where ids gain a third 4-digit group.
+    @pytest.mark.parametrize("first", [5, 95, 995, 9995, 99995, 99_999_995])
     @pytest.mark.parametrize("config", [
         dict(noise=NoiseModel(distance_km=400.0)),
         dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(per_qubit_flip_prob=0.05)),
@@ -715,6 +717,34 @@ class TestColumnarRecords:
         for rows in (1, 97, 4096):
             chunks = [cli.format_records(blocks, start, start + rows) for start in range(0, len(blocks), rows)]
             assert "".join(chunks) == expected
+
+    def test_a_lone_block_zero(self):
+        session = SessionConfig(num_blocks=1, secret_set=PatternSet.from_string("12345 13452"), master_seed=47)
+        blocks = run_session(session)[1]
+        assert cli.format_records(blocks) == format_records(as_records(blocks))
+
+    def test_id_text_right_aligns_with_nul(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            first = int(rng.integers(0, 10 ** int(rng.integers(1, 13))))
+            count = int(rng.integers(1, 300))
+            width = len(str(first + count - 1)) + int(rng.integers(0, 3))
+            text = cli._id_text(first, count, width)
+            assert text.dtype == np.dtype(f"V{width}")
+            assert [bytes(t) for t in text] == [str(i).rjust(width, "\0").encode() for i in range(first, first + count)]
+
+
+class TestReport:
+    @pytest.mark.parametrize("key", [
+        [], [0] * 7, [1] * 7, np.random.default_rng(23).integers(0, 2, 10**5).tolist(),
+    ], ids=["empty", "zeros", "ones", "long"])
+    def test_raw_key_is_its_bits_as_digits(self, key):
+        report = SessionReport(
+            blocks_sent=1, blocks_lost=0, blocks_sifted=0, blocks_tested=0, mqer_estimate=0.0, mqer_warning=True,
+            decision="continue", sift_rate=0.0, raw_key=key, eve_success_rate=None, pns_leak_blocks=0,
+        )
+        expected = "".join(map(str, key)) or "-"
+        assert cli.format_report(report).endswith(f"raw_key_length = {len(key)}\nraw_key = {expected}\n")
 
 
 class TestOutputFiles:
@@ -823,6 +853,71 @@ class TestGoldenRecords:
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_ABORT
         for name, digest in self.PINNED_SHA256.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+class TestByteContract:
+    # Exit code and sha256 of records.txt, report.txt and stdout, taken
+    # before records were built as record-dtype rows and before the loss,
+    # depolarizing and pulse draws compared integer cutoffs: 2049 blocks
+    # (two batches, two record chunks), seed at the top of its range.
+    CONFIGS = {
+        "honest": "",
+        "flip-0.07": "secret_set = 12345 13452\nnoise.per_qubit_flip_prob = 0.07\n",
+        "noisy-lossy-leaky": "noise.per_qubit_flip_prob = 0.05\nnoise.distance_km = 5\nnoise.mean_photon_number = 0.8\n",
+        "x-basis-uniform": (
+            "secret_set = 12345 13452\nlogical_basis = X\nnoise.per_qubit_flip_prob = 0.1\n"
+            "eve.kind = intercept_resend\neve.knowledge = uniform\n"
+        ),
+        "overlap-1-20km": "eve.kind = intercept_resend\neve.knowledge = overlap=1\nnoise.distance_km = 20\n",
+        "flip-1-mu-1e300": "noise.per_qubit_flip_prob = 1\nnoise.mean_photon_number = 1e300\n",
+        "500km": "secret_set = 12345 13452\nnoise.distance_km = 500\n",
+    }
+    PINNED = {
+        "honest": (0, (
+            "8869b7c2c8bc4d8ab42a686e4d34b8dc2bd180da83b14b4b7fe9674cb1a9bc6e",
+            "9a221bb4c6c9c565ba910bce5f410ce6fa7650d6ab1fdcfd5aaeacfb71b2f53e",
+            "7bf0a5f7d576324090bb139524d1464ff7a473849a568c563309954f4c06d662",
+        )),
+        "flip-0.07": (0, (
+            "f5ba5cb7857f0ff40dd67d2f39d4bea886d343e49a4e07c725893c1599c46533",
+            "a0c6d20cee64f7ff375d06d76dd4b54f5e1f0c5e2095cf3629fa673406363194",
+            "077af8f0c807eeabc0dfc5a59aeb0511c0e004d35d464adf3bec6456b740ecfa",
+        )),
+        "noisy-lossy-leaky": (0, (
+            "d5eab81761866a32f95c11e7dbf7f6f7140ef370e86af4f6e2789278322a63a1",
+            "e3ebd9ba5a8351fbebf50d340d612d77790f49e07e03bb40040d79fd5e4df433",
+            "0766ab2f5bf234e6620207d265ecf7ba4067686e80b8586bdc878404f645b431",
+        )),
+        "x-basis-uniform": (3, (
+            "bfce63f1b383780a94af675ca919a5c467a04759c88c53cbc219dd2727ef158e",
+            "329e12a2bad512cb80636df7f381107287ae37d87b78763603577449f075f5b9",
+            "43f2d3c255211026150f028d16c85a8c1598c361f6bef7729d0a43d0e29a3900",
+        )),
+        "overlap-1-20km": (3, (
+            "1165d5939cfe86e26b185440218b0458ae0226e742f692e2133a4febcb29508b",
+            "9ed7db7a7959dfb5ea5c6e420def8bb09c6d48dbe1a1d24ac9e09f1b332f3c09",
+            "eb34dff71284c5635992a7dd47bf49e1dd160ff3adee042fefe869d146eb1646",
+        )),
+        "flip-1-mu-1e300": (3, (
+            "417b76a55008828f5880305c25f795ab9146ad01b3934a810046beedb2b91787",
+            "5690ea289216989cb86e5610050a9903382102eeba7432d18cd4da56a9ba5f20",
+            "06bf0717903473a63c69d73e3ba2c583ba6be83fe382312eb1f00c277d28c1a8",
+        )),
+        "500km": (0, (
+            "0650e75c34df0e86be54ad0b91532fb02d40bb1a1b889bb08c61fcb77eb799d9",
+            "1c8d0708ad4a295c8b791848b05191a90ef2d6cbe217fb5c7d78b904d2e0ee2b",
+            "a27175995d5de3d6227f4678b0121fbf9625d9e12b1f7a775d49d5c608bf919a",
+        )),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_outputs_are_pinned(self, name, tmp_path, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(f"num_blocks = 2049\nmaster_seed = {2**64 - 1}\n{self.CONFIGS[name]}")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+        data = [(out / "records.txt").read_bytes(), (out / "report.txt").read_bytes(), capsys.readouterr().out.encode()]
+        assert (code, tuple(hashlib.sha256(d).hexdigest() for d in data)) == self.PINNED[name]
 
 
 class TestInternalFaultContract:

@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestIntegerDraw:
         np.testing.assert_array_equal(by_class[classes], sources)
         assert np.all(by_class >= 0)
         assert by_class[0].tolist() == list(range(32))
+
+    # Loss, depolarizing and pulse draws test u(w) < prob on integers; they
+    # must agree with the float definition at every cutoff.
+    @pytest.mark.parametrize("prob", [0.0, 5e-324, 2.0**-53, 1 / 3, 2 * 0.1 / 3, 0.1, 1 - 2.0**-53, 1.0])
+    def test_integer_cutoff_equals_the_float_definition(self, prob):
+        cutoff = math.ceil(Fraction(prob) * 2**53)
+        edges = [m << 11 | low for m in (cutoff - 1, cutoff, cutoff + 1) if 0 <= m < 2**53 for low in (0, 2**11 - 1)]
+        random = np.random.default_rng(17).integers(0, 2**64, 10_000, dtype=np.uint64, endpoint=False)
+        words = np.concatenate([np.array(edges + [0, 2**64 - 1], dtype=np.uint64), random])
+        np.testing.assert_array_equal(protocol._below(words, prob), (words >> 11) * 2.0**-53 < prob)
+        assert [protocol._below(np.uint64(w), prob) for w in edges] == [u(w) < prob for w in edges]
 
 
 def u(word) -> float:
