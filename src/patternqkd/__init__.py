@@ -4,7 +4,7 @@ from .channel import EveRecord, EveStrategy, NoiseModel
 from .patterns import Pattern, PatternSet
 from .protocol import BlockRecord, SessionConfig, SessionReport, run_session
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BlockRecord",

@@ -1,4 +1,4 @@
-"""The five-qubit perfect code: encoding, syndromes, correction, decoding.
+"""The five-qubit perfect code: codewords, syndromes, correction, decoding.
 
 Uses the standard cyclic stabilizer generators
 
@@ -6,39 +6,30 @@ Uses the standard cyclic stabilizer generators
 
 with logical operators Z_L = ZZZZZ and X_L = XXXXX.  The code space is the
 joint +1 eigenspace of the four generators; it corrects any single-qubit
-Pauli error (distance 3).
+Pauli error (distance 3).  Syndrome bit k is 1 iff an error anticommutes
+with g_k, and the four bits are packed most-significant-first into a
+value 0..15.
 
-Codewords are prepared by projection: seed ``|00000>`` (or ``|11111>``)
-with the four projectors (I + g_k)/2 and normalize.  This is exact and
-independent of any particular encoder circuit.  Syndrome measurement is a
-sequential projective measurement of g1..g4; bit k = 0 means eigenvalue +1,
-and the four bits are packed most-significant-first into a value 0..15.
-
-Global phase is ignored throughout; state comparisons elsewhere should use
-``|<a|b>| -> 1``.
-
-Because every block the protocol decodes is a stabilizer state, each decode
-outcome has an exact probability.  ``decode_table`` holds them for every
-relative wire permutation, and ``frame_outcome_sources`` says how a Pauli
-error in the decoder's frame relabels those outcomes; together they replace
-statevector decoding in the session engine.
+Everything is built from integers.  The codewords are ``prod(I + g_k)``
+applied to ``|00000>`` and ``|11111>``, scaled to entries 0 or +-1, and a
+Pauli acts on them as a signed index flip (:func:`quantum_core.apply_pauli`).
+Every block the protocol decodes is a stabilizer state, so each decode
+outcome ``(s, c)`` has the exact probability ``|<E_s c_L | state>|^2``
+with ``E_s`` the recovery for ``s``: :func:`decode_table` holds them for
+every relative wire permutation and :func:`decode_distribution` computes
+them for any state, both from the same 32 vectors ``E_s|c_L>``.
+:func:`frame_outcome_sources` says how a Pauli error in the decoder's frame
+relabels those outcomes.  Global phase is ignored throughout.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .patterns import Pattern, all_patterns, invert
-from .quantum_core import (
-    DIM,
-    SQRT_HALF,
-    apply_pauli_string,
-    apply_permutation,
-    basis_state,
-)
+from .quantum_core import _PARITY, DIM, apply_pauli, apply_permutation
 
 STABILIZER_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 LOGICAL_Z = "ZZZZZ"
@@ -46,7 +37,7 @@ LOGICAL_X = "XXXXX"
 
 N_SYNDROMES = 16
 
-# Probability below which a measurement branch is treated as impossible.
+# Probability at or below which a decode outcome is treated as impossible.
 _BRANCH_CUTOFF = 1e-14
 
 
@@ -91,114 +82,12 @@ def correction_table() -> dict[int, str]:
     return table
 
 
-@lru_cache(maxsize=2)
-def _codeword(bit: int) -> np.ndarray:
-    seed = basis_state(0 if bit == 0 else DIM - 1)
-    state = seed
-    for generator in STABILIZER_GENERATORS:
-        state = (state + apply_pauli_string(state, generator)) / 2.0
-    norm = float(np.linalg.norm(state))
-    if norm <= 1e-12:
-        raise ArithmeticError("projection annihilated the codeword seed")
-    state = state / norm
-    state.setflags(write=False)
-    return state
-
-
-def encode_logical(bit: int, basis: str = "Z") -> np.ndarray:
-    """Prepare the logical codeword for ``bit``.
-
-    Basis "Z" yields ``|0_L>``/``|1_L>``; basis "X" yields the logical-X
-    eigenstates ``(|0_L> +/- |1_L>)/sqrt(2)``.
-    """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if basis == "Z":
-        return _codeword(bit).copy()
-    if basis == "X":
-        sign = 1.0 if bit == 0 else -1.0
-        return (_codeword(0) + sign * _codeword(1)) * SQRT_HALF
-    raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-
-
-def _measure_pauli(
-    state: np.ndarray, label: str, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Projective measurement of a +/-1 Pauli observable.
-
-    Outcome 0 means eigenvalue +1.  Consumes exactly one uniform draw.
-    """
-    reflected = apply_pauli_string(state, label)
-    plus = (state + reflected) / 2.0
-    p_plus = float(np.real(np.vdot(plus, plus)))
-    if rng.random() < p_plus:
-        outcome, post, prob = 0, plus, p_plus
-    else:
-        minus = (state - reflected) / 2.0
-        outcome, post, prob = 1, minus, float(np.real(np.vdot(minus, minus)))
-    if prob <= 1e-12:
-        raise ArithmeticError(f"measured {label} into a zero-probability branch")
-    return outcome, post / math.sqrt(prob)
-
-
-def extract_syndrome(
-    state: np.ndarray, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Measure g1..g4 in order; returns (packed syndrome, post state).
-
-    On an undisturbed codeword this returns 0 with probability 1 and
-    leaves the state untouched.
-    """
-    syndrome = 0
-    for generator in STABILIZER_GENERATORS:
-        outcome, state = _measure_pauli(state, generator, rng)
-        syndrome = (syndrome << 1) | outcome
-    return syndrome, state
-
-
-def correct(state: np.ndarray, syndrome: int) -> np.ndarray:
-    """Apply the table recovery for ``syndrome`` (identity for 0)."""
-    if not 0 <= syndrome < N_SYNDROMES:
-        raise ValueError(f"syndrome must be in 0..15, got {syndrome}")
-    label = correction_table()[syndrome]
-    if label == "IIIII":
-        return state.copy()
-    return apply_pauli_string(state, label)
-
-
 def _logical_label(basis: str) -> str:
     if basis == "Z":
         return LOGICAL_Z
     if basis == "X":
         return LOGICAL_X
     raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-
-
-def measure_logical(
-    state: np.ndarray, rng: np.random.Generator, basis: str = "Z"
-) -> int:
-    """Measure the logical operator (Z_L or X_L); returns the logical bit."""
-    outcome, _ = _measure_pauli(state, _logical_label(basis), rng)
-    return outcome
-
-
-def decode_block(
-    state: np.ndarray,
-    pattern: Pattern,
-    rng: np.random.Generator,
-    basis: str = "Z",
-) -> tuple[int, int]:
-    """Full receiver decode: un-permute, measure syndrome, correct, read out.
-
-    Returns (logical bit, syndrome).  Deterministic (all measurement
-    probabilities 0 or 1) whenever ``pattern`` matches the encoding pattern
-    and at most one physical qubit was hit.
-    """
-    state = apply_permutation(state, invert(pattern))
-    syndrome, state = extract_syndrome(state, rng)
-    state = correct(state, syndrome)
-    bit = measure_logical(state, rng, basis)
-    return bit, syndrome
 
 
 def syndrome_bits(syndrome: int) -> str:
@@ -208,54 +97,12 @@ def syndrome_bits(syndrome: int) -> str:
     return format(syndrome, "04b")
 
 
-def decode_distribution(
-    state: np.ndarray, pattern: Pattern, basis: str = "Z"
-) -> dict[tuple[int, int], float]:
-    """Exact joint distribution over (syndrome, logical bit) for a decode.
-
-    Enumerates every syndrome branch with exact Born probabilities instead
-    of sampling; useful as an oracle for the sampling path and to quantify
-    the bit bias of wrong-pattern decoding.
-    """
-    logical = _logical_label(basis)
-    start = apply_permutation(state, invert(pattern))
-    branches: list[tuple[float, np.ndarray, int]] = [(1.0, start, 0)]
-    for generator in STABILIZER_GENERATORS:
-        grown: list[tuple[float, np.ndarray, int]] = []
-        for prob, branch, syndrome in branches:
-            reflected = apply_pauli_string(branch, generator)
-            plus = (branch + reflected) / 2.0
-            p_plus = float(np.real(np.vdot(plus, plus)))
-            if p_plus > _BRANCH_CUTOFF:
-                grown.append((prob * p_plus, plus / math.sqrt(p_plus), syndrome << 1))
-            p_minus = 1.0 - p_plus
-            if p_minus > _BRANCH_CUTOFF:
-                minus = (branch - reflected) / 2.0
-                norm = float(np.real(np.vdot(minus, minus)))
-                grown.append((prob * norm, minus / math.sqrt(norm), (syndrome << 1) | 1))
-        branches = grown
-    distribution: dict[tuple[int, int], float] = {}
-    for prob, branch, syndrome in branches:
-        corrected = correct(branch, syndrome)
-        reflected = apply_pauli_string(corrected, logical)
-        plus = (corrected + reflected) / 2.0
-        p_zero = float(np.real(np.vdot(plus, plus)))
-        for bit, p_bit in ((0, p_zero), (1, 1.0 - p_zero)):
-            if p_bit > _BRANCH_CUTOFF:
-                key = (syndrome, bit)
-                distribution[key] = distribution.get(key, 0.0) + prob * p_bit
-    return distribution
-
-
 def pauli_masks(label: str) -> tuple[int, int]:
     """The (x, z) bit masks of a Pauli string; qubit 1 is bit 4, as in state indices."""
     x = z = 0
     for ch in label:
         x, z = (x << 1) | (ch in "XY"), (z << 1) | (ch in "ZY")
     return x, z
-
-
-_PARITY = np.array([bin(v).count("1") & 1 for v in range(DIM)], dtype=np.int64)
 
 
 def _anticommute(x1, z1, x2, z2):
@@ -269,20 +116,58 @@ def _recovery_masks() -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
+def _codewords(basis: str) -> np.ndarray:
+    """``words[b]`` is the bit-``b`` codeword of ``basis`` times one positive
+    factor, with entries 0 or +-1 (int64, read-only).
+
+    The Z words are ``prod(I + g_k)`` applied to ``|00000>`` and ``|11111>``
+    (no generator holds a Y, so :func:`apply_pauli` is exact on them); the
+    X words are their sum and difference.
+    """
+    _logical_label(basis)  # rejects an unknown basis
+    words = np.zeros((2, DIM), dtype=np.int64)
+    words[0, 0] = words[1, DIM - 1] = 1
+    for generator in STABILIZER_GENERATORS:
+        words = words + apply_pauli(words, *pauli_masks(generator))
+    if basis == "X":
+        words = np.stack([words[0] + words[1], words[0] - words[1]])
+    words //= np.abs(words[words != 0]).min()
+    words.setflags(write=False)
+    return words
+
+
+def encode_logical(bit: int, basis: str = "Z") -> np.ndarray:
+    """The logical codeword for ``bit`` as a unit complex vector.
+
+    Basis "Z" yields ``|0_L>``/``|1_L>``; basis "X" yields the logical-X
+    eigenstates ``(|0_L> +/- |1_L>)/sqrt(2)``.
+    """
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    word = _codewords(basis)[bit]
+    return (word / np.sqrt(np.sum(word**2))).astype(complex)
+
+
+@lru_cache(maxsize=2)
 def pattern_codewords(basis: str = "Z") -> np.ndarray:
-    """``states[p, b]`` is ``apply_permutation(encode_logical(b, basis),
-    all_patterns()[p]) / a``: the codeword amplitudes are 0 or +-a for one
-    a per basis, so its entries are 0 or +-1 and their products exact."""
-    logical = np.array([encode_logical(bit, basis) for bit in (0, 1)])
-    unit = np.abs(logical[logical != 0]).min()
-    scaled = np.rint(logical.real / unit).astype(np.int8)
-    if not np.allclose(scaled * unit, logical):
-        raise ArithmeticError("codeword amplitudes are not multiples of one value")
+    """``states[p, b]`` is ``_codewords(basis)[b]`` wire-permuted by
+    ``all_patterns()[p]``, in int8: entries 0 or +-1, so products are exact."""
     # apply_permutation(v, p) == v[gather] with gather = apply_permutation(arange, p)
     gathers = np.array([apply_permutation(np.arange(DIM), p) for p in all_patterns()])
-    states = scaled[:, gathers].transpose(1, 0, 2)
+    states = _codewords(basis).astype(np.int8)[:, gathers].transpose(1, 0, 2)
     states.setflags(write=False)
     return states
+
+
+@lru_cache(maxsize=2)
+def _decode_basis(basis: str) -> np.ndarray:
+    """Row ``2*s + c`` is ``E_s`` applied to ``_codewords(basis)[c]``, with
+    ``E_s`` the recovery for syndrome ``s`` (phase dropped).  The 32 rows
+    are orthogonal, each of squared norm that of a codeword."""
+    words = _codewords(basis)
+    rows = np.concatenate([apply_pauli(words, x, z) for x, z in _recovery_masks().T])
+    rows.setflags(write=False)
+    return rows
 
 
 @lru_cache(maxsize=2)
@@ -291,28 +176,36 @@ def decode_table(basis: str = "Z") -> np.ndarray:
 
     ``table[r, b, 2*s + c]`` is the probability that a codeword of bit ``b``,
     wire-permuted by ``all_patterns()[r]`` (the decoder's pattern inverted,
-    composed with the sender's), decodes to syndrome ``s`` and bit ``c``.
-    That probability is ``|<E_s c_L | r.b_L>|^2`` with ``E_s`` the recovery
-    for ``s``; the 32 vectors ``E_s|c_L>`` are an orthonormal basis, so one
-    (240x32)(32x32) product gives every row.  Equals
-    :func:`decode_distribution` entry for entry.  Built on first use.
+    composed with the sender's), decodes to syndrome ``s`` and bit ``c``:
+    ``|<E_s c_L | r.b_L>|^2``, one (240x32)(32x32) product with
+    :func:`_decode_basis`, the rows :func:`decode_distribution` uses too.
+    Built on first use.
 
     The product is taken in integers (:func:`pattern_codewords`), so every
     entry is an exact fraction (0, 1/16, 1/4 or 1) and sums of entries are
-    exact too: ``E_s`` acts on the scaled codewords as an index flip with
-    signs (its phase drops out).
+    exact too.
     """
+    rows = _decode_basis(basis)
     sent = pattern_codewords(basis).astype(np.int64)
-    scaled = sent[0]  # under the identity, all_patterns()[0]
-    # (X^x Z^z v)[j] = (-1)^|(j ^ x) & z| v[j ^ x]
-    x, z = _recovery_masks()
-    source = np.arange(DIM) ^ x[:, None]
-    signs = 1 - 2 * _PARITY[source & z[:, None]]
-    outcomes = (signs[:, None, :] * scaled[:, source].transpose(1, 0, 2)).reshape(DIM, DIM)
-    norm = np.sum(scaled[0] ** 2)
-    table = (sent @ outcomes.T) ** 2 / norm**2
+    norm = np.sum(rows[0] ** 2)
+    table = (sent @ rows.T) ** 2 / norm**2
     table.setflags(write=False)
     return table
+
+
+def decode_distribution(
+    state: np.ndarray, pattern: Pattern, basis: str = "Z"
+) -> dict[tuple[int, int], float]:
+    """Exact joint distribution over (syndrome, logical bit) for a decode.
+
+    The receiver un-permutes with ``pattern``; outcome ``(s, c)`` then has
+    probability ``|<E_s c_L | state>|^2``.  Outcomes at or below
+    ``_BRANCH_CUTOFF`` are left out; the rest sum to ``<state|state>``.
+    """
+    rows = _decode_basis(basis)
+    amplitudes = rows @ apply_permutation(state, invert(pattern))
+    probs = np.abs(amplitudes) ** 2 / np.sum(rows[0] ** 2)
+    return {divmod(k, 2): float(p) for k, p in enumerate(probs) if p > _BRANCH_CUTOFF}
 
 
 def _relabel(x: np.ndarray, z: np.ndarray, basis: str, seen: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:

@@ -237,7 +237,7 @@ def _draw_table(basis: str, noisy: bool) -> np.ndarray:
         relabellings = code5.frame_outcome_sources(x, z, basis)
         sources = np.empty_like(relabellings[:2 * code5.N_SYNDROMES])
         sources[relabellings[:, 0]] = relabellings
-    counts = np.rint(code5.decode_table(basis) * 16).astype(np.int64)[:, :, sources]
+    counts = (code5.decode_table(basis) * 16).astype(np.int64)[:, :, sources]
     outcomes = np.broadcast_to(np.arange(counts.shape[-1], dtype=np.int8), counts.shape)
     table = np.repeat(outcomes.ravel(), counts.ravel()).reshape(*counts.shape[:-1], 16)
     table.setflags(write=False)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from statevector_oracle import decode_distribution
 
 from patternqkd import code5
 from patternqkd.patterns import Pattern, PatternSet
@@ -52,7 +53,7 @@ def wrong_decode_agreement(pattern_set: PatternSet, basis: str = "Z") -> float:
     for bit in (0, 1):
         for encode_with, decode_with in ((p0, p1), (p1, p0)):
             state = pattern_state(encode_with, bit, basis=basis)
-            distribution = code5.decode_distribution(state, decode_with, basis=basis)
+            distribution = decode_distribution(state, decode_with, basis=basis)
             total += sum(p for (_, b), p in distribution.items() if b == bit)
             cases += 1
     return total / cases

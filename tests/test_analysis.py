@@ -9,6 +9,7 @@ import jacobi_oracle
 import numpy as np
 import pytest
 from helpers import random_state
+from statevector_oracle import decode_block
 
 from patternqkd import analysis, code5, quantum_core
 from patternqkd.patterns import PatternSet, all_patterns, relative_index, valid_pattern_sets
@@ -331,7 +332,7 @@ class TestWrongDecodeAgreement:
                 chosen.members() if rng.integers(0, 2) == 0 else chosen.members()[::-1]
             )
             state = helpers.pattern_state(encode_with, bit)
-            out, _ = code5.decode_block(state, decode_with, rng)
+            out, _ = decode_block(state, decode_with, rng)
             agree += out == bit
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(agree / trials - exact) < 4 * sigma

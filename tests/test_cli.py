@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, exit codes, file formats."""
 
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -682,6 +683,16 @@ class TestSweep:
         assert len(seeds) == 1 and seeds[0].startswith("sweep.seed.0 = ")
 
 
+def assert_same_text(actual: str, expected: str) -> None:
+    """``actual == expected``; a failure names the first differing line
+    instead of leaving pytest to diff two texts of ~300 KB."""
+    if actual == expected:
+        return
+    got, want = actual.split("\n"), expected.split("\n")
+    line = next(i for i, (g, w) in enumerate(itertools.zip_longest(got, want)) if g != w)
+    pytest.fail(f"texts differ first at line {line}: {got[line:line + 1]!r} != {want[line:line + 1]!r}")
+
+
 class TestColumnarRecords:
     # The columnar formatter against the per-record reference it replaced.
     @pytest.mark.parametrize("config", [
@@ -696,9 +707,9 @@ class TestColumnarRecords:
         session = SessionConfig(num_blocks=700, secret_set=PatternSet.from_string("12345 13452"), master_seed=41, **config)
         _, blocks = run_session(session)
         expected = format_records(as_records(blocks))
-        assert cli.format_records(blocks) == expected
+        assert_same_text(cli.format_records(blocks), expected)
         chunks = [cli.format_records(blocks, start, start + 97) for start in range(0, len(blocks), 97)]
-        assert "".join(chunks) == expected
+        assert_same_text("".join(chunks), expected)
 
     # Sessions shifted to start 5 rows before an id gains a digit, so that
     # one chunk of each bound but 1 crosses 10, 100, ..., 100000, and
@@ -713,10 +724,10 @@ class TestColumnarRecords:
         blocks = replace(run_session(session)[1], first=first)
         assert blocks.lost.all() or (blocks.eve_guess >= 0).all()
         expected = format_records(as_records(blocks))
-        assert cli.format_records(blocks) == expected
+        assert_same_text(cli.format_records(blocks), expected)
         for rows in (1, 97, 4096):
             chunks = [cli.format_records(blocks, start, start + rows) for start in range(0, len(blocks), rows)]
-            assert "".join(chunks) == expected
+            assert_same_text("".join(chunks), expected)
 
     def test_a_lone_block_zero(self):
         session = SessionConfig(num_blocks=1, secret_set=PatternSet.from_string("12345 13452"), master_seed=47)

@@ -1,18 +1,26 @@
 """Five-qubit code: codewords, syndromes, correction, and block decoding."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import random_state
+from statevector_oracle import (
+    SQRT_HALF,
+    _codeword,
+    apply_pauli_string,
+    correct,
+    decode_block,
+    decode_distribution,
+    extract_syndrome,
+    inner_product,
+    measure_logical,
+)
 
 from patternqkd import code5
 from patternqkd.patterns import Pattern, all_patterns, compose, invert
-from patternqkd.quantum_core import (
-    apply_pauli_string,
-    apply_permutation,
-    inner_product,
-)
+from patternqkd.quantum_core import apply_permutation
 
 IDENTITY = Pattern.identity()
 
@@ -95,7 +103,7 @@ class TestSyndromes:
         rng = np.random.default_rng(0)
         for bit in (0, 1):
             cw = code5.encode_logical(bit)
-            syndrome, post = code5.extract_syndrome(cw, rng)
+            syndrome, post = extract_syndrome(cw, rng)
             assert syndrome == 0
             np.testing.assert_allclose(post, cw, atol=1e-12)
 
@@ -110,7 +118,7 @@ class TestSyndromes:
         for label in code5.single_qubit_pauli_labels():
             for bit in (0, 1):
                 errored = apply_pauli_string(code5.encode_logical(bit), label)
-                syndrome, _ = code5.extract_syndrome(errored, rng)
+                syndrome, _ = extract_syndrome(errored, rng)
                 assert syndrome == code5.pauli_syndrome(label)
 
     def test_syndrome_bits_rendering(self):
@@ -131,7 +139,7 @@ class TestCorrection:
     def test_trivial_syndrome_leaves_state(self):
         rng = np.random.default_rng(2)
         psi = random_state(rng)
-        np.testing.assert_allclose(code5.correct(psi, 0), psi, atol=0)
+        np.testing.assert_allclose(correct(psi, 0), psi, atol=0)
 
     def test_all_thirty_single_error_recoveries(self):
         rng = np.random.default_rng(3)
@@ -139,8 +147,8 @@ class TestCorrection:
             for bit in (0, 1):
                 cw = code5.encode_logical(bit)
                 errored = apply_pauli_string(cw, label)
-                syndrome, post = code5.extract_syndrome(errored, rng)
-                recovered = code5.correct(post, syndrome)
+                syndrome, post = extract_syndrome(errored, rng)
+                recovered = correct(post, syndrome)
                 # equality up to global phase
                 assert abs(inner_product(recovered, cw)) > 1.0 - 1e-10
 
@@ -157,7 +165,7 @@ class TestCorrection:
                 )
                 for bit in (0, 1):
                     state = apply_pauli_string(code5.encode_logical(bit), label)
-                    distribution = code5.decode_distribution(state, IDENTITY)
+                    distribution = decode_distribution(state, IDENTITY)
                     assert len(distribution) == 1
                     ((syndrome, out), prob), = distribution.items()
                     assert abs(prob - 1.0) < 1e-10
@@ -169,20 +177,20 @@ class TestCorrection:
 
     def test_invalid_syndrome_rejected(self):
         with pytest.raises(ValueError):
-            code5.correct(code5.encode_logical(0), 16)
+            correct(code5.encode_logical(0), 16)
 
 
 class TestLogicalMeasurement:
     def test_deterministic_on_codewords(self):
         rng = np.random.default_rng(4)
         for bit in (0, 1):
-            assert code5.measure_logical(code5.encode_logical(bit), rng) == bit
-            assert code5.measure_logical(code5.encode_logical(bit, basis="X"), rng, basis="X") == bit
+            assert measure_logical(code5.encode_logical(bit), rng) == bit
+            assert measure_logical(code5.encode_logical(bit, basis="X"), rng, basis="X") == bit
 
     def test_invalid_basis(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
-            code5.measure_logical(code5.encode_logical(0), rng, basis="Q")
+            measure_logical(code5.encode_logical(0), rng, basis="Q")
 
 
 class TestDecodeBlock:
@@ -191,14 +199,14 @@ class TestDecodeBlock:
         for pattern in all_patterns():
             for bit in (0, 1):
                 sent = apply_permutation(code5.encode_logical(bit), pattern)
-                out, syndrome = code5.decode_block(sent, pattern, rng)
+                out, syndrome = decode_block(sent, pattern, rng)
                 assert (out, syndrome) == (bit, 0)
 
     def test_round_trip_probabilities_are_zero_or_one(self):
         for pattern in all_patterns()[::13]:
             for bit in (0, 1):
                 sent = apply_permutation(code5.encode_logical(bit), pattern)
-                distribution = code5.decode_distribution(sent, pattern)
+                distribution = decode_distribution(sent, pattern)
                 assert len(distribution) == 1
                 ((syndrome, out), prob), = distribution.items()
                 assert (syndrome, out) == (0, bit)
@@ -212,7 +220,7 @@ class TestDecodeBlock:
             for bit in (0, 1):
                 sent = apply_permutation(code5.encode_logical(bit), pattern)
                 damaged = apply_pauli_string(sent, label)
-                out, syndrome = code5.decode_block(damaged, pattern, rng)
+                out, syndrome = decode_block(damaged, pattern, rng)
                 assert out == bit
                 assert syndrome != 0
 
@@ -220,7 +228,7 @@ class TestDecodeBlock:
         p = Pattern.from_string("12345")
         q = Pattern.from_string("14253")
         sent = apply_permutation(code5.encode_logical(0), p)
-        distribution = code5.decode_distribution(sent, q)
+        distribution = decode_distribution(sent, q)
         trivial = sum(prob for (syndrome, _), prob in distribution.items() if syndrome == 0)
         assert trivial < 0.5
         total = sum(distribution.values())
@@ -235,7 +243,7 @@ class TestDecodeBlock:
             q = Pattern.from_string(q_str)
             for bit in (0, 1):
                 sent = apply_permutation(code5.encode_logical(bit), p)
-                distribution = code5.decode_distribution(sent, q)
+                distribution = decode_distribution(sent, q)
                 assert distribution == pytest.approx({(0, bit): 1.0})
 
     def test_sampled_decode_matches_exact_distribution(self):
@@ -243,12 +251,12 @@ class TestDecodeBlock:
         p = Pattern.from_string("12345")
         q = Pattern.from_string("14253")
         sent = apply_permutation(code5.encode_logical(1), p)
-        exact = code5.decode_distribution(sent, q)
+        exact = decode_distribution(sent, q)
         rng = np.random.default_rng(8)
         trials = 4000
         counts: dict[tuple[int, int], int] = {}
         for _ in range(trials):
-            bit, syndrome = code5.decode_block(sent, q, rng)
+            bit, syndrome = decode_block(sent, q, rng)
             counts[(syndrome, bit)] = counts.get((syndrome, bit), 0) + 1
         for key, prob in exact.items():
             if prob < 1e-3:
@@ -262,9 +270,43 @@ class TestDecodeBlock:
         p = Pattern.from_string("23451")
         q = Pattern.from_string("51234")
         sent = apply_permutation(code5.encode_logical(0), p)
-        direct = code5.decode_distribution(sent, q)
+        direct = decode_distribution(sent, q)
         relative = apply_permutation(code5.encode_logical(0), compose(invert(q), p))
-        via_relative = code5.decode_distribution(relative, IDENTITY)
+        via_relative = decode_distribution(relative, IDENTITY)
         assert set(direct) == set(via_relative)
         for key in direct:
             assert abs(direct[key] - via_relative[key]) < 1e-10
+
+
+class TestOneDecodePath:
+    def test_codewords_equal_the_projected_codewords(self):
+        # the oracle projects |00000> and |11111> and normalizes in floats
+        for bit, sign in ((0, 1.0), (1, -1.0)):
+            np.testing.assert_array_equal(code5.encode_logical(bit), _codeword(bit))
+            x_word = (_codeword(0) + sign * _codeword(1)) * SQRT_HALF
+            np.testing.assert_array_equal(code5.encode_logical(bit, basis="X"), x_word)
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_decode_distribution_equals_branch_enumeration(self, basis):
+        rng = np.random.default_rng(32)
+        patterns = all_patterns()
+        states = [random_state(rng) for _ in range(20)]
+        states += [apply_permutation(code5.encode_logical(bit, basis), patterns[i]) for bit in (0, 1) for i in (0, 7, 61)]
+        for state in states:
+            for index in rng.integers(0, 120, size=4):
+                ours = code5.decode_distribution(state, patterns[index], basis)
+                reference = decode_distribution(state, patterns[index], basis)
+                assert list(ours) == list(reference)
+                for key, prob in ours.items():
+                    assert abs(prob - reference[key]) < 1e-12
+        with pytest.raises(ValueError):
+            code5.decode_distribution(states[0], IDENTITY, basis="Y")
+
+    def test_src_has_no_statevector_measurement_path(self):
+        # that path is tests/statevector_oracle.py; np.bitwise_count needs
+        # numpy >= 2 and counts in uint8, where 1 - 2 * count wraps
+        banned = ("apply_pauli_string", "_measure_pauli", "extract_syndrome", "basis_state",
+                  "inner_product", "np.rint", "bitwise_count")
+        sources = sorted(Path(code5.__file__).parent.glob("*.py"))
+        assert len(sources) > 5
+        assert [(path.name, word) for path in sources for word in banned if word in path.read_text()] == []

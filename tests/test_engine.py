@@ -2,11 +2,12 @@
 
 The reference replay below re-derives session records from the word layout
 documented in ``patternqkd.protocol`` with statevectors only (encode,
-permute, ``decode_distribution``, ``apply_pauli_string``), so it checks the
-engine's tables, frame relabelling and draw rules against the physics and
-pins the layout itself.
+permute, and the ``decode_distribution`` and ``apply_pauli_string`` of
+``statevector_oracle``), so it checks the engine's tables, frame
+relabelling and draw rules against the physics and pins the layout itself.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -18,13 +19,14 @@ import numpy as np
 import pytest
 import test_cli
 from records_oracle import as_records, format_records
+from statevector_oracle import apply_pauli_string, decode_distribution
 
 import patternqkd
-from patternqkd import cli, code5, protocol
+from patternqkd import analysis, cli, code5, protocol
 from patternqkd.channel import EveRecord, EveStrategy, NoiseModel
 from patternqkd.patterns import Pattern, PatternSet, all_patterns, compose, invert, relative_index
 from patternqkd.protocol import BlockRecord, SessionConfig, run_block, run_session
-from patternqkd.quantum_core import apply_pauli_string, apply_permutation
+from patternqkd.quantum_core import apply_permutation
 
 SECRET = PatternSet.from_string("12345 13452")
 IDENTITY = Pattern.identity()
@@ -36,7 +38,7 @@ WORDS_PER_BLOCK = 20
 def exact_row(state, pattern, basis):
     """decode_distribution as a 32-vector indexed by 2 * syndrome + bit."""
     row = np.zeros(32)
-    for (syndrome, bit), prob in code5.decode_distribution(state, pattern, basis).items():
+    for (syndrome, bit), prob in decode_distribution(state, pattern, basis).items():
         row[2 * syndrome + bit] = prob
     return row
 
@@ -193,7 +195,7 @@ def replay_block(config: SessionConfig, block_id: int, w) -> BlockRecord:
             guess = all_patterns()[(int(w[3]) >> 11) * 120 >> 53]
         else:
             guess = config.eve.knowledge.members()[bit(w[3])]
-        _, eve_bit = draw(code5.decode_distribution(state, guess, basis), u(w[4]))
+        _, eve_bit = draw(decode_distribution(state, guess, basis), u(w[4]))
         state = apply_permutation(code5.encode_logical(eve_bit, basis), guess)
         eve = EveRecord(guessed_pattern=guess, eve_bit=eve_bit)
 
@@ -210,7 +212,7 @@ def replay_block(config: SessionConfig, block_id: int, w) -> BlockRecord:
 
     syndrome = bob_bit = None
     if not lost:
-        syndrome, bob_bit = draw(code5.decode_distribution(state, members[bob_idx], basis), u(w[5]))
+        syndrome, bob_bit = draw(decode_distribution(state, members[bob_idx], basis), u(w[5]))
     return BlockRecord(
         block_id=block_id,
         alice_bit=alice_bit,
@@ -292,13 +294,24 @@ class TestChunking:
             run_block(replay_config(), -1)
 
 
+def forbid_float_routes(monkeypatch):
+    """Make code5's float statevector routes raise, and empty the caches
+    built from code5, so that building the tables is checked too."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("float statevector route used")
+
+    for name in ("encode_logical", "decode_distribution"):
+        monkeypatch.setattr(code5, name, forbidden)
+    for cached in (
+        code5._codewords, code5.pattern_codewords, code5._decode_basis, code5.decode_table,
+        protocol._draw_table, analysis._relative_spectra,
+    ):
+        cached.cache_clear()
+
+
 class TestSessionPath:
     def test_no_statevector_decode_and_no_per_block_streams(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("statevector path used by the session engine")
-
-        for name in ("_measure_pauli", "decode_block"):
-            monkeypatch.setattr(code5, name, forbidden)
+        forbid_float_routes(monkeypatch)
         created = []
         real = np.random.SeedSequence
 
@@ -311,6 +324,12 @@ class TestSessionPath:
         run_session(replay_config(blocks=blocks))
         # One block-stream key per batch plus the disclosed-subset stream.
         assert len(created) == math.ceil(blocks / protocol._BATCH_BLOCKS) + 1
+
+    def test_chi_csv_takes_no_float_route(self, monkeypatch, tmp_path, capsys):
+        forbid_float_routes(monkeypatch)
+        csv_path = tmp_path / "chi.csv"
+        assert cli.main(["analyze", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == test_cli.TestAnalyze.CHI_CSV_SHA256
 
     def test_no_block_record_and_no_float_cumsum_in_a_session(self, monkeypatch):
         config = replay_config(blocks=3000)

@@ -1,6 +1,7 @@
 """Statevector arithmetic, plus the test-side density matrices and
 Jacobi eigensolver that serve as the entropy oracle."""
 
+import itertools
 from functools import reduce
 
 import numpy as np
@@ -13,15 +14,10 @@ from jacobi_oracle import (
     hermitian_eigenvalues,
     von_neumann_entropy,
 )
+from statevector_oracle import apply_pauli_string, basis_state, inner_product
 
 from patternqkd.patterns import Pattern, all_patterns, compose, invert
-from patternqkd.quantum_core import (
-    DIM,
-    apply_pauli_string,
-    apply_permutation,
-    basis_state,
-    inner_product,
-)
+from patternqkd.quantum_core import DIM, apply_pauli, apply_permutation
 
 PAULI_MATRICES = {
     "I": np.eye(2),
@@ -106,6 +102,22 @@ class TestPauliStrings:
         for label in ("XZZXI", "IXZZX", "ZZZZZ", "YYYYY", "XYZIX"):
             out = apply_pauli_string(apply_pauli_string(psi, label), label)
             np.testing.assert_allclose(out, psi, atol=1e-12)
+
+
+class TestPauliMasks:
+    def test_matches_pauli_strings_up_to_the_y_phase(self):
+        # apply_pauli drops the phase i^|x & z| that the Y letters carry
+        psi = random_state(np.random.default_rng(22))
+        for x, z in itertools.product(range(DIM), repeat=2):
+            label = "".join("IXZY"[(x >> shift & 1) + 2 * (z >> shift & 1)] for shift in range(4, -1, -1))
+            phase = 1j ** bin(x & z).count("1")
+            np.testing.assert_array_equal(phase * apply_pauli(psi, x, z), apply_pauli_string(psi, label))
+
+    def test_integer_input_stays_integer(self):
+        vector = np.arange(DIM, dtype=np.int64) - 16
+        out = apply_pauli(vector, 0b10110, 0b01101)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(1j * out, apply_pauli_string(vector.astype(complex), "XZYXZ"))
 
 
 class TestDensityMatrices:
