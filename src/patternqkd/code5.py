@@ -28,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .patterns import Pattern, all_patterns, invert
-from .quantum_core import _PARITY, DIM, apply_pauli, apply_permutation
+from .patterns import Pattern, _pattern_arrays, invert
+from .quantum_core import _PARITY, DIM, N_QUBITS, apply_pauli, apply_permutation
 
 STABILIZER_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 LOGICAL_Z = "ZZZZZ"
@@ -152,8 +152,12 @@ def encode_logical(bit: int, basis: str = "Z") -> np.ndarray:
 def pattern_codewords(basis: str = "Z") -> np.ndarray:
     """``states[p, b]`` is ``_codewords(basis)[b]`` wire-permuted by
     ``all_patterns()[p]``, in int8: entries 0 or +-1, so products are exact."""
-    # apply_permutation(v, p) == v[gather] with gather = apply_permutation(arange, p)
-    gathers = np.array([apply_permutation(np.arange(DIM), p) for p in all_patterns()])
+    # apply_permutation(v, p) == v[gathers[p]]: bit 4 - i of the source index
+    # is bit 4 - p(i) of the output index (positions 0-based)
+    maps, index = _pattern_arrays()[0], np.arange(DIM)
+    gathers = np.zeros((len(maps), DIM), dtype=np.int64)
+    for i in range(N_QUBITS):
+        gathers |= ((index >> (N_QUBITS - 1 - maps[:, i, None])) & 1) << (N_QUBITS - 1 - i)
     states = _codewords(basis).astype(np.int8)[:, gathers].transpose(1, 0, 2)
     states.setflags(write=False)
     return states

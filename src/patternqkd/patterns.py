@@ -169,8 +169,17 @@ def set_index_array() -> np.ndarray:
 def valid_pattern_sets() -> tuple[PatternSet, ...]:
     """All 6540 unordered pattern pairs at distance >= 3, in lexicographic
     order of (first, second)."""
-    patterns = all_patterns()
-    return tuple(PatternSet(patterns[i], patterns[j]) for i, j in zip(*set_index_array().T.tolist()))
+    # Each row of set_index_array is i < j into the lexicographic all_patterns()
+    # at distance >= 3, so the checks of PatternSet.__post_init__ hold by
+    # construction and are not run again.
+    patterns, new, put = all_patterns(), object.__new__, object.__setattr__
+    table = []
+    for i, j in set_index_array().tolist():
+        pattern_set = new(PatternSet)
+        put(pattern_set, "first", patterns[i])
+        put(pattern_set, "second", patterns[j])
+        table.append(pattern_set)
+    return tuple(table)
 
 
 def sample_pattern_set(rng: np.random.Generator) -> PatternSet:

@@ -210,7 +210,11 @@ class TestRelativeGram:
 
 
 class TestBatchedSweep:
-    STATEVECTOR_CALLS = ("apply_permutation", "apply_pauli_string", "encode_logical", "inner_product")
+    # Every float statevector route in src/, where it is defined; a route that
+    # is gone fails the test, so this list cannot go stale unseen.
+    STATEVECTOR_CALLS = (
+        (quantum_core, "apply_permutation"), (code5, "encode_logical"), (code5, "decode_distribution"),
+    )
 
     def count_calls(self, monkeypatch, sets):
         """eigvalsh calls and per-state statevector calls made by one sweep
@@ -226,10 +230,12 @@ class TestBatchedSweep:
             return wrapper
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
-        for module in (analysis, code5, quantum_core):
-            for name in self.STATEVECTOR_CALLS:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting("statevector", getattr(module, name)))
+        for home, name in self.STATEVECTOR_CALLS:
+            assert hasattr(home, name), f"{home.__name__}.{name} is gone: update STATEVECTOR_CALLS"
+            route = getattr(home, name)
+            for module in (analysis, code5, quantum_core):  # and every module that binds it by name
+                if getattr(module, name, None) is route:
+                    monkeypatch.setattr(module, name, counting("statevector", route))
         rows = analysis.chi_physical_sweep(sets)
         monkeypatch.undo()
         assert len(rows) == len(sets)

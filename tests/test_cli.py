@@ -2,11 +2,13 @@
 
 import hashlib
 import itertools
+import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -237,6 +239,12 @@ class TestEnumerate:
         assert sets_rows[0] == "set_id,perm_a,perm_b,distance"
         assert len(sets_rows) == 6541
         assert all(int(row.split(",")[3]) >= 3 for row in sets_rows[1:])
+        # sets.csv is written from patterns.valid_pattern_sets()
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        assert digests == {
+            "patterns.csv": "1709f5c719555e21069ee9984770dffde95b598823fdfd8ada070c3a67ed9943",
+            "sets.csv": "0d7a7f90556061a10bcaa4c0d8a399c1dee573fe0eafcc6b38922317eadc8330",
+        }
 
     def test_unwritable_path_exits_two_without_files(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -246,6 +254,36 @@ class TestEnumerate:
         assert code == cli.EXIT_USAGE
         assert not out.exists()
         assert "patterns=120" not in capsys.readouterr().out
+
+
+class TestLazyStartup:
+    # The caches of the module-level tables; each must exist, so a rename cannot drop it unseen.
+    TABLES = (
+        "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
+        "code5.pattern_codewords", "code5.decode_table", "protocol._draw_table",
+        "cli._record_parts", "cli.build_parser",
+    )
+
+    def test_import_fills_no_table_cache(self):
+        # --version and enumerate must not pay for tables they do not use
+        src = Path(patternqkd.__file__).resolve().parent.parent
+        code = textwrap.dedent("""
+            import json, sys
+            sys.path.insert(0, sys.argv[1])
+            from patternqkd import cli
+            sizes = {}
+            for name, module in sys.modules.items():
+                if not name.startswith("patternqkd."):
+                    continue
+                for attr, f in vars(module).items():
+                    if getattr(f, "__module__", None) == name and hasattr(f, "cache_info"):
+                        sizes[f"{name.removeprefix('patternqkd.')}.{attr}"] = f.cache_info().currsize
+            print(json.dumps(sizes))
+        """)
+        done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True)
+        sizes = json.loads(done.stdout)
+        assert set(self.TABLES) <= set(sizes)
+        assert {name: size for name, size in sizes.items() if size} == {}
 
 
 class TestAnalyze:

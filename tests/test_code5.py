@@ -278,6 +278,31 @@ class TestDecodeBlock:
             assert abs(direct[key] - via_relative[key]) < 1e-10
 
 
+class TestPatternCodewords:
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_equal_the_per_pattern_wire_permutation(self, basis):
+        gathers = np.array([apply_permutation(np.arange(32), p) for p in all_patterns()])
+        expected = code5._codewords(basis).astype(np.int8)[:, gathers].transpose(1, 0, 2)
+        states = code5.pattern_codewords(basis)
+        assert states.dtype == np.int8 and not states.flags.writeable
+        np.testing.assert_array_equal(states, expected)
+
+    def test_rebuild_permutes_no_vector(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return apply_permutation(*args)
+
+        monkeypatch.setattr(code5, "apply_permutation", counting)
+        code5.decode_distribution(code5.encode_logical(0), IDENTITY)  # the counter sees code5's calls
+        assert len(calls) == 1
+        code5.pattern_codewords.cache_clear()
+        for basis in ("Z", "X"):
+            code5.pattern_codewords(basis)
+        assert len(calls) == 1
+
+
 class TestOneDecodePath:
     def test_codewords_equal_the_projected_codewords(self):
         # the oracle projects |00000> and |11111> and normalizes in floats

@@ -9,11 +9,8 @@ relabelling and draw rules against the physics and pins the layout itself.
 
 import hashlib
 import math
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +18,6 @@ import test_cli
 from records_oracle import as_records, format_records
 from statevector_oracle import apply_pauli_string, decode_distribution
 
-import patternqkd
 from patternqkd import analysis, cli, code5, protocol
 from patternqkd.channel import EveRecord, EveStrategy, NoiseModel
 from patternqkd.patterns import Pattern, PatternSet, all_patterns, compose, invert, relative_index
@@ -56,16 +52,6 @@ class TestDecodeTable:
     def test_probabilities_are_exact_dyadic(self):
         for basis in ("Z", "X"):
             assert set(code5.decode_table(basis).ravel() * 16) <= {0.0, 1.0, 4.0, 16.0}
-
-    def test_not_built_at_import(self):
-        src = Path(patternqkd.__file__).resolve().parent.parent
-        code = (
-            "import sys; sys.path.insert(0, sys.argv[1]);"
-            "from patternqkd import cli, code5, patterns;"
-            "print(code5.decode_table.cache_info().currsize, patterns._pattern_arrays.cache_info().currsize)"
-        )
-        done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["0", "0"]
 
 
 class TestPauliFrames:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patternqkd import patterns
 from patternqkd.patterns import (
     Pattern,
     PatternSet,
@@ -149,6 +150,35 @@ class TestPatternSet:
                     count += 1
         assert count == 6540
         assert count == 120 * 109 // 2
+
+    def test_valid_sets_equal_the_brute_force_enumeration(self):
+        pairs = itertools.combinations(all_patterns(), 2)
+        brute = tuple(PatternSet(p, q) for p, q in pairs if pattern_distance(p, q) >= 3)
+        assert valid_pattern_sets() == brute
+        assert {type(s) for s in valid_pattern_sets()} == {PatternSet}
+
+    def test_valid_sets_equal_their_validated_construction(self):
+        for s in valid_pattern_sets():
+            rebuilt = PatternSet(s.second, s.first)  # checked and canonicalised
+            assert rebuilt == s and hash(rebuilt) == hash(s)
+            assert (rebuilt.first, rebuilt.second) == (s.first, s.second)
+
+    def test_table_build_checks_no_set_again(self, monkeypatch):
+        calls = {"__post_init__": 0, "pattern_distance": 0}
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(PatternSet, "__post_init__", counting("__post_init__", PatternSet.__post_init__))
+        monkeypatch.setattr(patterns, "pattern_distance", counting("pattern_distance", pattern_distance))
+        PatternSet.from_string("12345 23451")  # the counters see the validating constructor
+        assert calls == {"__post_init__": 1, "pattern_distance": 1}
+        valid_pattern_sets.cache_clear()
+        assert len(valid_pattern_sets()) == 6540
+        assert calls == {"__post_init__": 1, "pattern_distance": 1}
 
     def test_set_index_array_matches_the_sets(self):
         pairs = set_index_array()
