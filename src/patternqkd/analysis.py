@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from . import code5
-from .patterns import PatternSet, pattern_indices, relative_index, set_index_array, shared_counts, valid_pattern_sets
+from .patterns import PatternSet, all_patterns, pattern_indices, relative_index, set_index_array, shared_counts
+from .patterns import valid_pattern_sets  # noqa: F401 - bench/workloads.py reads it as analysis.valid_pattern_sets
 
 
 def binary_entropy(p: float) -> float:
@@ -70,11 +71,9 @@ def guess_outcome_distribution(true_set: Optional[PatternSet] = None) -> GuessOu
     counting is invariant under relabeling); the default uses the first
     enumerated set.
     """
-    if true_set is None:
-        true_set = valid_pattern_sets()[0]
-    total = len(valid_pattern_sets())
-    counts = np.bincount(shared_counts(true_set), minlength=3).tolist()
-    none, one, both = (Fraction(count, total) for count in counts)
+    true_set = true_set or PatternSet(*(all_patterns()[k] for k in set_index_array()[0].tolist()))
+    counts = np.bincount(shared_counts(true_set), minlength=3).tolist()  # these sum to all valid sets
+    none, one, both = (Fraction(count, sum(counts)) for count in counts)
     return GuessOutcomeDistribution(p_both=both, p_one=one, p_none=none)
 
 

@@ -33,7 +33,7 @@ from .channel import (
     NoiseModel,
     guessed_set_with_overlap,
 )
-from .patterns import PatternSet, all_patterns, pattern_distance, valid_pattern_sets
+from .patterns import PatternSet, all_patterns, set_index_array
 from .protocol import (
     DECISION_CONTINUE,
     Blocks,
@@ -239,7 +239,7 @@ def _record_parts() -> tuple[np.ndarray, np.ndarray]:
     return _byte_rows(front), _byte_rows([f" {g} {s} {t}\n" for g in guesses for s in "01" for t in "01"])
 
 
-def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -> str:
+def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -> bytes:
     """Lines of rows ``start .. stop - 1`` in the documented column order,
     after the header line if ``start`` is 0.
 
@@ -259,7 +259,7 @@ def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -
     lines["id"] = _id_text(first, len(lost), width)
     lines["front"] = front.take((2 * code5.N_SYNDROMES + 1) * bits + decode)
     lines["back"] = back.take(4 * guess + 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows])
-    return (f"{RECORDS_HEADER}\n" if start == 0 else "") + lines.tobytes().translate(None, b"\0").decode("ascii")
+    return (f"{RECORDS_HEADER}\n".encode() if start == 0 else b"") + lines.tobytes().translate(None, b"\0")
 
 
 def format_report(report: SessionReport) -> str:
@@ -282,34 +282,35 @@ def format_report(report: SessionReport) -> str:
     return "".join(f"{k} = {v}\n" for k, v in items)
 
 
-def _write_outputs(files: dict[Path, Iterable[str]]) -> dict[Path, str]:
-    """Write each file from its text chunks, hashing them as they go, into
-    a temp file beside it; then move the temp files into place.  A failure
-    removes them instead.  Returns each file's SHA-256 digest."""
+def _write_outputs(files: dict[Path, Iterable[bytes]]) -> None:
+    """Write each file from its chunks into a temp file beside it; then
+    move the temp files into place.  A failure removes them instead."""
     temps = {path: path.with_name(f".{path.name}.partial") for path in files}
-    digests = {}
     try:
         for path, chunks in files.items():
-            digest = hashlib.sha256()
             with temps[path].open("wb") as fh:
-                for chunk in chunks:
-                    data = chunk.encode()
-                    digest.update(data)
-                    fh.write(data)
-            digests[path] = digest.hexdigest()
+                fh.writelines(chunks)
         for path, temp in temps.items():
             os.replace(temp, path)
     except BaseException:
         for temp in temps.values():
             temp.unlink(missing_ok=True)
         raise
-    return digests
 
 
-def _write_manifest(
-    out: Path, config: SessionConfig, digests: dict[Path, str], extra: Optional[list[tuple[str, str]]] = None
+def _hashed(chunks: Iterable[bytes], digest: "hashlib._Hash") -> Iterator[bytes]:
+    """``chunks`` unchanged, each fed to ``digest`` as it passes."""
+    for chunk in chunks:
+        digest.update(chunk)
+        yield chunk
+
+
+def _write_with_manifest(
+    out: Path, config: SessionConfig, files: dict[Path, Iterable[bytes]], extra: Optional[list[tuple[str, str]]] = None
 ) -> None:
-    """Write ``out/manifest.txt`` last, naming each output by its file stem."""
+    """Write the data files, hashed as they stream, then ``out/manifest.txt`` naming them."""
+    digests = {path: hashlib.sha256() for path in files}
+    _write_outputs({path: _hashed(chunks, digests[path]) for path, chunks in files.items()})
     lines = [
         "tool_name = patternqkd",
         f"tool_version = {__version__}",
@@ -317,9 +318,9 @@ def _write_manifest(
     ]
     lines += [f"config.{k} = {v}" for k, v in config_echo_items(config)]
     lines += [f"output.{path.stem} = {path}" for path in digests]
-    lines += [f"digest.{path.stem} = sha256:{digest}" for path, digest in digests.items()]
+    lines += [f"digest.{path.stem} = sha256:{digest.hexdigest()}" for path, digest in digests.items()]
     lines += [f"{key} = {value}" for key, value in extra or []]
-    _write_outputs({out / "manifest.txt": ["\n".join(lines) + "\n"]})
+    _write_outputs({out / "manifest.txt": ["\n".join(lines).encode() + b"\n"]})
 
 
 def _prepare_out_dir(path_str: str) -> Path:
@@ -332,33 +333,33 @@ def _prepare_out_dir(path_str: str) -> Path:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    patterns = all_patterns()
-    sets = valid_pattern_sets()
+    names, pairs = [str(p) for p in all_patterns()], set_index_array()
+    texts = {"patterns.csv": "pattern_id,mapping\n" + "".join(f"{i},{n}\n" for i, n in enumerate(names))}
+    if args.sets_csv:
+        maps = np.array([p.mapping for p in all_patterns()])
+        distances = np.count_nonzero(maps[pairs[:, 0]] != maps[pairs[:, 1]], axis=1).tolist()
+        texts["sets.csv"] = "set_id,perm_a,perm_b,distance\n" + "".join(
+            f"{i},{names[a]},{names[b]},{d}\n" for i, (a, b, d) in enumerate(zip(*pairs.T.tolist(), distances)))
     try:
         out = _prepare_out_dir(args.out)
-        files = {out / "patterns.csv": ["pattern_id,mapping\n" + "".join(f"{i},{p}\n" for i, p in enumerate(patterns))]}
-        if args.sets_csv:
-            files[out / "sets.csv"] = ["set_id,perm_a,perm_b,distance\n" + "".join(
-                f"{i},{s.first},{s.second},{pattern_distance(s.first, s.second)}\n" for i, s in enumerate(sets)
-            )]
-        _write_outputs(files)
+        _write_outputs({out / name: [text.encode()] for name, text in texts.items()})
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"patterns={len(patterns)} sets={len(sets)}")
+    print(f"patterns={len(names)} sets={len(pairs)}")
     return EXIT_OK
 
 
 def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
-    sets = valid_pattern_sets()
-    if not 0 <= set_id < len(sets):
-        raise ConfigError(f"unknown set id {set_id} (valid: 0..{len(sets) - 1})")
-    chosen = sets[set_id]
+    pairs = set_index_array()
+    if not 0 <= set_id < len(pairs):
+        raise ConfigError(f"unknown set id {set_id} (valid: 0..{len(pairs) - 1})")
+    chosen = PatternSet(*(all_patterns()[k] for k in pairs[set_id].tolist()))
 
     dist = analysis.guess_outcome_distribution()
     report = analysis.holevo_bit_conditioned_gram(chosen)
     overlap = abs(analysis.pattern_state_overlap(chosen))
-    total = len(sets)
+    total = len(pairs)
     lines = [
         f"patterns_total = {len(all_patterns())}",
         f"pattern_sets_total = {total}",
@@ -394,22 +395,29 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
     return lines
 
 
-def _chi_csv_chunks() -> Iterator[str]:
-    """The chi CSV over all valid sets, header first, in chunks of rows.
-
-    A row's values depend only on the set's relative permutation, and the
-    120 permutations share a few distinct value triples, so each distinct
-    triple is formatted once, and each permutation's row tail is a ``V37``
-    (each value lies in [0, 1] and prints as 11 characters).  The rows of
-    a chunk, split where the id gains a digit so that no NUL is left, are
-    records of two fields: the id (``_id_text``) and the set's tail."""
-    yield "set_id,chi_physical_bits,overlap_00,overlap_01\n"
+@lru_cache(maxsize=1)
+def _chi_tails() -> tuple[np.ndarray, np.ndarray]:
+    """The chi CSV's row tail of each relative permutation, and each valid
+    set's relative permutation; built once per process, read-only.  A row's
+    values depend only on the set's relative permutation, and the 120
+    permutations share a few distinct value triples, so each distinct triple
+    is formatted once, and each permutation's row tail is a ``V37`` (each
+    value lies in [0, 1] and prints as 11 characters)."""
     columns, relative = analysis.chi_by_relative()
     triples = columns.view("V24")[:, 0].tolist()  # each row's three float64s as bytes
     text = {triple: ",{:.9f},{:.9f},{:.9f}\n".format(*np.frombuffer(triple)) for triple in set(triples)}
     if len({len(tail) for tail in text.values()}) != 1:
         raise ValueError(f"chi CSV row tails differ in width: {sorted(text.values())}")
-    tails = _byte_rows([text[triple] for triple in triples])
+    relative.setflags(write=False)  # the tails, a view of bytes, are read-only already
+    return _byte_rows([text[triple] for triple in triples]), relative
+
+
+def _chi_csv_chunks() -> Iterator[bytes]:
+    """The chi CSV over all valid sets, header first, in chunks of rows
+    split where the id gains a digit, so that no NUL is left: records of
+    two fields, the id (``_id_text``) and the set's tail (``_chi_tails``)."""
+    yield b"set_id,chi_physical_bits,overlap_00,overlap_01\n"
+    tails, relative = _chi_tails()
     total = len(relative)
     for start in range(0, total, RECORDS_CHUNK_ROWS):
         stop = min(start + RECORDS_CHUNK_ROWS, total)
@@ -419,7 +427,7 @@ def _chi_csv_chunks() -> Iterator[str]:
             rows = np.empty(end - first, [("id", f"V{width}"), ("tail", tails.dtype)])
             rows["id"] = _id_text(first, end - first, width)
             rows["tail"] = tails.take(relative[first:end])
-            yield rows.tobytes().decode("ascii")
+            yield rows.tobytes()
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -440,13 +448,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    outputs = {args.out: [text], args.chi_csv: _chi_csv_chunks()}
+    outputs = {args.out: [text.encode()], args.chi_csv: _chi_csv_chunks()}
     try:
         _write_outputs({Path(path): chunks for path, chunks in outputs.items() if path})
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -464,19 +472,6 @@ def _load_config(args: argparse.Namespace) -> SessionConfig:
     return build_session_config(parse_config_text(text), overrides)
 
 
-def _run_and_write(config: SessionConfig, out: Path) -> SessionReport:
-    report, blocks = run_session(config)
-    digests = _write_outputs({
-        out / "report.txt": [format_report(report)],
-        out / "records.txt": (
-            format_records(blocks, start, start + RECORDS_CHUNK_ROWS)
-            for start in range(0, len(blocks), RECORDS_CHUNK_ROWS)
-        ),
-    })
-    _write_manifest(out, config, digests)
-    return report
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args)
@@ -484,7 +479,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = _run_and_write(config, out)
+    report, blocks = run_session(config)
+    _write_with_manifest(out, config, {
+        out / "report.txt": [format_report(report).encode()],
+        out / "records.txt": (
+            format_records(blocks, start, start + RECORDS_CHUNK_ROWS)
+            for start in range(0, len(blocks), RECORDS_CHUNK_ROWS)
+        ),
+    })
     print(
         f"decision={report.decision} mqer={_fmt(report.mqer_estimate)} "
         f"sifted={report.blocks_sifted} tested={report.blocks_tested}"
@@ -539,11 +541,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{_fmt(value)},{_fmt(report.sift_rate)},{_fmt(report.mqer_estimate)},"
             f"{report.decision},{success}"
         )
-    digests = _write_outputs({out / "sweep.csv": ["\n".join(rows) + "\n"]})
     extra = [("sweep.axis", args.axis), ("sweep.partial", "true" if fault else "false")]
     if fault:
         extra.append(("sweep.fault", fault))
-    _write_manifest(out, base, digests, extra=extra + seeds)
+    _write_with_manifest(out, base, {out / "sweep.csv": [("\n".join(rows) + "\n").encode()]}, extra=extra + seeds)
     if fault:
         print(f"error: sweep aborted: {fault}", file=sys.stderr)
         return EXIT_FAULT

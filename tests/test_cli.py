@@ -256,12 +256,38 @@ class TestEnumerate:
         assert "patterns=120" not in capsys.readouterr().out
 
 
+class TestUnusedWork:
+    # Only the files a manifest names are hashed, and the 6540-object set
+    # table is built only by callers that need set objects.
+    COMMANDS = {
+        "analyze": ["analyze", "--set-id", "17", "--chi-csv", "{tmp}/chi.csv", "--out", "{tmp}/report.txt"],
+        "enumerate": ["enumerate", "--sets-csv", "--out", "{tmp}/enum"],
+    }
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_computes_no_digest_and_builds_no_set_table(self, name, tmp_path, monkeypatch, capsys):
+        calls = []
+        real = hashlib.sha256
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        valid_pattern_sets.cache_clear()
+        cli.analysis.guess_outcome_distribution.cache_clear()
+        argv = [arg.format(tmp=tmp_path) for arg in self.COMMANDS[name]]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert calls == []
+        assert valid_pattern_sets.cache_info().currsize == 0
+
+
 class TestLazyStartup:
     # The caches of the module-level tables; each must exist, so a rename cannot drop it unseen.
     TABLES = (
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
         "code5.pattern_codewords", "code5.decode_table", "protocol._draw_table",
-        "cli._record_parts", "cli.build_parser",
+        "cli._record_parts", "cli._chi_tails", "cli.build_parser",
     )
 
     def test_import_fills_no_table_cache(self):
@@ -388,10 +414,21 @@ class TestAnalyze:
             raise RuntimeError("sweep failed")
 
         monkeypatch.setattr(cli.analysis, "chi_by_relative", broken)
+        cli._chi_tails.cache_clear()  # a tail table cached by an earlier call would never call the sweep
         csv_path, out_path = tmp_path / "chi.csv", tmp_path / "report.txt"
         code = cli.main(["analyze", "--chi-csv", str(csv_path), "--out", str(out_path)])
         assert code == cli.EXIT_FAULT
         assert "sweep failed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--chi-csv"])
+    def test_unwritable_output_exits_two_with_empty_stdout(self, tmp_path, capsys, flag):
+        other = {"--out": "--chi-csv", "--chi-csv": "--out"}[flag]
+        argv = ["analyze", flag, str(tmp_path / "missing" / "file"), other, str(tmp_path / "written")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write output" in captured.err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -598,6 +635,8 @@ class TestSweep:
         assert mqers[-1] > mqers[0]
         manifest = (out / "manifest.txt").read_text()
         assert "sweep.partial = false" in manifest
+        digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+        assert f"digest.sweep = sha256:{digest}\n" in manifest
 
     def test_eve_overlap_axis_orders_success(self, tmp_path):
         cfg = tmp_path / "session.cfg"
@@ -745,9 +784,9 @@ class TestColumnarRecords:
         session = SessionConfig(num_blocks=700, secret_set=PatternSet.from_string("12345 13452"), master_seed=41, **config)
         _, blocks = run_session(session)
         expected = format_records(as_records(blocks))
-        assert_same_text(cli.format_records(blocks), expected)
+        assert_same_text(cli.format_records(blocks).decode(), expected)
         chunks = [cli.format_records(blocks, start, start + 97) for start in range(0, len(blocks), 97)]
-        assert_same_text("".join(chunks), expected)
+        assert_same_text(b"".join(chunks).decode(), expected)
 
     # Sessions shifted to start 5 rows before an id gains a digit, so that
     # one chunk of each bound but 1 crosses 10, 100, ..., 100000, and
@@ -762,15 +801,15 @@ class TestColumnarRecords:
         blocks = replace(run_session(session)[1], first=first)
         assert blocks.lost.all() or (blocks.eve_guess >= 0).all()
         expected = format_records(as_records(blocks))
-        assert_same_text(cli.format_records(blocks), expected)
+        assert_same_text(cli.format_records(blocks).decode(), expected)
         for rows in (1, 97, 4096):
             chunks = [cli.format_records(blocks, start, start + rows) for start in range(0, len(blocks), rows)]
-            assert_same_text("".join(chunks), expected)
+            assert_same_text(b"".join(chunks).decode(), expected)
 
     def test_a_lone_block_zero(self):
         session = SessionConfig(num_blocks=1, secret_set=PatternSet.from_string("12345 13452"), master_seed=47)
         blocks = run_session(session)[1]
-        assert cli.format_records(blocks) == format_records(as_records(blocks))
+        assert cli.format_records(blocks).decode() == format_records(as_records(blocks))
 
     def test_id_text_right_aligns_with_nul(self):
         rng = np.random.default_rng(19)
