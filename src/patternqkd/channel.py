@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .patterns import Pattern, PatternSet, sets_sharing
+from .patterns import Pattern, PatternSet, set_at, sets_sharing
 
 UNIFORM_KNOWLEDGE = "uniform"
 EVE_KINDS = ("none", "intercept_resend")
@@ -118,5 +118,5 @@ def guessed_set_with_overlap(
 ) -> PatternSet:
     """Uniformly draw a valid set sharing exactly ``correct_count`` patterns
     with ``true_set`` (2 returns the set itself)."""
-    candidates = sets_sharing(true_set, correct_count)
-    return candidates[int(rng.integers(0, len(candidates)))]
+    rows = sets_sharing(true_set, correct_count)
+    return set_at(rows[int(rng.integers(0, len(rows)))])

@@ -33,7 +33,7 @@ from .channel import (
     NoiseModel,
     guessed_set_with_overlap,
 )
-from .patterns import PatternSet, all_patterns, set_index_array
+from .patterns import PatternSet, all_patterns, set_at, set_index_array
 from .protocol import (
     DECISION_CONTINUE,
     Blocks,
@@ -245,21 +245,26 @@ def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -
 
     Each row is one record of fixed-width byte-string fields, each filled
     by one 1-D ``take``: the block id (``_id_text``), then the two parts of
-    ``_record_parts`` looked up by code, all NUL-padded; deleting the NULs
-    leaves the lines."""
+    ``_record_parts`` looked up by code, all NUL-padded.  Only an id shorter
+    than the widest, or a row with no guess (every lost row), leaves a NUL;
+    deleting the NULs leaves the lines."""
     front, back = _record_parts()
-    rows = slice(start, stop)
-    lost, guess = blocks.lost[rows], blocks.eve_guess[rows].astype(np.int16)
-    bits = 8 * lost + 4 * blocks.alice_bit[rows] + 2 * blocks.alice_pattern_index[rows] + blocks.bob_pattern_index[rows]
-    decode = np.where(lost, 2 * code5.N_SYNDROMES, 2 * blocks.syndrome[rows] + blocks.bob_bit[rows])
-    guess = np.where(guess < 0, 2 * len(all_patterns()), 2 * guess + blocks.eve_bit[rows])
+    rows, i16 = slice(start, stop), np.int16  # the codes are int16: numpy scalars keep that dtype
+    lost, missing = blocks.lost[rows], blocks.eve_guess[rows] < 0
+    bits = (lost * i16(8) + blocks.alice_bit[rows] * i16(4) + blocks.alice_pattern_index[rows] * i16(2)
+            + blocks.bob_pattern_index[rows])
+    decode = np.where(lost, i16(2 * code5.N_SYNDROMES), blocks.syndrome[rows] * i16(2) + blocks.bob_bit[rows])
+    guess = np.where(missing, i16(2 * len(all_patterns())), blocks.eve_guess[rows] * i16(2) + blocks.eve_bit[rows])
     first = blocks.first + start
     width = len(str(first + len(lost) - 1))
     lines = np.empty(len(lost), [("id", f"V{width}"), ("front", front.dtype), ("back", back.dtype)])
     lines["id"] = _id_text(first, len(lost), width)
-    lines["front"] = front.take((2 * code5.N_SYNDROMES + 1) * bits + decode)
-    lines["back"] = back.take(4 * guess + 2 * blocks.sifted[rows] + blocks.disclosed_for_test[rows])
-    return (f"{RECORDS_HEADER}\n".encode() if start == 0 else b"") + lines.tobytes().translate(None, b"\0")
+    lines["front"] = front.take(i16(2 * code5.N_SYNDROMES + 1) * bits + decode)
+    lines["back"] = back.take(i16(4) * guess + blocks.sifted[rows] * i16(2) + blocks.disclosed_for_test[rows])
+    text = lines.tobytes()
+    if missing.any() or len(str(first)) < width:
+        text = text.translate(None, b"\0")
+    return (f"{RECORDS_HEADER}\n".encode() if start == 0 else b"") + text
 
 
 def format_report(report: SessionReport) -> str:
@@ -354,7 +359,7 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
     pairs = set_index_array()
     if not 0 <= set_id < len(pairs):
         raise ConfigError(f"unknown set id {set_id} (valid: 0..{len(pairs) - 1})")
-    chosen = PatternSet(*(all_patterns()[k] for k in pairs[set_id].tolist()))
+    chosen = set_at(set_id)
 
     dist = analysis.guess_outcome_distribution()
     report = analysis.holevo_bit_conditioned_gram(chosen)

@@ -182,10 +182,18 @@ def valid_pattern_sets() -> tuple[PatternSet, ...]:
     return tuple(table)
 
 
+def set_at(row: int) -> PatternSet:
+    """The valid set in row ``row`` of :func:`set_index_array`, built
+    unchecked like those of :func:`valid_pattern_sets`."""
+    pattern_set, (i, j) = object.__new__(PatternSet), set_index_array()[row].tolist()
+    object.__setattr__(pattern_set, "first", all_patterns()[i])
+    object.__setattr__(pattern_set, "second", all_patterns()[j])
+    return pattern_set
+
+
 def sample_pattern_set(rng: np.random.Generator) -> PatternSet:
     """Draw a pattern set uniformly from the 6540 valid ones."""
-    table = valid_pattern_sets()
-    return table[int(rng.integers(0, len(table)))]
+    return set_at(int(rng.integers(0, len(set_index_array()))))
 
 
 def shared_counts(true_set: PatternSet) -> np.ndarray:
@@ -196,13 +204,12 @@ def shared_counts(true_set: PatternSet) -> np.ndarray:
     return held[set_index_array()].sum(axis=1)
 
 
-def sets_sharing(true_set: PatternSet, count: int) -> tuple[PatternSet, ...]:
-    """All valid sets sharing exactly ``count`` patterns with ``true_set``.
+def sets_sharing(true_set: PatternSet, count: int) -> np.ndarray:
+    """Rows of :func:`set_index_array` (ascending) of all valid sets sharing
+    exactly ``count`` patterns with ``true_set``.
 
-    ``count = 2`` yields the set itself; 1 and 0 partition the rest, in
-    table order.
+    ``count = 2`` yields the set itself; 1 and 0 partition the rest.
     """
     if count not in (0, 1, 2):
         raise ValueError("count must be 0, 1, or 2")
-    table = valid_pattern_sets()
-    return tuple(table[k] for k in np.flatnonzero(shared_counts(true_set) == count))
+    return np.flatnonzero(shared_counts(true_set) == count)

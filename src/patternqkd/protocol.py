@@ -12,10 +12,12 @@ only if the estimate is strictly below the configured threshold.
 Engine: the block pipeline is a stabilizer process, so no statevector is
 built.  A decode's (syndrome, bit) outcome is fixed by the relative
 permutation between the decoder's and the sender's pattern, the bit sent,
-the class of the Pauli frame that depolarizing noise leaves in the
-decoder's frame (``code5.frame_classes``) and ``w >> 60`` of its word w,
-so it is one gather from a cached int8 table over all four, built from
-``code5.decode_table``.  Blocks are simulated in numpy batches.
+the class of the decoder's Pauli frame (``code5.frame_classes``) and
+``w >> 60`` of its word w: one entry of a cached int8 table built from
+``code5.decode_table``.  A session reads its words batch after batch from
+the one block stream; each stage (words, interceptor, noise frame, Bob's
+draw, loss and leak) fills the session's columns with one or two ``take``s
+from small tables, indexed by integer codes of the words.
 
 Reproducibility contract: all block randomness comes from one Philox4x64
 stream, ``numpy.random.Philox(SeedSequence(master_seed, spawn_key=(0,)))``.
@@ -60,7 +62,7 @@ import numpy as np
 from . import code5
 from .analysis import multiphoton_prob
 from .channel import EveRecord, EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
-from .patterns import POSITIONS, PatternSet, all_patterns, invert, pattern_indices, relative_index
+from .patterns import POSITIONS, PatternSet, all_patterns, invert, pattern_indices, relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
 DECISION_ABORT = "abort"
@@ -86,8 +88,8 @@ _W_LOSS = 6
 _W_NOISE = slice(7, 12)
 _W_PULSES = slice(12, 17)
 
-# Blocks per batch.  It bounds the working arrays, about 390 B per block
-# with noise and an interceptor (290 B without noise); records do not
+# Blocks per batch.  It bounds the working arrays, about 240 B per block
+# with noise and an interceptor (200 B without noise); records do not
 # depend on it.
 _BATCH_BLOCKS = 2048
 
@@ -184,6 +186,10 @@ class Blocks:
         return BlockRecord(block_id=self.first + i, eve=eve, **row)
 
 
+# The dtypes of the Blocks columns, in field order.
+_COLUMN_DTYPES = (np.int8, np.int8, np.int8, bool, np.int8, np.int8, np.int8, np.int8, bool, bool, bool)
+
+
 @dataclass
 class SessionReport:
     """Aggregate outcome of a session."""
@@ -201,21 +207,10 @@ class SessionReport:
     pns_leak_blocks: int
 
 
-def _block_words(master_seed: int, first: int, count: int) -> np.ndarray:
-    """The words of blocks ``first .. first + count - 1``, one row per block."""
-    stream = np.random.Philox(np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_BLOCK,)))
-    stream.advance(first * WORDS_PER_BLOCK // 4)
-    return stream.random_raw(count * WORDS_PER_BLOCK).reshape(count, WORDS_PER_BLOCK)
-
-
 def _below(words: np.ndarray, prob: float) -> np.ndarray:
     """``u(w) < prob`` for each word w, in integers: ``(w >> 11) <
     ceil(prob * 2**53)``, that is ``w < ceil(prob * 2**53) << 11``."""
     return words < math.ceil(prob * 2.0**53) << 11
-
-
-def _bit(words: np.ndarray) -> np.ndarray:
-    return (words >> 63).astype(np.int8)
 
 
 @lru_cache(maxsize=4)
@@ -244,61 +239,115 @@ def _draw_table(basis: str, noisy: bool) -> np.ndarray:
     return table
 
 
-def _noise_frames(
-    words: np.ndarray, p: float, secret_set: PatternSet, bob_pattern: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) masks of the depolarizing errors, moved into Bob's decoder frame."""
-    x = _below(words, 2 * p / 3).astype(np.int64)
-    z = (_below(words, p) ^ _below(words, p / 3)).astype(np.int64)  # p / 3 <= u(w) < p
-    # Un-permuting with q moves physical wire j to position q^-1(j), whose
-    # mask bit is 5 - q^-1(j).
-    shifts = np.array([[5 - invert(q)(j) for j in POSITIONS] for q in secret_set.members()])
-    shifts = shifts[bob_pattern]
-    return np.sum(x << shifts, axis=1), np.sum(z << shifts, axis=1)
+# A physical frame is five base-4 digits, wire 1 first, each a Pauli code: I 0, Z 1, Y 2, X 3.
+_WIRE_WEIGHTS = 4 ** np.arange(len(POSITIONS) - 1, -1, -1, dtype=np.uint16)
+
+
+def _physical_frames(words: np.ndarray, p: float) -> np.ndarray:
+    """The frame of each row of wire words: wire j's code is [u < p] + [u < 2p/3] + [u < p/3]."""
+    words = np.ascontiguousarray(words)  # strided compares cost several times more
+    return sum(_below(words, cut).view(np.uint8) for cut in (p, 2 * p / 3, p / 3)) @ _WIRE_WEIGHTS
+
+
+@lru_cache(maxsize=4)
+def _frame_class_table(basis: str, members: tuple[int, int]) -> np.ndarray:
+    """``table[d * 1024 + f]``: the class (``code5.frame_classes``) of physical frame f for a decoder holding
+    pattern ``members[d]``, in uint16.  Un-permuting with q moves wire j to mask bit 5 - q^-1(j)."""
+    codes = np.arange(4 ** len(POSITIONS))[:, None] // _WIRE_WEIGHTS % 4
+    shifts = 5 - np.array([invert(all_patterns()[q]).mapping for q in members])[:, None]
+    x, z = (np.sum(hit[None] << shifts, axis=2).ravel() for hit in (codes >= 2, (codes == 1) | (codes == 2)))
+    table = code5.frame_classes(x, z, basis).astype(np.uint16)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=4)
+def _session_tables(basis: str, noisy: bool, secret_set: PatternSet, knowledge) -> tuple:
+    """The flat draw table and a session's tables, a few KB each, read-only: the interceptor's choices
+    (pattern indices) and her decoded bit by (guess, Alice's member, bit, w >> 60), None without one
+    (``knowledge`` None); the draws index of Bob's row by (sender, bit, Bob's member), the senders being
+    her choices or else Alice's members; the frame classes, None unless ``noisy``."""
+    draws, members = _draw_table(basis, noisy), pattern_indices(secret_set.members())
+    guesses = heard = None
+    if knowledge is not None:
+        uniform = knowledge == UNIFORM_KNOWLEDGE
+        guesses = (np.arange(len(all_patterns())) if uniform else pattern_indices(knowledge.members())).astype(np.int8)
+        heard = (draws[relative_index(guesses[:, None], members), :, 0].ravel() & 1).astype(np.uint8)
+    relative = relative_index(members, (members if guesses is None else guesses)[:, None]).astype(np.uint32)
+    bob_rows = ((2 * relative[:, None] + np.arange(2, dtype=np.uint32)[:, None]) * draws[0, 0].size).ravel()
+    for table in (t for t in (guesses, heard, bob_rows) if t is not None):
+        table.setflags(write=False)
+    frames = _frame_class_table(basis, tuple(members.tolist())) if noisy else None
+    return draws.ravel(), guesses, heard, bob_rows, frames
+
+
+def _draw_words(stream: np.random.Philox, blocks: Blocks, rows: slice) -> np.ndarray:
+    """The next words of ``stream``, a row per block; Alice's bit and both pattern draws go to their columns."""
+    words = stream.random_raw((rows.stop - rows.start) * WORDS_PER_BLOCK).reshape(-1, WORDS_PER_BLOCK)
+    blocks.alice_bit[rows] = words[:, _W_ALICE_BIT] >> 63
+    blocks.alice_pattern_index[rows] = words[:, _W_ALICE_PATTERN] >> 63
+    blocks.bob_pattern_index[rows] = words[:, _W_BOB_PATTERN] >> 63
+    return words
+
+
+def _intercept(words: np.ndarray, guesses, heard, blocks: Blocks, rows: slice) -> np.ndarray:
+    """The interceptor's guess and bit go to their columns (-1 without
+    one); returns ``2 * sender + bit`` of what Bob receives.  A guess is
+    ``(w >> 11) * n >> 53`` over n choices, which for two is ``bit(w)``."""
+    sent = words[:, _W_ALICE_PATTERN] >> 63 << 1 | words[:, _W_ALICE_BIT] >> 63
+    if guesses is None:
+        blocks.eve_guess[rows] = blocks.eve_bit[rows] = -1
+        return sent
+    guess = (words[:, _W_EVE_GUESS] >> 11) * len(guesses) >> 53
+    bit = heard.take(guess << 6 | sent << 4 | words[:, _W_EVE_DECODE] >> 60)
+    blocks.eve_guess[rows], blocks.eve_bit[rows] = guesses.take(guess), bit
+    return guess << 1 | bit
+
+
+def _noise_frame(words: np.ndarray, frames, p: float) -> np.ndarray | int:
+    """The class of each block's depolarizing frame as Bob decodes it; 0, the undisturbed one, without noise."""
+    if frames is None:
+        return 0
+    return frames.take(words[:, _W_BOB_PATTERN] >> 63 << 10 | _physical_frames(words[:, _W_NOISE], p))
+
+
+def _bob_draw(words: np.ndarray, draws, bob_rows, sent, frame, blocks: Blocks, rows: slice) -> None:
+    """Bob's decode outcome ``2s + c`` goes to the syndrome and bit columns."""
+    row = bob_rows.take(sent << 1 | words[:, _W_BOB_PATTERN] >> 63)
+    outcome = draws.take(row + (frame << 4 | words[:, _W_BOB_DECODE] >> 60))
+    np.right_shift(outcome, 1, out=blocks.syndrome[rows])
+    np.bitwise_and(outcome, 1, out=blocks.bob_bit[rows])
+
+
+def _loss_and_leak(words: np.ndarray, noise: NoiseModel, blocks: Blocks, rows: slice) -> None:
+    """Loss (-1 in a lost block's measurements), sifting and the splitting-attack leak go to their columns."""
+    lost = np.logical_not(_below(words[:, _W_LOSS], noise.photon_survival_prob ** 5), out=blocks.lost[rows])
+    for column in (blocks.syndrome, blocks.bob_bit, blocks.eve_guess, blocks.eve_bit):
+        np.copyto(column[rows], -1, where=lost)
+    np.logical_and(blocks.alice_pattern_index[rows] == blocks.bob_pattern_index[rows], ~lost, out=blocks.sifted[rows])
+    q = multiphoton_prob(noise.mean_photon_number)
+    # The multi-photon pulses of a block, counted as a sum of uint8 columns.
+    multiphoton = sum(_below(pulse, q).view(np.uint8) for pulse in words[:, _W_PULSES].T) if q > 0.0 else 0
+    np.greater_equal(multiphoton, 3, out=blocks.pns_leak[rows])
 
 
 def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
-    """Blocks ``first .. first + count - 1`` (none disclosed yet)."""
-    words = _block_words(config.master_seed, first, count)
-    p = config.noise.per_qubit_flip_prob
-    draws = _draw_table(config.logical_basis, p > 0.0)
-    members = pattern_indices(config.secret_set.members())
-    alice_bit = _bit(words[:, _W_ALICE_BIT])
-    alice_pattern = _bit(words[:, _W_ALICE_PATTERN])
-    bob_pattern = _bit(words[:, _W_BOB_PATTERN])
-    sender, sent_bit = members[alice_pattern], alice_bit
-
-    guess = heard = np.full(count, -1)
-    if config.eve.active:
-        if config.eve.knowledge == UNIFORM_KNOWLEDGE:
-            guess = ((words[:, _W_EVE_GUESS] >> 11) * len(all_patterns()) >> 53).astype(np.int64)
-        else:
-            guessed = pattern_indices(config.eve.knowledge.members())
-            guess = guessed[_bit(words[:, _W_EVE_GUESS])]
-        heard = draws[relative_index(guess, sender), sent_bit, 0, words[:, _W_EVE_DECODE] >> 60] & 1
-        sender, sent_bit = guess, heard
-
-    frame = 0
-    if p > 0.0:
-        x, z = _noise_frames(words[:, _W_NOISE], p, config.secret_set, bob_pattern)
-        frame = code5.frame_classes(x, z, config.logical_basis)
-    bob_outcome = draws[relative_index(members[bob_pattern], sender), sent_bit, frame, words[:, _W_BOB_DECODE] >> 60]
-    lost = ~_below(words[:, _W_LOSS], config.noise.photon_survival_prob ** 5)
-    q = multiphoton_prob(config.noise.mean_photon_number)
-    pns_leak = np.zeros(count, dtype=bool)
-    if q > 0.0:
-        # The multi-photon pulses of a block, counted as a sum of uint8 columns.
-        pns_leak = sum(_below(pulse, q).view(np.uint8) for pulse in words[:, _W_PULSES].T) >= 3
-
-    syndrome, bob_bit, eve_guess, eve_bit = (
-        np.where(lost, -1, column).astype(np.int8) for column in (bob_outcome >> 1, bob_outcome & 1, guess, heard)
-    )
-    return Blocks(
-        first, alice_bit, alice_pattern, bob_pattern, lost, syndrome, bob_bit, eve_guess, eve_bit,
-        sifted=~lost & (alice_pattern == bob_pattern),
-        disclosed_for_test=np.zeros(count, dtype=bool),
-        pns_leak=pns_leak,
-    )
+    """Blocks ``first .. first + count - 1`` (none disclosed yet), batch after batch from the block stream."""
+    stream = np.random.Philox(np.random.SeedSequence(config.master_seed, spawn_key=(_DOMAIN_BLOCK,)))
+    stream.advance(first * WORDS_PER_BLOCK // 4)
+    blocks = Blocks(first, *(np.zeros(count, dtype) for dtype in _COLUMN_DTYPES))
+    p, eve = config.noise.per_qubit_flip_prob, config.eve
+    draws, guesses, heard, bob_rows, frames = _session_tables(
+        config.logical_basis, p > 0.0, config.secret_set, eve.knowledge if eve.active else None)
+    for start in range(0, count, _BATCH_BLOCKS):
+        rows = slice(start, min(start + _BATCH_BLOCKS, count))
+        words = _draw_words(stream, blocks, rows)
+        sent = _intercept(words, guesses, heard, blocks, rows)
+        frame = _noise_frame(words, frames, p)
+        _bob_draw(words, draws, bob_rows, sent, frame, blocks, rows)
+        _loss_and_leak(words, config.noise, blocks, rows)
+        del words  # before the next batch's words are drawn
+    return blocks
 
 
 def run_block(config: SessionConfig, block_id: int) -> BlockRecord:
@@ -343,14 +392,7 @@ def decide(mqer: float, threshold: float) -> str:
 
 def run_session(config: SessionConfig) -> tuple[SessionReport, Blocks]:
     """Run the whole session: blocks, sifting, estimation, decision, key."""
-    columns = [f.name for f in fields(Blocks)[1:]]
-    for first in range(0, config.num_blocks, _BATCH_BLOCKS):
-        batch = _simulate(config, first, min(_BATCH_BLOCKS, config.num_blocks - first))
-        if first == 0:
-            blocks = Blocks(0, *(np.empty(config.num_blocks, getattr(batch, c).dtype) for c in columns))
-        for c in columns:
-            getattr(blocks, c)[first:first + len(batch)] = getattr(batch, c)
-
+    blocks = _simulate(config, 0, config.num_blocks)
     kept = sift(blocks)
     rng_test = session_rng(config.master_seed, _SESSION_TEST_SUBSET)
     errors = blocks.bob_bit[kept] != blocks.alice_bit[kept]
@@ -378,6 +420,4 @@ def run_session(config: SessionConfig) -> tuple[SessionReport, Blocks]:
 
 def sample_secret_set(master_seed: int) -> PatternSet:
     """Deterministically draw a secret set from the session seed."""
-    from .patterns import sample_pattern_set
-
     return sample_pattern_set(session_rng(master_seed, _SESSION_SECRET_SET))

@@ -27,11 +27,9 @@ def session(blocks, seed, eve=EveStrategy.none(), **noise):
 
 def noise_weights(p, blocks, seed):
     """Qubits hit per block by the engine's depolarizing frames."""
-    rng = np.random.default_rng(seed)
-    words = rng.integers(0, 2**64, size=(blocks, 5), dtype=np.uint64)
-    bob_pattern = rng.integers(0, 2, size=blocks)
-    x, z = protocol._noise_frames(words, p, SECRET, bob_pattern)
-    return np.array([bin(m).count("1") for m in (x | z).tolist()])
+    words = np.random.default_rng(seed).integers(0, 2**64, size=(blocks, 5), dtype=np.uint64)
+    codes = protocol._physical_frames(words, p)[:, None] // protocol._WIRE_WEIGHTS % 4
+    return np.count_nonzero(codes, axis=1)
 
 
 class TestNoiseModel:
@@ -154,7 +152,8 @@ class TestPhotonStatistics:
                                noise=NoiseModel(mean_photon_number=1.0))
         records = as_records(run_session(config)[1])
         # u(w) = (w >> 11) * 2**-53, as the word layout defines it.
-        pulses = (protocol._block_words(12, 0, 400)[:, 12:17] >> 11) * 2.0**-53 < multiphoton_prob(1.0)
+        words = np.random.Philox(np.random.SeedSequence(12, spawn_key=(0,))).random_raw(400 * 20).reshape(400, 20)
+        pulses = (words[:, 12:17] >> 11) * 2.0**-53 < multiphoton_prob(1.0)
         counts = pulses.sum(axis=1)
         assert {0, 1, 2, 3, 4} <= set(counts.tolist())
         assert [r.pns_leak for r in records] == (counts >= 3).tolist()

@@ -282,11 +282,40 @@ class TestUnusedWork:
         assert valid_pattern_sets.cache_info().currsize == 0
 
 
+    # A seed-drawn secret set and an overlap guess are rows of the index
+    # table.  Exit code and sha256 of records.txt and report.txt, taken
+    # while both were still drawn from the set table.
+    DRAWN = {
+        "drawn-set": ("num_blocks = 3000\nmaster_seed = 99\nnoise.per_qubit_flip_prob = 0.05\n", 0, (
+            "11051e61ef1372abbf3f3f86c5bdca90096ae171caa53fdc423a1b4099cbd021",
+            "ca32081c94c881f97ef7be89266ab4131ae6586f932627b44a373b2de974b246",
+        )),
+        "drawn-set-overlap-1": (
+            "num_blocks = 3000\nmaster_seed = 100\neve.kind = intercept_resend\neve.knowledge = overlap=1\n"
+            "noise.distance_km = 3\n", 3, (
+                "f60037a9a276a9cfd6511613ce7b2aec608c20b19941e627934a063c113bbef6",
+                "fb73ff0ad7969c851808ac7d0ad0dbf5f8163436beeeff50c0c1c3d4c180f60d",
+            )),
+    }
+
+    @pytest.mark.parametrize("name", DRAWN)
+    def test_seed_drawn_sets_build_no_set_table(self, name, tmp_path, capsys):
+        text, exit_code, digests = self.DRAWN[name]
+        (tmp_path / "session.cfg").write_text(text)
+        valid_pattern_sets.cache_clear()
+        argv = ["simulate", "--config", str(tmp_path / "session.cfg"), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == exit_code
+        assert valid_pattern_sets.cache_info().currsize == 0
+        data = [(tmp_path / "run" / name).read_bytes() for name in ("records.txt", "report.txt")]
+        assert tuple(hashlib.sha256(d).hexdigest() for d in data) == digests
+
+
 class TestLazyStartup:
     # The caches of the module-level tables; each must exist, so a rename cannot drop it unseen.
     TABLES = (
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
-        "code5.pattern_codewords", "code5.decode_table", "protocol._draw_table",
+        "code5.pattern_codewords", "code5.decode_table", "protocol._draw_table", "protocol._frame_class_table",
+        "protocol._session_tables",
         "cli._record_parts", "cli._chi_tails", "cli.build_parser",
     )
 
@@ -805,6 +834,38 @@ class TestColumnarRecords:
         for rows in (1, 97, 4096):
             chunks = [cli.format_records(blocks, start, start + rows) for start in range(0, len(blocks), rows)]
             assert_same_text(b"".join(chunks).decode(), expected)
+
+    # format_records deletes NULs only from a chunk that holds one: one with
+    # a row that has no guess (no interceptor, or a lost block) or an id
+    # shorter than the chunk's widest.  Sessions shifted to start 5 rows
+    # before ids reach 10, 100, 1000 and 10 000.
+    BRANCHES = {
+        "no-nul": dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE)),
+        "some-lost": dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(distance_km=0.03)),
+        "no-interceptor": dict(),
+    }
+
+    @pytest.mark.parametrize("first", [5, 95, 995, 9995])
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_both_nul_branches_equal_the_per_record_formatter(self, branch, first):
+        session = SessionConfig(num_blocks=2100, secret_set=PatternSet.from_string("12345 13452"), master_seed=53,
+                                **self.BRANCHES[branch])
+        blocks = replace(run_session(session)[1], first=first)
+        assert 0 < np.count_nonzero(blocks.lost) < 40 if branch == "some-lost" else not blocks.lost.any()
+        expected = format_records(as_records(blocks))
+        for rows in (1, 97, 2048):
+            starts = range(0, len(blocks), rows)
+            chunks = [cli.format_records(blocks, start, start + rows) for start in starts]
+            assert_same_text(b"".join(chunks).decode(), expected)
+            # A chunk with one id width and a guess in every row holds no NUL:
+            # every line is as wide as its fields.
+            nul_free = [(start, chunk) for start, chunk in zip(starts, chunks)
+                        if len(str(first + start)) == len(str(first + min(start + rows, len(blocks)) - 1))
+                        and (blocks.eve_guess[start:start + rows] >= 0).all()]
+            assert bool(nul_free) == (branch != "no-interceptor")
+            for start, chunk in nul_free:
+                lines = chunk.splitlines(keepends=True)[1 if start == 0 else 0:]
+                assert {len(line) for line in lines} == {len(str(first + start)) + 28}
 
     def test_a_lone_block_zero(self):
         session = SessionConfig(num_blocks=1, secret_set=PatternSet.from_string("12345 13452"), master_seed=47)

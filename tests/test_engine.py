@@ -9,18 +9,22 @@ relabelling and draw rules against the physics and pins the layout itself.
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import test_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from records_oracle import as_records, format_records
 from statevector_oracle import apply_pauli_string, decode_distribution
 
 from patternqkd import analysis, cli, code5, protocol
 from patternqkd.channel import EveRecord, EveStrategy, NoiseModel
-from patternqkd.patterns import Pattern, PatternSet, all_patterns, compose, invert, relative_index
+from patternqkd.patterns import (
+    POSITIONS, Pattern, PatternSet, all_patterns, compose, invert, pattern_indices, relative_index,
+)
 from patternqkd.protocol import BlockRecord, SessionConfig, run_block, run_session
 from patternqkd.quantum_core import apply_permutation
 
@@ -279,6 +283,115 @@ class TestChunking:
         with pytest.raises(ValueError):
             run_block(replay_config(), -1)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        p=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        distance=st.sampled_from([0.0, 4.0, 40.0]),
+        mu=st.sampled_from([0.0, 0.3, 3.0]),
+        eve=st.sampled_from([
+            EveStrategy.none(), EveStrategy.intercept_resend("uniform"),
+            EveStrategy.intercept_resend(PatternSet.from_string("12345 21453")),
+        ]),
+        basis=st.sampled_from(["Z", "X"]),
+        batch=st.integers(1, 70),
+        blocks=st.integers(1, 160),
+        seed=st.integers(0, 2**64 - 1),
+        block_ids=st.lists(st.integers(0, 159), max_size=4),
+    )
+    def test_batches_and_single_blocks_equal_one_batch(self, p, distance, mu, eve, basis, batch, blocks, seed,
+                                                       block_ids):
+        config = SessionConfig(
+            num_blocks=blocks, secret_set=SECRET, master_seed=seed, eve=eve, logical_basis=basis,
+            noise=NoiseModel(per_qubit_flip_prob=p, distance_km=distance, mean_photon_number=mu),
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocol, "_BATCH_BLOCKS", blocks)
+            whole_report, whole = run_session(config)
+            patch.setattr(protocol, "_BATCH_BLOCKS", batch)
+            report, batched = run_session(config)
+        assert report == whole_report
+        for f in fields(protocol.Blocks)[1:]:
+            column = getattr(batched, f.name)
+            assert column.dtype == getattr(whole, f.name).dtype
+            np.testing.assert_array_equal(column, getattr(whole, f.name), err_msg=f.name)
+        for i in sorted({i % blocks for i in block_ids}):
+            assert run_block(config, i) == replace(whole.record(i), disclosed_for_test=False)
+
+
+def reference_noise_frames(words, p, secret_set, bob_pattern):
+    """(x, z) masks of the depolarizing errors, moved into Bob's decoder
+    frame: the engine's formula before frame classes were looked up."""
+    x = protocol._below(words, 2 * p / 3).astype(np.int64)
+    z = (protocol._below(words, p) ^ protocol._below(words, p / 3)).astype(np.int64)  # p / 3 <= u(w) < p
+    # Un-permuting with q moves physical wire j to position q^-1(j), whose
+    # mask bit is 5 - q^-1(j).
+    shifts = np.array([[5 - invert(q)(j) for j in POSITIONS] for q in secret_set.members()])
+    shifts = shifts[bob_pattern]
+    return np.sum(x << shifts, axis=1), np.sum(z << shifts, axis=1)
+
+
+def cutoff(prob):
+    """The least word w with u(w) >= prob."""
+    return math.ceil(prob * 2.0**53) << 11
+
+
+TABLE_SETS = [SECRET, PatternSet.from_string("12345 21453"), PatternSet.from_string("54321 15234")]
+TABLE_EVES = [
+    EveStrategy.none(), EveStrategy.intercept_resend("uniform"),
+    EveStrategy.intercept_resend(PatternSet.from_string("13452 41523")),
+]
+
+
+class TestSessionTables:
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("secret_set", TABLE_SETS, ids=str)
+    def test_frame_classes_equal_the_masks_of_the_reference_frames(self, basis, secret_set):
+        p = 0.3
+        # Wire words with the given codes, each at the edge of its cutoffs:
+        # X just below p/3, Y at p/3, Z at 2p/3, I at p.
+        edges = np.array([cutoff(p), cutoff(2 * p / 3), cutoff(p / 3), cutoff(p / 3) - 1], dtype=np.uint64)
+        codes = np.arange(1024)[:, None] // 4 ** np.arange(4, -1, -1) % 4
+        words = edges[codes]
+        frames = protocol._physical_frames(words, p)
+        np.testing.assert_array_equal(frames, np.arange(1024))
+        members = tuple(pattern_indices(secret_set.members()).tolist())
+        table = protocol._frame_class_table(basis, members)
+        assert table.shape == (2 * 1024,) and not table.flags.writeable
+        for d in (0, 1):
+            x, z = reference_noise_frames(words, p, secret_set, np.full(1024, d))
+            np.testing.assert_array_equal(table[d * 1024 + frames], code5.frame_classes(x, z, basis))
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    @pytest.mark.parametrize("eve", TABLE_EVES, ids=["none", "uniform", "set"])
+    def test_index_tables_equal_the_gathers_they_replace(self, eve, basis, noisy):
+        config = SessionConfig(
+            num_blocks=1, secret_set=SECRET, eve=eve, logical_basis=basis,
+            noise=NoiseModel(per_qubit_flip_prob=0.1 if noisy else 0.0),
+        )
+        draws, guesses, heard, bob_rows, frames = protocol._session_tables(basis, noisy, SECRET, eve.knowledge)
+        assert not any(t.flags.writeable for t in (draws, guesses, heard, bob_rows, frames) if t is not None)
+        table = protocol._draw_table(basis, noisy)
+        np.testing.assert_array_equal(draws, table.ravel())
+        assert (frames is None) == (not noisy)
+        members = pattern_indices(SECRET.members())
+        if eve.active:
+            choices = all_patterns() if eve.knowledge == "uniform" else eve.knowledge.members()
+            np.testing.assert_array_equal(guesses, pattern_indices(choices))
+            # Every (guess, Alice's member, bit, w >> 60) against the decode the
+            # interceptor's draw was: a relative_index and a 4-D gather.
+            g, a, b, t = (axis.ravel() for axis in np.indices((len(guesses), 2, 2, 16)))
+            expected = table[relative_index(guesses[g], members[a]), b, 0, t] & 1
+            np.testing.assert_array_equal(heard.take(g << 6 | (2 * a + b) << 4 | t), expected)
+            assert heard.nbytes <= 120 * 64
+        else:
+            assert guesses is None and heard is None
+        senders = members if guesses is None else guesses
+        s, b, d, k, t = (axis.ravel() for axis in np.indices((len(senders), 2, 2, table.shape[2], 16)))
+        expected = table[relative_index(members[d], senders[s]), b, k, t]
+        np.testing.assert_array_equal(draws.take(bob_rows.take((2 * s + b) * 2 + d) + 16 * k + t), expected)
+        assert bob_rows.nbytes <= 4 * 120 * 4
+
 
 def forbid_float_routes(monkeypatch):
     """Make code5's float statevector routes raise, and empty the caches
@@ -290,26 +403,26 @@ def forbid_float_routes(monkeypatch):
         monkeypatch.setattr(code5, name, forbidden)
     for cached in (
         code5._codewords, code5.pattern_codewords, code5._decode_basis, code5.decode_table,
-        protocol._draw_table, analysis._relative_spectra,
+        protocol._draw_table, protocol._frame_class_table, protocol._session_tables, analysis._relative_spectra,
     ):
         cached.cache_clear()
 
 
 class TestSessionPath:
-    def test_no_statevector_decode_and_no_per_block_streams(self, monkeypatch):
+    @pytest.mark.parametrize("blocks", [1, 3000, 5 * protocol._BATCH_BLOCKS + 1])
+    def test_no_statevector_decode_and_no_per_block_streams(self, monkeypatch, blocks):
         forbid_float_routes(monkeypatch)
         created = []
         real = np.random.SeedSequence
 
         def counting(*args, **kwargs):
-            created.append(args)
+            created.append(kwargs["spawn_key"])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        blocks = 3000
         run_session(replay_config(blocks=blocks))
-        # One block-stream key per batch plus the disclosed-subset stream.
-        assert len(created) == math.ceil(blocks / protocol._BATCH_BLOCKS) + 1
+        # The block stream and the disclosed-subset stream, whatever the batch count.
+        assert created == [(protocol._DOMAIN_BLOCK,), (protocol._DOMAIN_SESSION, protocol._SESSION_TEST_SUBSET, 0)]
 
     def test_chi_csv_takes_no_float_route(self, monkeypatch, tmp_path, capsys):
         forbid_float_routes(monkeypatch)

@@ -18,6 +18,7 @@ from patternqkd.patterns import (
     pattern_indices,
     relative_index,
     sample_pattern_set,
+    set_at,
     set_index_array,
     sets_sharing,
     valid_pattern_sets,
@@ -186,6 +187,7 @@ class TestPatternSet:
         members = [p for s in valid_pattern_sets() for p in s.members()]
         assert pattern_indices(members).reshape(-1, 2).tolist() == pairs.tolist()
         assert pattern_indices(all_patterns()).tolist() == list(range(120))
+        assert [set_at(k) for k in range(len(pairs))] == list(valid_pattern_sets())
 
     def test_sets_sharing_keeps_table_order(self):
         table = valid_pattern_sets()
@@ -193,14 +195,15 @@ class TestPatternSet:
             truth = set(secret.members())
             counts = [len(truth.intersection(s.members())) for s in table]
             for count in (0, 1, 2):
-                assert sets_sharing(secret, count) == tuple(s for s, c in zip(table, counts) if c == count)
+                expected = [s for s, c in zip(table, counts) if c == count]
+                assert [table[k] for k in sets_sharing(secret, count)] == expected
 
     def test_sets_sharing_partition(self):
         s = valid_pattern_sets()[17]
         both = sets_sharing(s, 2)
         one = sets_sharing(s, 1)
         none = sets_sharing(s, 0)
-        assert both == (s,)
+        assert both.tolist() == [17]
         assert len(one) == 216
         assert len(none) == 6323
         assert len(both) + len(one) + len(none) == 6540
