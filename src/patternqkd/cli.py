@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -189,7 +190,7 @@ def config_echo_items(config: SessionConfig) -> list[tuple[str, str]]:
 
 def _fmt(value: object) -> str:
     """Serialize a value, floats by repr; rejects non-finite floats outright."""
-    if isinstance(value, float) and not np.isfinite(value):
+    if isinstance(value, float) and not math.isfinite(value):
         raise ArithmeticError(f"refusing to serialize non-finite value {value!r}")
     return repr(float(value)) if isinstance(value, float) else str(value)
 
@@ -228,43 +229,48 @@ def _id_text(first: int, count: int, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _record_parts() -> tuple[np.ndarray, np.ndarray]:
-    """The text after ``block_id`` of a record line, in two parts, each a
-    NUL-padded byte string looked up by the code that ``format_records``
-    computes for it: the sender's bit, both pattern indices, the loss and
-    Bob's decode (528 of ``V15``); then the interceptor's guess and bit, and
-    the flags (964 of ``V13``).  NUL never occurs in the format."""
-    decodes = [f"{code5.syndrome_bits(s)} {c}" for s in range(code5.N_SYNDROMES) for c in "01"] + ["- -"]
-    guesses = [f"{p} {c}" for p in all_patterns() for c in "01"] + ["- -"]
-    front = [f" {a} {i} {j} {lost} {d}" for lost in "01" for a in "01" for i in "01" for j in "01" for d in decodes]
+    """The text after ``block_id`` of a record line in two NUL-padded parts, by ``_line_codes``: the sender's
+    bit, both pattern indices, the loss and Bob's decode (8 x 35 of ``V15``); the interceptor's guess and bit
+    and the flags (243 x 4 of ``V13``).  Codes 1 and 2 of a decode or guess never occur; the format has no NUL."""
+    decodes = ["1 - -", "", ""] + [f"0 {code5.syndrome_bits(s)} {c}" for s in range(code5.N_SYNDROMES) for c in "01"]
+    guesses = ["- -", "", ""] + [f"{p} {c}" for p in all_patterns() for c in "01"]
+    front = [f" {a} {i} {j} {d}" for a in "01" for i in "01" for j in "01" for d in decodes]
     return _byte_rows(front), _byte_rows([f" {g} {s} {t}\n" for g in guesses for s in "01" for t in "01"])
 
 
-def format_records(blocks: Blocks, start: int = 0, stop: Optional[int] = None) -> bytes:
-    """Lines of rows ``start .. stop - 1`` in the documented column order,
-    after the header line if ``start`` is 0.
+def _line_codes(blocks: Blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's int16 codes into the two parts of ``_record_parts``: ``(4a + 2i + j) * 35 + 2s + c + 3``
+    and ``((2g + b + 3) * 2 + sifted) * 2 + tested``; a missing value is -1, so a lost decode or a missing
+    guess has code 0.  Built in place by Horner steps (multiplier, addend): only the codes are new memory."""
+    front, back = blocks.alice_bit.astype(np.int16), blocks.eve_guess.astype(np.int16)
+    for code, multiplier, addend in (
+        (front, 2, blocks.alice_pattern_index), (front, 2, blocks.bob_pattern_index), (front, 35, blocks.syndrome),
+        (front, 1, blocks.syndrome), (front, 1, blocks.bob_bit), (front, 1, 3),
+        (back, 2, blocks.eve_bit), (back, 1, 3), (back, 2, blocks.sifted), (back, 2, blocks.disclosed_for_test),
+    ):
+        code *= multiplier
+        code += addend
+    return front, back
 
-    Each row is one record of fixed-width byte-string fields, each filled
-    by one 1-D ``take``: the block id (``_id_text``), then the two parts of
-    ``_record_parts`` looked up by code, all NUL-padded.  Only an id shorter
-    than the widest, or a row with no guess (every lost row), leaves a NUL;
-    deleting the NULs leaves the lines."""
-    front, back = _record_parts()
-    rows, i16 = slice(start, stop), np.int16  # the codes are int16: numpy scalars keep that dtype
-    lost, missing = blocks.lost[rows], blocks.eve_guess[rows] < 0
-    bits = (lost * i16(8) + blocks.alice_bit[rows] * i16(4) + blocks.alice_pattern_index[rows] * i16(2)
-            + blocks.bob_pattern_index[rows])
-    decode = np.where(lost, i16(2 * code5.N_SYNDROMES), blocks.syndrome[rows] * i16(2) + blocks.bob_bit[rows])
-    guess = np.where(missing, i16(2 * len(all_patterns())), blocks.eve_guess[rows] * i16(2) + blocks.eve_bit[rows])
-    first = blocks.first + start
-    width = len(str(first + len(lost) - 1))
-    lines = np.empty(len(lost), [("id", f"V{width}"), ("front", front.dtype), ("back", back.dtype)])
-    lines["id"] = _id_text(first, len(lost), width)
-    lines["front"] = front.take(i16(2 * code5.N_SYNDROMES + 1) * bits + decode)
-    lines["back"] = back.take(i16(4) * guess + blocks.sifted[rows] * i16(2) + blocks.disclosed_for_test[rows])
-    text = lines.tobytes()
-    if missing.any() or len(str(first)) < width:
-        text = text.translate(None, b"\0")
-    return (f"{RECORDS_HEADER}\n".encode() if start == 0 else b"") + text
+
+def format_records(blocks: Blocks) -> Iterator[bytes]:
+    """``records.txt`` in chunks: the header line, then ``RECORDS_CHUNK_ROWS`` rows at a time, each row a
+    record of fixed-width NUL-padded byte-string fields, each one 1-D ``take``: the block id (``_id_text``),
+    then the two parts of ``_record_parts`` by the codes ``_line_codes`` computes once per session.  Only an
+    id shorter than the chunk's widest, or a row with no guess (every lost row), leaves a NUL; deleting the
+    NULs leaves the lines."""
+    yield f"{RECORDS_HEADER}\n".encode()
+    (front, back), (front_codes, back_codes) = _record_parts(), _line_codes(blocks)
+    missing = blocks.eve_guess.min() < 0
+    for start in range(0, len(blocks), RECORDS_CHUNK_ROWS):
+        stop = min(start + RECORDS_CHUNK_ROWS, len(blocks))
+        first, width = blocks.first + start, len(str(blocks.first + stop - 1))
+        lines = np.empty(stop - start, [("id", f"V{width}"), ("front", front.dtype), ("back", back.dtype)])
+        lines["id"] = _id_text(first, stop - start, width)
+        lines["front"] = front.take(front_codes[start:stop])
+        lines["back"] = back.take(back_codes[start:stop])
+        text = lines.tobytes()
+        yield text.translate(None, b"\0") if missing or len(str(first)) < width else text
 
 
 def format_report(report: SessionReport) -> str:
@@ -331,9 +337,8 @@ def _write_with_manifest(
 def _prepare_out_dir(path_str: str) -> Path:
     out = Path(path_str)
     out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write-probe"
-    probe.write_text("")
-    probe.unlink()
+    if not os.access(out, os.W_OK | os.X_OK):
+        raise PermissionError(f"cannot write to {out}")
     return out
 
 
@@ -487,10 +492,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report, blocks = run_session(config)
     _write_with_manifest(out, config, {
         out / "report.txt": [format_report(report).encode()],
-        out / "records.txt": (
-            format_records(blocks, start, start + RECORDS_CHUNK_ROWS)
-            for start in range(0, len(blocks), RECORDS_CHUNK_ROWS)
-        ),
+        out / "records.txt": format_records(blocks),
     })
     print(
         f"decision={report.decision} mqer={_fmt(report.mqer_estimate)} "

@@ -14,10 +14,10 @@ built.  A decode's (syndrome, bit) outcome is fixed by the relative
 permutation between the decoder's and the sender's pattern, the bit sent,
 the class of the decoder's Pauli frame (``code5.frame_classes``) and
 ``w >> 60`` of its word w: one entry of a cached int8 table built from
-``code5.decode_table``.  A session reads its words batch after batch from
-the one block stream; each stage (words, interceptor, noise frame, Bob's
-draw, loss and leak) fills the session's columns with one or two ``take``s
-from small tables, indexed by integer codes of the words.
+``code5.decode_table``.  Per batch of words from the one block stream, the
+stages (words, interceptor, noise frame, Bob's draw, loss and leak, drawn
+only when possible) fill the session's columns by ``take``s from small
+tables; a session pass then splits Bob's outcomes, masks lost blocks, sifts.
 
 Reproducibility contract: all block randomness comes from one Philox4x64
 stream, ``numpy.random.Philox(SeedSequence(master_seed, spawn_key=(0,)))``.
@@ -291,12 +291,10 @@ def _draw_words(stream: np.random.Philox, blocks: Blocks, rows: slice) -> np.nda
 
 
 def _intercept(words: np.ndarray, guesses, heard, blocks: Blocks, rows: slice) -> np.ndarray:
-    """The interceptor's guess and bit go to their columns (-1 without
-    one); returns ``2 * sender + bit`` of what Bob receives.  A guess is
-    ``(w >> 11) * n >> 53`` over n choices, which for two is ``bit(w)``."""
+    """The interceptor's guess and bit go to their columns, if there is one; returns ``2 * sender + bit`` of
+    what Bob receives.  A guess is ``(w >> 11) * n >> 53`` over n choices, which for two is ``bit(w)``."""
     sent = words[:, _W_ALICE_PATTERN] >> 63 << 1 | words[:, _W_ALICE_BIT] >> 63
     if guesses is None:
-        blocks.eve_guess[rows] = blocks.eve_bit[rows] = -1
         return sent
     guess = (words[:, _W_EVE_GUESS] >> 11) * len(guesses) >> 53
     bit = heard.take(guess << 6 | sent << 4 | words[:, _W_EVE_DECODE] >> 60)
@@ -312,31 +310,40 @@ def _noise_frame(words: np.ndarray, frames, p: float) -> np.ndarray | int:
 
 
 def _bob_draw(words: np.ndarray, draws, bob_rows, sent, frame, blocks: Blocks, rows: slice) -> None:
-    """Bob's decode outcome ``2s + c`` goes to the syndrome and bit columns."""
+    """Bob's decode outcome ``2s + c`` goes to the syndrome column; the session pass splits it."""
     row = bob_rows.take(sent << 1 | words[:, _W_BOB_PATTERN] >> 63)
-    outcome = draws.take(row + (frame << 4 | words[:, _W_BOB_DECODE] >> 60))
-    np.right_shift(outcome, 1, out=blocks.syndrome[rows])
-    np.bitwise_and(outcome, 1, out=blocks.bob_bit[rows])
+    draws.take(row + (frame << 4 | words[:, _W_BOB_DECODE] >> 60), out=blocks.syndrome[rows])
 
 
-def _loss_and_leak(words: np.ndarray, noise: NoiseModel, blocks: Blocks, rows: slice) -> None:
-    """Loss (-1 in a lost block's measurements), sifting and the splitting-attack leak go to their columns."""
-    lost = np.logical_not(_below(words[:, _W_LOSS], noise.photon_survival_prob ** 5), out=blocks.lost[rows])
-    for column in (blocks.syndrome, blocks.bob_bit, blocks.eve_guess, blocks.eve_bit):
-        np.copyto(column[rows], -1, where=lost)
-    np.logical_and(blocks.alice_pattern_index[rows] == blocks.bob_pattern_index[rows], ~lost, out=blocks.sifted[rows])
-    q = multiphoton_prob(noise.mean_photon_number)
-    # The multi-photon pulses of a block, counted as a sum of uint8 columns.
-    multiphoton = sum(_below(pulse, q).view(np.uint8) for pulse in words[:, _W_PULSES].T) if q > 0.0 else 0
-    np.greater_equal(multiphoton, 3, out=blocks.pns_leak[rows])
+def _loss_and_leak(words: np.ndarray, survival: float, q: float, blocks: Blocks, rows: slice) -> None:
+    """Loss and the splitting-attack leak go to their columns, each drawn only if possible (survival < 1, q > 0)."""
+    if survival < 1.0:
+        np.logical_not(_below(words[:, _W_LOSS], survival), out=blocks.lost[rows])
+    if q > 0.0:  # a block's multi-photon pulses, counted as a sum of uint8 columns
+        multiphoton = sum(_below(pulse, q).view(np.uint8) for pulse in words[:, _W_PULSES].T)
+        np.greater_equal(multiphoton, 3, out=blocks.pns_leak[rows])
+
+
+def _session_pass(blocks: Blocks, intercepted: bool, lossy: bool) -> None:
+    """In place over whole columns: split Bob's outcomes ``2s + c``, -1 where a value does not exist, sift."""
+    np.bitwise_and(blocks.syndrome, 1, out=blocks.bob_bit)
+    np.right_shift(blocks.syndrome, 1, out=blocks.syndrome)
+    if not intercepted:
+        blocks.eve_guess[:] = blocks.eve_bit[:] = -1
+    np.equal(blocks.alice_pattern_index, blocks.bob_pattern_index, out=blocks.sifted)
+    if lossy:
+        for column in (blocks.syndrome, blocks.bob_bit, blocks.eve_guess, blocks.eve_bit):
+            np.copyto(column, -1, where=blocks.lost)
+        np.greater(blocks.sifted, blocks.lost, out=blocks.sifted)  # sifted and not lost
 
 
 def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
-    """Blocks ``first .. first + count - 1`` (none disclosed yet), batch after batch from the block stream."""
+    """Blocks ``first .. first + count - 1`` (none disclosed yet): the stages batch by batch, then the session pass."""
     stream = np.random.Philox(np.random.SeedSequence(config.master_seed, spawn_key=(_DOMAIN_BLOCK,)))
     stream.advance(first * WORDS_PER_BLOCK // 4)
     blocks = Blocks(first, *(np.zeros(count, dtype) for dtype in _COLUMN_DTYPES))
     p, eve = config.noise.per_qubit_flip_prob, config.eve
+    survival, q = config.noise.photon_survival_prob ** 5, multiphoton_prob(config.noise.mean_photon_number)
     draws, guesses, heard, bob_rows, frames = _session_tables(
         config.logical_basis, p > 0.0, config.secret_set, eve.knowledge if eve.active else None)
     for start in range(0, count, _BATCH_BLOCKS):
@@ -345,8 +352,9 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
         sent = _intercept(words, guesses, heard, blocks, rows)
         frame = _noise_frame(words, frames, p)
         _bob_draw(words, draws, bob_rows, sent, frame, blocks, rows)
-        _loss_and_leak(words, config.noise, blocks, rows)
+        _loss_and_leak(words, survival, q, blocks, rows)
         del words  # before the next batch's words are drawn
+    _session_pass(blocks, guesses is not None, survival < 1.0)
     return blocks
 
 

@@ -503,6 +503,10 @@ class TestParser:
         assert calls == [3]
 
 
+def forbidden_session(config):
+    raise AssertionError("the session ran")
+
+
 class TestSimulate:
     def test_honest_run_exits_zero(self, tmp_path, capsys):
         cfg = tmp_path / "session.cfg"
@@ -594,6 +598,34 @@ class TestSimulate:
             assert cols[4] in ("0", "1")  # lost flag
             assert len(cols[5]) == 4 or cols[5] == "-"  # syndrome
             assert len(cols[7]) == 5  # eve guess pattern (eve always acts here)
+
+    def test_out_under_a_regular_file_exits_two_before_the_session(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(blocker / "run")])
+        assert code == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "session.cfg"]
+        assert blocker.read_text() == ""
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write into any directory")
+    def test_unwritable_out_exits_two_before_the_session(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG)
+        out = tmp_path / "run"
+        out.mkdir()
+        out.chmod(0o555)
+        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        try:
+            code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+        finally:
+            out.chmod(0o755)
+        assert code == cli.EXIT_USAGE
+        assert "cannot write" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_negative_seed_without_secret_set_exits_two(self, tmp_path, capsys):
         # The secret set is drawn from the seed, so the seed is checked first.
@@ -799,6 +831,17 @@ def assert_same_text(actual: str, expected: str) -> None:
     pytest.fail(f"texts differ first at line {line}: {got[line:line + 1]!r} != {want[line:line + 1]!r}")
 
 
+def record_chunks(blocks, rows=cli.RECORDS_CHUNK_ROWS) -> list[bytes]:
+    """The chunks that ``cli.format_records(blocks)`` yields with ``rows`` rows per chunk."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "RECORDS_CHUNK_ROWS", rows)
+        return list(cli.format_records(blocks))
+
+
+def records_text(blocks, rows=cli.RECORDS_CHUNK_ROWS) -> str:
+    return b"".join(record_chunks(blocks, rows)).decode()
+
+
 class TestColumnarRecords:
     # The columnar formatter against the per-record reference it replaced.
     @pytest.mark.parametrize("config", [
@@ -813,9 +856,8 @@ class TestColumnarRecords:
         session = SessionConfig(num_blocks=700, secret_set=PatternSet.from_string("12345 13452"), master_seed=41, **config)
         _, blocks = run_session(session)
         expected = format_records(as_records(blocks))
-        assert_same_text(cli.format_records(blocks).decode(), expected)
-        chunks = [cli.format_records(blocks, start, start + 97) for start in range(0, len(blocks), 97)]
-        assert_same_text(b"".join(chunks).decode(), expected)
+        assert_same_text(records_text(blocks), expected)
+        assert_same_text(records_text(blocks, 97), expected)
 
     # Sessions shifted to start 5 rows before an id gains a digit, so that
     # one chunk of each bound but 1 crosses 10, 100, ..., 100000, and
@@ -830,15 +872,14 @@ class TestColumnarRecords:
         blocks = replace(run_session(session)[1], first=first)
         assert blocks.lost.all() or (blocks.eve_guess >= 0).all()
         expected = format_records(as_records(blocks))
-        assert_same_text(cli.format_records(blocks).decode(), expected)
+        assert_same_text(records_text(blocks), expected)
         for rows in (1, 97, 4096):
-            chunks = [cli.format_records(blocks, start, start + rows) for start in range(0, len(blocks), rows)]
-            assert_same_text(b"".join(chunks).decode(), expected)
+            assert_same_text(records_text(blocks, rows), expected)
 
-    # format_records deletes NULs only from a chunk that holds one: one with
-    # a row that has no guess (no interceptor, or a lost block) or an id
-    # shorter than the chunk's widest.  Sessions shifted to start 5 rows
-    # before ids reach 10, 100, 1000 and 10 000.
+    # format_records deletes NULs only where one may be: in every chunk of a
+    # session with a row that has no guess (no interceptor, or a lost block),
+    # and in a chunk with an id shorter than its widest.  Sessions shifted to
+    # start 5 rows before ids reach 10, 100, 1000 and 10 000.
     BRANCHES = {
         "no-nul": dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE)),
         "some-lost": dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(distance_km=0.03)),
@@ -855,8 +896,9 @@ class TestColumnarRecords:
         expected = format_records(as_records(blocks))
         for rows in (1, 97, 2048):
             starts = range(0, len(blocks), rows)
-            chunks = [cli.format_records(blocks, start, start + rows) for start in starts]
-            assert_same_text(b"".join(chunks).decode(), expected)
+            header, *chunks = record_chunks(blocks, rows)
+            assert header == f"{cli.RECORDS_HEADER}\n".encode() and len(chunks) == len(starts)
+            assert_same_text((header + b"".join(chunks)).decode(), expected)
             # A chunk with one id width and a guess in every row holds no NUL:
             # every line is as wide as its fields.
             nul_free = [(start, chunk) for start, chunk in zip(starts, chunks)
@@ -864,13 +906,13 @@ class TestColumnarRecords:
                         and (blocks.eve_guess[start:start + rows] >= 0).all()]
             assert bool(nul_free) == (branch != "no-interceptor")
             for start, chunk in nul_free:
-                lines = chunk.splitlines(keepends=True)[1 if start == 0 else 0:]
+                lines = chunk.splitlines(keepends=True)
                 assert {len(line) for line in lines} == {len(str(first + start)) + 28}
 
     def test_a_lone_block_zero(self):
         session = SessionConfig(num_blocks=1, secret_set=PatternSet.from_string("12345 13452"), master_seed=47)
         blocks = run_session(session)[1]
-        assert cli.format_records(blocks).decode() == format_records(as_records(blocks))
+        assert records_text(blocks) == format_records(as_records(blocks))
 
     def test_id_text_right_aligns_with_nul(self):
         rng = np.random.default_rng(19)
@@ -902,10 +944,11 @@ class TestOutputFiles:
         cfg.write_text(EVE_CFG)
         real = cli.format_records
 
-        def failing(blocks, start=0, stop=None):
-            if start > 0:
-                raise OSError("disk full")
-            return real(blocks, start, stop)
+        def failing(blocks):
+            chunks = real(blocks)
+            yield next(chunks)  # the header
+            yield next(chunks)  # the first 100 rows
+            raise OSError("disk full")
 
         monkeypatch.setattr(cli, "RECORDS_CHUNK_ROWS", 100)
         monkeypatch.setattr(cli, "format_records", failing)

@@ -9,6 +9,7 @@ relabelling and draw rules against the physics and pins the layout itself.
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -228,12 +229,13 @@ def replay_session(config: SessionConfig) -> list[BlockRecord]:
     return records
 
 
-def replay_config(basis="Z", eve=EveStrategy.intercept_resend("uniform"), mu=0.2, blocks=300, seed=2024):
+def replay_config(basis="Z", eve=EveStrategy.intercept_resend("uniform"), mu=0.2, blocks=300, seed=2024,
+                  distance=1.576):
     return SessionConfig(
         num_blocks=blocks,
         secret_set=SECRET,
         master_seed=seed,
-        noise=NoiseModel(per_qubit_flip_prob=0.1, distance_km=1.576, loss_db_per_km=0.2, mean_photon_number=mu),
+        noise=NoiseModel(per_qubit_flip_prob=0.1, distance_km=distance, loss_db_per_km=0.2, mean_photon_number=mu),
         eve=eve,
         logical_basis=basis,
     )
@@ -271,9 +273,16 @@ class TestChunking:
         for i, record in enumerate(records):
             assert run_block(config, i) == replace(record, disclosed_for_test=False)
 
-    def test_batch_size_does_not_change_records(self, monkeypatch):
-        config = replay_config(blocks=100, seed=32)
+    @pytest.mark.parametrize("config, every_branch", [
+        (replay_config(blocks=100, seed=32), False),
+        (replay_config(mu=1.5, blocks=200, seed=32), True),
+        (SessionConfig(num_blocks=100, secret_set=SECRET, master_seed=32), False),
+    ], ids=["replay", "lossy-noisy-leaky-intercepted", "ideal-honest"])
+    def test_batch_size_does_not_change_records(self, monkeypatch, config, every_branch):
         report, blocks = run_session(config)
+        if every_branch:  # losses, leaks, noise and an interceptor, in the stages and the session pass
+            assert blocks.lost.any() and blocks.pns_leak.any() and (blocks.eve_guess >= 0).any()
+            assert config.noise.per_qubit_flip_prob > 0.0
         monkeypatch.setattr(protocol, "_BATCH_BLOCKS", 7)
         batched_report, batched_blocks = run_session(config)
         assert batched_report == report
@@ -316,6 +325,52 @@ class TestChunking:
             np.testing.assert_array_equal(column, getattr(whole, f.name), err_msg=f.name)
         for i in sorted({i % blocks for i in block_ids}):
             assert run_block(config, i) == replace(whole.record(i), disclosed_for_test=False)
+
+
+class TestSessionGranularWork:
+    # Loss and leak words are compared only when the config makes a loss or
+    # a leak possible.  Noiseless, so only those draws call _below.
+    @pytest.mark.parametrize("distance, mu", [(0.0, 0.0), (3.0, 0.0), (0.0, 1.0), (3.0, 1.0)])
+    def test_no_loss_or_pulse_word_compared_when_the_config_rules_it_out(self, monkeypatch, distance, mu):
+        noise = NoiseModel(distance_km=distance, mean_photon_number=mu)
+        config = SessionConfig(num_blocks=3000, secret_set=SECRET, master_seed=8, noise=noise,
+                               eve=EveStrategy.intercept_resend("uniform"))
+        survival, q = noise.photon_survival_prob ** 5, analysis.multiphoton_prob(mu)
+        compared = Counter()
+        real = protocol._below
+
+        def counting(words, prob):
+            compared[prob] += 1
+            return real(words, prob)
+
+        monkeypatch.setattr(protocol, "_below", counting)
+        _, blocks = run_session(config)
+        batches = math.ceil(config.num_blocks / protocol._BATCH_BLOCKS)
+        assert compared == Counter({survival: batches} if distance else {}) + Counter({q: 5 * batches} if mu else {})
+        assert blocks.lost.any() == (distance > 0) and blocks.pns_leak.any() == (mu > 0)
+
+    # At the edges of the skipped draws the engine still equals the replay.
+    @pytest.mark.parametrize("distance, mu", [(1e-12, 0.2), (1.576, 1e-6)], ids=["survival-just-below-1", "tiny-mu"])
+    def test_boundary_sessions_equal_the_replay(self, distance, mu):
+        config = replay_config(mu=mu, distance=distance)
+        assert 0.0 < 1.0 - config.noise.photon_survival_prob ** 5 and 0.0 < analysis.multiphoton_prob(mu)
+        assert as_records(run_session(config)[1]) == replay_session(config)
+
+    def test_line_codes_are_computed_once_per_session(self, monkeypatch):
+        blocks = run_session(replay_config(blocks=3000, seed=33))[1]
+        expected = format_records(as_records(blocks))
+        calls = []
+        real = cli._line_codes
+
+        def counting(blocks):
+            calls.append(1)
+            return real(blocks)
+
+        monkeypatch.setattr(cli, "_line_codes", counting)
+        for rows in (1, 97, 2048, 4096):
+            calls.clear()
+            test_cli.assert_same_text(test_cli.records_text(blocks, rows), expected)
+            assert calls == [1]
 
 
 def reference_noise_frames(words, p, secret_set, bob_pattern):
