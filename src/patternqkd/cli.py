@@ -57,9 +57,8 @@ _SESSION_EVE_GUESS = 2
 RECORDS_HEADER = (
     "# block_id alice_bit a_idx b_idx lost syndrome bob_bit eve_guess eve_bit sifted tested"
 )
-# Rows of records.txt (or of the chi CSV) formatted, hashed and written at
-# a time.  It bounds the formatter's working memory, about 115 B per
-# record row and 150 B per chi row.
+# Rows of records.txt formatted, hashed and written at a time.  It bounds
+# the formatter's working memory, about 115 B per row.
 RECORDS_CHUNK_ROWS = 2048
 
 
@@ -360,16 +359,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
-    pairs = set_index_array()
-    if not 0 <= set_id < len(pairs):
-        raise ConfigError(f"unknown set id {set_id} (valid: 0..{len(pairs) - 1})")
-    chosen = set_at(set_id)
-
-    dist = analysis.guess_outcome_distribution()
-    report = analysis.holevo_bit_conditioned_gram(chosen)
-    overlap = abs(analysis.pattern_state_overlap(chosen))
-    total = len(pairs)
+@lru_cache(maxsize=1)
+def _analyze_head() -> tuple[str, ...]:
+    """The report lines that depend on no argument, built once per process: the totals, the guess
+    fractions and, per number of patterns guessed, the success, its entropy and the mutual information."""
+    total, dist = len(set_index_array()), analysis.guess_outcome_distribution()
     lines = [
         f"patterns_total = {len(all_patterns())}",
         f"pattern_sets_total = {total}",
@@ -387,7 +381,19 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
         lines.append(
             f"mutual_info_{label} = {analysis.intercept_resend_mutual_info(success):.4f}"
         )
-    lines += [
+    return tuple(lines)
+
+
+def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
+    total = len(set_index_array())
+    if not 0 <= set_id < total:
+        raise ConfigError(f"unknown set id {set_id} (valid: 0..{total - 1})")
+    chosen = set_at(set_id)
+
+    report = analysis.holevo_bit_conditioned_gram(chosen)
+    overlap = abs(analysis.pattern_state_overlap(chosen))
+    lines = [
+        *_analyze_head(),
         f"set_id = {set_id}",
         f"set_patterns = {chosen}",
         f"pattern_state_overlap = {overlap:.6f}",
@@ -406,38 +412,25 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
 
 
 @lru_cache(maxsize=1)
-def _chi_tails() -> tuple[np.ndarray, np.ndarray]:
-    """The chi CSV's row tail of each relative permutation, and each valid
-    set's relative permutation; built once per process, read-only.  A row's
-    values depend only on the set's relative permutation, and the 120
-    permutations share a few distinct value triples, so each distinct triple
-    is formatted once, and each permutation's row tail is a ``V37`` (each
-    value lies in [0, 1] and prints as 11 characters)."""
+def _chi_csv() -> bytes:
+    """The chi CSV over all valid sets, header first, as one buffer built once per process.  A row's values
+    depend only on the set's relative permutation, so each distinct value triple is formatted once.  Each row
+    is a record of the id (``_id_text`` at the widest width) and its permutation's tail, NUL-padded and written
+    in place after the header; deleting the NULs leaves the lines.  The build holds at most one more buffer."""
     columns, relative = analysis.chi_by_relative()
     triples = columns.view("V24")[:, 0].tolist()  # each row's three float64s as bytes
     text = {triple: ",{:.9f},{:.9f},{:.9f}\n".format(*np.frombuffer(triple)) for triple in set(triples)}
-    if len({len(tail) for tail in text.values()}) != 1:
-        raise ValueError(f"chi CSV row tails differ in width: {sorted(text.values())}")
-    relative.setflags(write=False)  # the tails, a view of bytes, are read-only already
-    return _byte_rows([text[triple] for triple in triples]), relative
-
-
-def _chi_csv_chunks() -> Iterator[bytes]:
-    """The chi CSV over all valid sets, header first, in chunks of rows
-    split where the id gains a digit, so that no NUL is left: records of
-    two fields, the id (``_id_text``) and the set's tail (``_chi_tails``)."""
-    yield b"set_id,chi_physical_bits,overlap_00,overlap_01\n"
-    tails, relative = _chi_tails()
-    total = len(relative)
-    for start in range(0, total, RECORDS_CHUNK_ROWS):
-        stop = min(start + RECORDS_CHUNK_ROWS, total)
-        cuts = [10 ** width for width in range(1, len(str(total))) if start < 10 ** width < stop]
-        for first, end in zip([start] + cuts, cuts + [stop]):
-            width = len(str(end - 1))
-            rows = np.empty(end - first, [("id", f"V{width}"), ("tail", tails.dtype)])
-            rows["id"] = _id_text(first, end - first, width)
-            rows["tail"] = tails.take(relative[first:end])
-            yield rows.tobytes()
+    tails, width = _byte_rows([text[triple] for triple in triples]), len(str(len(relative) - 1))
+    header = b"set_id,chi_physical_bits,overlap_00,overlap_01\n"
+    dtype = np.dtype([("id", f"V{width}"), ("tail", tails.dtype)])
+    csv = bytearray(len(header) + len(relative) * dtype.itemsize)
+    csv[:len(header)] = header
+    rows = np.frombuffer(csv, dtype, offset=len(header))
+    rows["id"] = _id_text(0, len(relative), width)
+    rows["tail"] = tails.take(relative)
+    del rows  # the view holds csv; once it is gone, each step below frees its input
+    csv = csv.translate(None, b"\0")
+    return bytes(csv)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -458,9 +451,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = "\n".join(lines) + "\n"
-    outputs = {args.out: [text.encode()], args.chi_csv: _chi_csv_chunks()}
+    outputs = {args.out: text.encode, args.chi_csv: _chi_csv}
     try:
-        _write_outputs({Path(path): chunks for path, chunks in outputs.items() if path})
+        _write_outputs({Path(path): [data()] for path, data in outputs.items() if path})
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -316,7 +316,7 @@ class TestLazyStartup:
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
         "code5.pattern_codewords", "code5.decode_table", "protocol._draw_table", "protocol._frame_class_table",
         "protocol._session_tables",
-        "cli._record_parts", "cli._chi_tails", "cli.build_parser",
+        "cli._record_parts", "cli._analyze_head", "cli._chi_csv", "cli.build_parser",
     )
 
     def test_import_fills_no_table_cache(self):
@@ -408,15 +408,40 @@ class TestAnalyze:
         assert cli.main(["analyze", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == self.CHI_CSV_SHA256
 
-    # 7 and 999 split chunks at the id-width boundaries (10, 100, 1000);
-    # 10 ends chunks exactly on them; 10000 writes every row in one chunk.
-    @pytest.mark.parametrize("chunk_rows", [7, 10, 999, 10000])
-    def test_chi_csv_spans_several_chunks(self, tmp_path, monkeypatch, capsys, chunk_rows):
-        monkeypatch.setattr(cli, "RECORDS_CHUNK_ROWS", chunk_rows)
-        csv_path = tmp_path / "chi.csv"
-        assert cli.main(["analyze", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
-        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == self.CHI_CSV_SHA256
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["chi.csv"]
+    # The CSV is built once per process, by whichever call comes first; no
+    # argument of that call may leak into the cached bytes.
+    @pytest.mark.parametrize("first", [
+        [], ["--set-id", "6539"], ["--mu", "0.3,2"], ["--out", "report.txt"],
+    ], ids=["defaults", "set-id", "mu", "out"])
+    def test_chi_csv_does_not_depend_on_the_first_call(self, tmp_path, monkeypatch, capsys, first):
+        monkeypatch.chdir(tmp_path)
+        cli._chi_csv.cache_clear()
+        assert cli.main(["analyze", *first, "--chi-csv", "first.csv"]) == cli.EXIT_OK
+        assert cli.main(["analyze", "--set-id", "17", "--chi-csv", "second.csv"]) == cli.EXIT_OK
+        for name in ("first.csv", "second.csv"):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == self.CHI_CSV_SHA256
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".partial")]
+
+    def test_second_chi_csv_builds_nothing(self, tmp_path, monkeypatch, capsys):
+        assert cli.main(["analyze", "--chi-csv", str(tmp_path / "first.csv")]) == cli.EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli.analysis, "chi_by_relative", lambda sets=None: calls.append(sets))
+        csv_path = tmp_path / "second.csv"
+        assert cli.main(["analyze", "--set-id", "4", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
+        assert calls == []
+        assert type(cli._chi_csv()) is bytes
+        assert csv_path.read_bytes() == cli._chi_csv() == (tmp_path / "first.csv").read_bytes()
+
+    def test_second_analyze_does_not_recompute_the_head(self, monkeypatch, capsys):
+        assert cli.main(["analyze"]) == cli.EXIT_OK
+        calls = []
+        real = cli.analysis.intercept_resend_mutual_info
+        monkeypatch.setattr(cli.analysis, "intercept_resend_mutual_info", lambda p: calls.append(p) or real(p))
+        capsys.readouterr()
+        assert cli.main(["analyze", "--set-id", "1234"]) == cli.EXIT_OK
+        assert calls == []
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.STDOUT_SHA256[1234]
 
     # Digests of the stdout of `analyze --set-id N` as printed by the
     # per-set statevector route.  Sets 4 and 16 carry the other two
@@ -443,7 +468,7 @@ class TestAnalyze:
             raise RuntimeError("sweep failed")
 
         monkeypatch.setattr(cli.analysis, "chi_by_relative", broken)
-        cli._chi_tails.cache_clear()  # a tail table cached by an earlier call would never call the sweep
+        cli._chi_csv.cache_clear()  # a CSV cached by an earlier call would never call the sweep
         csv_path, out_path = tmp_path / "chi.csv", tmp_path / "report.txt"
         code = cli.main(["analyze", "--chi-csv", str(csv_path), "--out", str(out_path)])
         assert code == cli.EXIT_FAULT
@@ -623,6 +648,20 @@ class TestSimulate:
             code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         finally:
             out.chmod(0o755)
+        assert code == cli.EXIT_USAGE
+        assert "cannot write" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_denied_out_exits_two_before_the_session(self, tmp_path, monkeypatch, capsys):
+        # The twin of the chmod test above that also runs as root: the access check itself denies.
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG)
+        out = tmp_path / "run"
+        out.mkdir()
+        access = os.access
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != out and access(path, mode))
+        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == cli.EXIT_USAGE
         assert "cannot write" in capsys.readouterr().err
         assert list(out.iterdir()) == []
