@@ -1,14 +1,12 @@
 """Pattern-based QKD over the five-qubit perfect code: simulation and analysis."""
 
-from .channel import EveRecord, EveStrategy, NoiseModel
+from .channel import EveStrategy, NoiseModel
 from .patterns import Pattern, PatternSet
-from .protocol import BlockRecord, SessionConfig, SessionReport, run_session
+from .protocol import SessionConfig, SessionReport, run_session
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
-    "BlockRecord",
-    "EveRecord",
     "EveStrategy",
     "NoiseModel",
     "Pattern",

@@ -26,7 +26,7 @@ from typing import Union
 
 import numpy as np
 
-from .patterns import Pattern, PatternSet, set_at, sets_sharing
+from .patterns import PatternSet, set_at, sets_sharing
 
 UNIFORM_KNOWLEDGE = "uniform"
 EVE_KINDS = ("none", "intercept_resend")
@@ -87,7 +87,7 @@ class EveStrategy:
 
     def __post_init__(self) -> None:
         if self.kind not in EVE_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise ValueError(f"expected one of {' | '.join(EVE_KINDS)}, got {self.kind!r}")
         if self.kind == "intercept_resend":
             if self.knowledge != UNIFORM_KNOWLEDGE and not isinstance(self.knowledge, PatternSet):
                 raise ValueError("intercept_resend needs a PatternSet or 'uniform' knowledge")
@@ -103,14 +103,6 @@ class EveStrategy:
     @property
     def active(self) -> bool:
         return self.kind != "none"
-
-
-@dataclass(frozen=True)
-class EveRecord:
-    """Outcome of one interception: the guess, the measured bit."""
-
-    guessed_pattern: Pattern
-    eve_bit: int
 
 
 def guessed_set_with_overlap(

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__, analysis, code5
 from .channel import (
-    EVE_KINDS,
     UNIFORM_KNOWLEDGE,
     EveStrategy,
     NoiseModel,
@@ -62,12 +61,6 @@ RECORDS_HEADER = (
 RECORDS_CHUNK_ROWS = 2048
 
 
-def _eve_kind(text: str) -> str:
-    if text not in EVE_KINDS:
-        raise ValueError(f"expected one of {' | '.join(EVE_KINDS)}, got {text!r}")
-    return text
-
-
 # The session-config schema, one row per key: key -> (parser, override
 # flag).  A key is also the dotted attribute path of its value in
 # SessionConfig.  Rows drive parsing, the command-line overrides and the
@@ -84,7 +77,7 @@ FIELDS: dict[str, tuple[Callable[[str], object], Optional[str]]] = {
     "noise.distance_km": (float, None),
     "noise.loss_db_per_km": (float, None),
     "noise.mean_photon_number": (float, None),
-    "eve.kind": (_eve_kind, None),
+    "eve.kind": (str, None),
     "eve.knowledge": (str, None),
 }
 DEFAULT_NUM_BLOCKS = 1000
@@ -155,8 +148,8 @@ def build_session_config(
     except ValueError as exc:
         raise ConfigError(f"field 'noise': {exc}") from exc
 
-    eve = EveStrategy.none()
-    if typed.get("eve.kind") == "intercept_resend":
+    kind, knowledge = typed.get("eve.kind", EveStrategy.kind), None
+    if kind == "intercept_resend":
         knowledge = typed.get("eve.knowledge", UNIFORM_KNOWLEDGE)
         try:
             if knowledge.startswith("overlap="):
@@ -168,7 +161,10 @@ def build_session_config(
                 knowledge = PatternSet.from_string(knowledge)
         except ValueError as exc:
             raise ConfigError(f"field 'eve.knowledge': {exc}") from exc
-        eve = EveStrategy.intercept_resend(knowledge)
+    try:
+        eve = EveStrategy(kind, knowledge)
+    except ValueError as exc:
+        raise ConfigError(f"field 'eve.kind': {exc}") from exc
 
     try:
         return SessionConfig(
@@ -183,12 +179,13 @@ def build_session_config(
 def config_echo_items(config: SessionConfig) -> list[tuple[str, str]]:
     """The resolved configuration as flat key/value pairs, one per table
     row; the knowledge of an absent interceptor is echoed as '-'."""
-    values = [reduce(getattr, key.split("."), config) for key in FIELDS]
-    return [(key, "-" if value is None else _fmt(value)) for key, value in zip(FIELDS, values)]
+    return [(key, _fmt(reduce(getattr, key.split("."), config))) for key in FIELDS]
 
 
 def _fmt(value: object) -> str:
-    """Serialize a value, floats by repr; rejects non-finite floats outright."""
+    """Serialize a value, floats by repr and None as '-'; rejects non-finite floats outright."""
+    if value is None:
+        return "-"
     if isinstance(value, float) and not math.isfinite(value):
         raise ArithmeticError(f"refusing to serialize non-finite value {value!r}")
     return repr(float(value)) if isinstance(value, float) else str(value)
@@ -274,7 +271,6 @@ def format_records(blocks: Blocks) -> Iterator[bytes]:
 
 def format_report(report: SessionReport) -> str:
     """Session report as a flat key-value document."""
-    success = "-" if report.eve_success_rate is None else _fmt(report.eve_success_rate)
     items = [
         ("blocks_sent", str(report.blocks_sent)),
         ("blocks_lost", str(report.blocks_lost)),
@@ -284,7 +280,7 @@ def format_report(report: SessionReport) -> str:
         ("mqer_warning", "true" if report.mqer_warning else "false"),
         ("decision", report.decision),
         ("sift_rate", _fmt(report.sift_rate)),
-        ("eve_success_rate", success),
+        ("eve_success_rate", _fmt(report.eve_success_rate)),
         ("pns_leak_blocks", str(report.pns_leak_blocks)),
         ("raw_key_length", str(len(report.raw_key))),
         ("raw_key", bytes(report.raw_key).translate(bytes.maketrans(b"\0\1", b"01")).decode() or "-"),
@@ -318,19 +314,24 @@ def _hashed(chunks: Iterable[bytes], digest: "hashlib._Hash") -> Iterator[bytes]
 def _write_with_manifest(
     out: Path, config: SessionConfig, files: dict[Path, Iterable[bytes]], extra: Optional[list[tuple[str, str]]] = None
 ) -> None:
-    """Write the data files, hashed as they stream, then ``out/manifest.txt`` naming them."""
+    """Write the data files, hashed as they stream, and last ``out/manifest.txt`` naming them, in one
+    ``_write_outputs``: no file is moved into place before the manifest is complete."""
     digests = {path: hashlib.sha256() for path in files}
-    _write_outputs({path: _hashed(chunks, digests[path]) for path, chunks in files.items()})
-    lines = [
-        "tool_name = patternqkd",
-        f"tool_version = {__version__}",
-        f"created_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
-    ]
-    lines += [f"config.{k} = {v}" for k, v in config_echo_items(config)]
-    lines += [f"output.{path.stem} = {path}" for path in digests]
-    lines += [f"digest.{path.stem} = sha256:{digest.hexdigest()}" for path, digest in digests.items()]
-    lines += [f"{key} = {value}" for key, value in extra or []]
-    _write_outputs({out / "manifest.txt": ["\n".join(lines).encode() + b"\n"]})
+
+    def manifest() -> Iterator[bytes]:  # written after every data chunk has been hashed
+        lines = [
+            "tool_name = patternqkd",
+            f"tool_version = {__version__}",
+            f"created_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}",
+        ]
+        lines += [f"config.{k} = {v}" for k, v in config_echo_items(config)]
+        lines += [f"output.{path.stem} = {path}" for path in digests]
+        lines += [f"digest.{path.stem} = sha256:{digest.hexdigest()}" for path, digest in digests.items()]
+        lines += [f"{key} = {value}" for key, value in extra or []]
+        yield "\n".join(lines).encode() + b"\n"
+
+    hashed = {path: _hashed(chunks, digests[path]) for path, chunks in files.items()}
+    _write_outputs({**hashed, out / "manifest.txt": manifest()})
 
 
 def _prepare_out_dir(path_str: str) -> Path:
@@ -532,14 +533,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sub_seed = _sub_seed(base.master_seed, index)
         try:
             report, _ = run_session(_sweep_config(base, args.axis, value, sub_seed))
-        except (ConfigError, Exception) as exc:  # noqa: BLE001 - flagged in manifest
+        except Exception as exc:  # noqa: BLE001 - flagged in manifest
             fault = f"run {index} (value {value}): {exc}"
             break
         seeds.append((f"sweep.seed.{index}", str(sub_seed)))
-        success = "-" if report.eve_success_rate is None else _fmt(report.eve_success_rate)
         rows.append(
             f"{_fmt(value)},{_fmt(report.sift_rate)},{_fmt(report.mqer_estimate)},"
-            f"{report.decision},{success}"
+            f"{report.decision},{_fmt(report.eve_success_rate)}"
         )
     extra = [("sweep.axis", args.axis), ("sweep.partial", "true" if fault else "false")]
     if fault:

@@ -53,7 +53,7 @@ runs with the same config are therefore bitwise identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from . import code5
 from .analysis import multiphoton_prob
-from .channel import EveRecord, EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
+from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
 from .patterns import POSITIONS, PatternSet, all_patterns, invert, pattern_indices, relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
@@ -133,23 +133,6 @@ class SessionConfig:
         check_master_seed(self.master_seed)
 
 
-@dataclass(slots=True)
-class BlockRecord:
-    """Everything that happened to one transmitted block."""
-
-    block_id: int
-    alice_bit: int
-    alice_pattern_index: int
-    bob_pattern_index: int
-    lost: bool
-    syndrome: Optional[int]
-    bob_bit: Optional[int]
-    eve: Optional[EveRecord]
-    sifted: bool
-    disclosed_for_test: bool = False
-    pns_leak: bool = False
-
-
 @dataclass(eq=False)
 class Blocks:
     """Consecutive blocks as equal-length columns; row i is block ``first + i``.
@@ -175,15 +158,6 @@ class Blocks:
 
     def __len__(self) -> int:
         return len(self.lost)
-
-    def record(self, i: int) -> BlockRecord:
-        """Row ``i`` as a BlockRecord."""
-        row = {f.name: getattr(self, f.name)[i].item() for f in fields(self)[1:]}
-        guess, eve_bit = row.pop("eve_guess"), row.pop("eve_bit")
-        if row["lost"]:
-            row["syndrome"] = row["bob_bit"] = None
-        eve = None if guess < 0 else EveRecord(all_patterns()[guess], eve_bit)
-        return BlockRecord(block_id=self.first + i, eve=eve, **row)
 
 
 # The dtypes of the Blocks columns, in field order.
@@ -356,13 +330,6 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
         del words  # before the next batch's words are drawn
     _session_pass(blocks, guesses is not None, survival < 1.0)
     return blocks
-
-
-def run_block(config: SessionConfig, block_id: int) -> BlockRecord:
-    """Simulate one block: the record ``run_session`` gives it, before disclosure."""
-    if block_id < 0:
-        raise ValueError(f"block_id must be >= 0, got {block_id}")
-    return _simulate(config, block_id, 1).record(0)
 
 
 def sift(blocks: Blocks) -> np.ndarray:

@@ -487,6 +487,11 @@ class TestAnalyze:
 
 
 class TestParser:
+    def test_version_agrees_with_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        assert tomllib.loads(pyproject.read_text())["project"]["version"] == patternqkd.__version__
+
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
@@ -994,6 +999,22 @@ class TestOutputFiles:
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
         assert "disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep", "--axis", "per_qubit_flip_prob", "--values", "0,0.1"],
+    ], ids=["simulate", "sweep"])
+    def test_manifest_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys, command):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(EVE_CFG)
+
+        def failing(config):
+            raise OSError("manifest lost")
+
+        monkeypatch.setattr(cli, "config_echo_items", failing)
+        out = tmp_path / "run"
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
+        assert "manifest lost" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == []
 
     def test_records_span_several_chunks(self, tmp_path, monkeypatch):

@@ -18,15 +18,15 @@ import pytest
 import test_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from records_oracle import as_records, format_records
+from records_oracle import BlockRecord, EveRecord, as_records, format_records, run_block
 from statevector_oracle import apply_pauli_string, decode_distribution
 
 from patternqkd import analysis, cli, code5, protocol
-from patternqkd.channel import EveRecord, EveStrategy, NoiseModel
+from patternqkd.channel import EveStrategy, NoiseModel
 from patternqkd.patterns import (
     POSITIONS, Pattern, PatternSet, all_patterns, compose, invert, pattern_indices, relative_index,
 )
-from patternqkd.protocol import BlockRecord, SessionConfig, run_block, run_session
+from patternqkd.protocol import SessionConfig, run_session
 from patternqkd.quantum_core import apply_permutation
 
 SECRET = PatternSet.from_string("12345 13452")
@@ -288,10 +288,6 @@ class TestChunking:
         assert batched_report == report
         assert as_records(batched_blocks) == as_records(blocks)
 
-    def test_negative_block_id_rejected(self):
-        with pytest.raises(ValueError):
-            run_block(replay_config(), -1)
-
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         p=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
@@ -324,7 +320,7 @@ class TestChunking:
             assert column.dtype == getattr(whole, f.name).dtype
             np.testing.assert_array_equal(column, getattr(whole, f.name), err_msg=f.name)
         for i in sorted({i % blocks for i in block_ids}):
-            assert run_block(config, i) == replace(whole.record(i), disclosed_for_test=False)
+            assert run_block(config, i) == replace(as_records(whole)[i], disclosed_for_test=False)
 
 
 class TestSessionGranularWork:
@@ -489,23 +485,16 @@ class TestSessionPath:
         config = replay_config(blocks=3000)
         run_session(replace(config, num_blocks=10))  # builds the cached tables
         assert protocol._draw_table(config.logical_basis, True).dtype == np.int8
-        built, cumsums = [], []
-        record_class, cumsum = protocol.BlockRecord, np.cumsum
-
-        def counting_record(*args, **kwargs):
-            built.append(1)
-            return record_class(*args, **kwargs)
+        cumsums, cumsum = [], np.cumsum
 
         def counting_cumsum(*args, **kwargs):
             cumsums.append(1)
             return cumsum(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, "BlockRecord", counting_record)
         monkeypatch.setattr(np, "cumsum", counting_cumsum)
-        _, blocks = run_session(config)
-        assert built == [] and cumsums == []
-        blocks.record(0)
-        assert built == [1]
+        run_session(config)
+        assert cumsums == []
+        assert not hasattr(protocol, "BlockRecord")  # the columns are the only block model
 
     def test_relative_permutation_indexing(self):
         # The engine picks table rows by compose(invert(decoder), sender).

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from records_oracle import as_records, take_rows
+from records_oracle import as_records, run_block, take_rows
 
 from patternqkd.channel import EveStrategy, NoiseModel
 from patternqkd.patterns import PatternSet
@@ -15,7 +15,6 @@ from patternqkd.protocol import (
     SessionConfig,
     decide,
     estimate_mqer,
-    run_block,
     run_session,
     sample_secret_set,
     session_rng,
