@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -27,12 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__, analysis, code5
-from .channel import (
-    UNIFORM_KNOWLEDGE,
-    EveStrategy,
-    NoiseModel,
-    guessed_set_with_overlap,
-)
+from .channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
 from .patterns import PatternSet, all_patterns, set_at, set_index_array
 from .protocol import (
     DECISION_CONTINUE,
@@ -41,17 +35,15 @@ from .protocol import (
     SessionReport,
     check_master_seed,
     run_session,
+    sample_guessed_set,
     sample_secret_set,
-    session_rng,
+    sweep_seed,
 )
 
 EXIT_OK = 0
 EXIT_FAULT = 1
 EXIT_USAGE = 2
 EXIT_ABORT = 3
-
-_DOMAIN_SWEEP = 2
-_SESSION_EVE_GUESS = 2
 
 RECORDS_HEADER = (
     "# block_id alice_bit a_idx b_idx lost syndrome bob_bit eve_guess eve_bit sifted tested"
@@ -86,7 +78,7 @@ SWEEP_AXES = ("distance_km", "per_qubit_flip_prob", "mean_photon_number", "eve_o
 
 
 class ConfigError(Exception):
-    """Malformed config; message carries line/field diagnostics."""
+    """Invalid input; ``main`` exits 2.  The message carries line/field diagnostics."""
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -154,9 +146,7 @@ def build_session_config(
         try:
             if knowledge.startswith("overlap="):
                 count = int(knowledge.split("=", 1)[1])
-                knowledge = guessed_set_with_overlap(
-                    typed["secret_set"], count, session_rng(seed, _SESSION_EVE_GUESS)
-                )
+                knowledge = sample_guessed_set(seed, typed["secret_set"], count)
             elif knowledge != UNIFORM_KNOWLEDGE:
                 knowledge = PatternSet.from_string(knowledge)
         except ValueError as exc:
@@ -336,9 +326,12 @@ def _write_with_manifest(
 
 def _prepare_out_dir(path_str: str) -> Path:
     out = Path(path_str)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     if not os.access(out, os.W_OK | os.X_OK):
-        raise PermissionError(f"cannot write to {out}")
+        raise ConfigError(f"cannot write to {out}")
     return out
 
 
@@ -353,9 +346,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     try:
         out = _prepare_out_dir(args.out)
         _write_outputs({out / name: [text.encode()] for name, text in texts.items()})
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ConfigError, OSError) as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
     print(f"patterns={len(names)} sets={len(pairs)}")
     return EXIT_OK
 
@@ -438,26 +430,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         mu_values = [0.0, 0.1, 0.5] if args.mu is None else [float(v) for v in args.mu.split(",")]
     except ValueError as exc:
-        print(f"error: bad --mu list: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"bad --mu list: {exc}") from exc
     if not all(0 <= mu < float("inf") for mu in mu_values):
-        print("error: --mu values must be finite and >= 0", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--mu values must be finite and >= 0")
     if args.out and args.chi_csv and Path(args.out).resolve() == Path(args.chi_csv).resolve():
-        print("error: --out and --chi-csv name the same file", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        lines = _analyze_lines(mu_values, args.set_id)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    text = "\n".join(lines) + "\n"
+        raise ConfigError("--out and --chi-csv name the same file")
+    text = "\n".join(_analyze_lines(mu_values, args.set_id)) + "\n"
     outputs = {args.out: text.encode, args.chi_csv: _chi_csv}
     try:
         _write_outputs({Path(path): [data()] for path, data in outputs.items() if path})
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"cannot write output: {exc}") from exc
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -477,12 +460,8 @@ def _load_config(args: argparse.Namespace) -> SessionConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args)
-        out = _prepare_out_dir(args.out)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = _load_config(args)
+    out = _prepare_out_dir(args.out)
     report, blocks = run_session(config)
     _write_with_manifest(out, config, {
         out / "report.txt": [format_report(report).encode()],
@@ -495,48 +474,38 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.decision == DECISION_CONTINUE else EXIT_ABORT
 
 
-def _sweep_config(base: SessionConfig, axis: str, value: float, sub_seed: int) -> SessionConfig:
-    """The base config under ``sub_seed`` with one sweep axis set to ``value``."""
-    if axis != "eve_overlap":
-        return replace(base, master_seed=sub_seed, noise=replace(base.noise, **{axis: value}))
-    count = int(value)
-    if count != value or count not in (0, 1, 2):
-        raise ConfigError(f"eve_overlap values must be 0, 1, or 2, got {value}")
-    guess = guessed_set_with_overlap(
-        base.secret_set, count, session_rng(sub_seed, _SESSION_EVE_GUESS)
-    )
-    return replace(base, master_seed=sub_seed, eve=EveStrategy.intercept_resend(guess))
-
-
-def _sub_seed(master_seed: int, index: int) -> int:
-    seq = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_SWEEP, index, 0))
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """One session per axis value, each built, before the first runs, from the echoed config the way the
+    manifest replays it: that config with the run's sub-seed and the swept key set."""
+    base = _load_config(args)
+    if not args.values:
+        raise ConfigError("sweep needs a nonempty --values list")
     try:
-        base = _load_config(args)
-        if not args.values:
-            raise ConfigError("sweep needs a nonempty --values list")
         values = [float(v) for v in args.values.split(",")]
-        if not all(np.isfinite(values)):
-            raise ConfigError("sweep values must be finite")
-        out = _prepare_out_dir(args.out)
-    except (ConfigError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not all(np.isfinite(values)):
+        raise ConfigError("sweep values must be finite")
+    echo, seeds, configs = dict(config_echo_items(base)), [], []
+    for index, value in enumerate(values):
+        if args.axis != "eve_overlap":
+            swept = {f"noise.{args.axis}": value}
+        elif value in (0, 1, 2):
+            swept = {"eve.kind": "intercept_resend", "eve.knowledge": f"overlap={int(value)}"}
+        else:
+            raise ConfigError(f"eve_overlap values must be 0, 1, or 2, got {value}")
+        seeds.append(sweep_seed(base.master_seed, index))
+        configs.append(build_session_config(echo, {"master_seed": seeds[-1], **swept}))
+    out = _prepare_out_dir(args.out)
 
     rows: list[str] = ["axis_value,sift_rate,mqer,decision,eve_success"]
-    seeds: list[tuple[str, str]] = []
     fault: Optional[str] = None
-    for index, value in enumerate(values):
-        sub_seed = _sub_seed(base.master_seed, index)
+    for index, (value, config) in enumerate(zip(values, configs)):
         try:
-            report, _ = run_session(_sweep_config(base, args.axis, value, sub_seed))
+            report, _ = run_session(config)
         except Exception as exc:  # noqa: BLE001 - flagged in manifest
             fault = f"run {index} (value {value}): {exc}"
             break
-        seeds.append((f"sweep.seed.{index}", str(sub_seed)))
         rows.append(
             f"{_fmt(value)},{_fmt(report.sift_rate)},{_fmt(report.mqer_estimate)},"
             f"{report.decision},{_fmt(report.eve_success_rate)}"
@@ -544,7 +513,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     extra = [("sweep.axis", args.axis), ("sweep.partial", "true" if fault else "false")]
     if fault:
         extra.append(("sweep.fault", fault))
-    _write_with_manifest(out, base, {out / "sweep.csv": [("\n".join(rows) + "\n").encode()]}, extra=extra + seeds)
+    extra += [(f"sweep.seed.{index}", str(seed)) for index, seed in enumerate(seeds[:len(rows) - 1])]
+    _write_with_manifest(out, base, {out / "sweep.csv": [("\n".join(rows) + "\n").encode()]}, extra=extra)
     if fault:
         print(f"error: sweep aborted: {fault}", file=sys.stderr)
         return EXIT_FAULT
@@ -594,6 +564,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - internal-fault exit contract
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAULT

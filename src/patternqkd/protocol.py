@@ -19,8 +19,17 @@ stages (words, interceptor, noise frame, Bob's draw, loss and leak, drawn
 only when possible) fill the session's columns by ``take``s from small
 tables; a session pass then splits Bob's outcomes, masks lost blocks, sifts.
 
-Reproducibility contract: all block randomness comes from one Philox4x64
-stream, ``numpy.random.Philox(SeedSequence(master_seed, spawn_key=(0,)))``.
+Reproducibility contract: every draw comes from a stream derived from the
+master seed as ``SeedSequence(master_seed, spawn_key=key)``, and no two
+keys coincide:
+
+    (0,)       the block stream, ``numpy.random.Philox`` (Philox4x64)
+    (1, 0, 0)  the disclosed test subset (``session_rng`` purpose 0)
+    (1, 1, 0)  a seed-drawn secret set (``sample_secret_set``)
+    (1, 2, 0)  a seed-drawn guessed set (``sample_guessed_set``)
+    (2, i, 0)  run i's master seed in a sweep, the first uint64 of the
+               sequence's state (``sweep_seed``)
+
 Block i owns the 64-bit words ``[20*i, 20*i + 20)`` of its raw output,
 whatever the batch size, so a record depends on ``(master_seed, block_id)``
 alone.  With ``u(w) = (w >> 11) * 2**-53`` and ``bit(w) = w >> 63``, word k
@@ -44,10 +53,8 @@ A decode outcome is the first (syndrome s, bit c), in the order of 2s + c,
 whose cumulative exact probability for the state the decoder holds exceeds
 u(w).  Every probability is a whole number of sixteenths, so that is the
 outcome numbered by how many cumulative sixteenths are <= w >> 60, which
-is floor(16 u(w)); the engine draws it in that integer form.  Session-level
-draws (the disclosed test subset, a seed-drawn secret set or guessed set)
-come from ``session_rng`` streams, disjoint from the block stream.  Two
-runs with the same config are therefore bitwise identical.
+is floor(16 u(w)); the engine draws it in that integer form.  Two runs
+with the same config are therefore bitwise identical.
 """
 
 from __future__ import annotations
@@ -61,19 +68,20 @@ import numpy as np
 
 from . import code5
 from .analysis import multiphoton_prob
-from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
+from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE, guessed_set_with_overlap
 from .patterns import POSITIONS, PatternSet, all_patterns, invert, pattern_indices, relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
 DECISION_ABORT = "abort"
 
-# Stream-derivation domains: the block stream uses (BLOCK,), session-level
-# draws use (SESSION, purpose, 0).
+# Stream-derivation domains and session purposes, the keys of the module docstring.
 _DOMAIN_BLOCK = 0
 _DOMAIN_SESSION = 1
+_DOMAIN_SWEEP = 2
 
 _SESSION_TEST_SUBSET = 0
 _SESSION_SECRET_SET = 1
+_SESSION_EVE_GUESS = 2
 
 # The per-block word layout of the module docstring.  A multiple of 4, so
 # that Philox.advance (4 words per step) reaches any block.
@@ -104,6 +112,12 @@ def session_rng(master_seed: int, purpose: int) -> np.random.Generator:
     """Session-level stream, disjoint from the block stream."""
     seq = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_SESSION, purpose, 0))
     return np.random.default_rng(seq)
+
+
+def sweep_seed(master_seed: int, index: int) -> int:
+    """The master seed of run ``index`` of a sweep under ``master_seed``."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(_DOMAIN_SWEEP, index, 0))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 @dataclass(frozen=True)
@@ -396,3 +410,8 @@ def run_session(config: SessionConfig) -> tuple[SessionReport, Blocks]:
 def sample_secret_set(master_seed: int) -> PatternSet:
     """Deterministically draw a secret set from the session seed."""
     return sample_pattern_set(session_rng(master_seed, _SESSION_SECRET_SET))
+
+
+def sample_guessed_set(master_seed: int, secret_set: PatternSet, count: int) -> PatternSet:
+    """Deterministically draw from the session seed a guessed set sharing ``count`` patterns with ``secret_set``."""
+    return guessed_set_with_overlap(secret_set, count, session_rng(master_seed, _SESSION_EVE_GUESS))

@@ -776,7 +776,7 @@ class TestSweep:
             ])
         assert excinfo.value.code == cli.EXIT_USAGE
 
-    def test_fractional_overlap_value_faults_sweep(self, tmp_path):
+    def test_fractional_overlap_value_faults_sweep(self, tmp_path, capsys):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(HONEST_CFG)
         out = tmp_path / "sweep"
@@ -784,9 +784,31 @@ class TestSweep:
             "sweep", "--config", str(cfg), "--axis", "eve_overlap",
             "--values", "0.5", "--blocks", "50", "--out", str(out),
         ])
-        assert code == cli.EXIT_FAULT
-        manifest = (out / "manifest.txt").read_text()
-        assert "sweep.partial = true" in manifest
+        assert code == cli.EXIT_USAGE
+        assert "eve_overlap values must be 0, 1, or 2, got 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Every run is built before the first one, so a bad value anywhere in
+    # the list exits 2 with no session run and nothing written.
+    @pytest.mark.parametrize("axis, values, message", [
+        ("eve_overlap", "0,3", "eve_overlap values must be 0, 1, or 2"),
+        ("eve_overlap", "1.5", "eve_overlap values must be 0, 1, or 2"),
+        ("distance_km", "1,-2", "distance_km must be >= 0"),
+        ("per_qubit_flip_prob", "0.1,1.5", "per_qubit_flip_prob must be in [0,1]"),
+        ("mean_photon_number", "0.1,-1", "mean_photon_number must be >= 0"),
+    ])
+    def test_invalid_value_exits_two_before_any_run(self, tmp_path, monkeypatch, capsys, axis, values, message):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG)
+        out = tmp_path / "sweep"
+        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        code = cli.main([
+            "sweep", "--config", str(cfg), "--axis", axis,
+            "--values", values, "--blocks", "50", "--out", str(out),
+        ])
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
     # Pins each run's seed derivation, the axis substitution and the CSV
@@ -821,6 +843,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis, key, values", [
         ("per_qubit_flip_prob", "noise.per_qubit_flip_prob", "0.0,0.05,0.2"),
+        ("distance_km", "noise.distance_km", "0.0,2.5,10.0"),
+        ("mean_photon_number", "noise.mean_photon_number", "0.0,0.3,1.0"),
         ("eve_overlap", "eve.knowledge", "0,1,2"),
     ])
     def test_rows_replay_from_the_manifest(self, tmp_path, axis, key, values):
@@ -852,16 +876,27 @@ class TestSweep:
             report = dict(line.split(" = ", 1) for line in (run / "report.txt").read_text().splitlines())
             assert (report["sift_rate"], report["mqer_estimate"], report["eve_success_rate"]) == (sift_rate, mqer, success)
 
-    def test_faulted_run_has_no_seed_line(self, tmp_path):
+    def test_faulted_run_has_no_seed_line(self, tmp_path, monkeypatch):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(HONEST_CFG)
         out = tmp_path / "sweep"
+        calls, real = [], cli.run_session
+
+        def second_run_fails(config):
+            calls.append(config)
+            if len(calls) == 2:
+                raise RuntimeError("run failed")
+            return real(config)
+
+        monkeypatch.setattr(cli, "run_session", second_run_fails)
         code = cli.main([
             "sweep", "--config", str(cfg), "--axis", "eve_overlap",
-            "--values", "1,0.5,2", "--blocks", "50", "--out", str(out),
+            "--values", "1,0,2", "--blocks", "50", "--out", str(out),
         ])
         assert code == cli.EXIT_FAULT
-        seeds = [line for line in (out / "manifest.txt").read_text().splitlines() if line.startswith("sweep.seed.")]
+        manifest = (out / "manifest.txt").read_text()
+        assert "sweep.partial = true" in manifest
+        seeds = [line for line in manifest.splitlines() if line.startswith("sweep.seed.")]
         assert len(seeds) == 1 and seeds[0].startswith("sweep.seed.0 = ")
 
 
@@ -1007,10 +1042,15 @@ class TestOutputFiles:
     def test_manifest_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys, command):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(EVE_CFG)
+        sessions, real_echo, real_session = [], cli.config_echo_items, cli.run_session
 
         def failing(config):
-            raise OSError("manifest lost")
+            # Only in the manifest step: a sweep also echoes its base config to build its runs.
+            if sessions:
+                raise OSError("manifest lost")
+            return real_echo(config)
 
+        monkeypatch.setattr(cli, "run_session", lambda config: sessions.append(config) or real_session(config))
         monkeypatch.setattr(cli, "config_echo_items", failing)
         out = tmp_path / "run"
         assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
