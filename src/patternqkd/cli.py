@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -81,6 +82,15 @@ class ConfigError(Exception):
     """Invalid input; ``main`` exits 2.  The message carries line/field diagnostics."""
 
 
+@contextmanager
+def _rejecting(prefix: str = "") -> Iterator[None]:
+    """Re-raise a ``ValueError`` from the body as ``ConfigError(prefix + message)``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     """Parse flat key = value lines; rejects unknown or duplicate keys."""
     values: dict[str, str] = {}
@@ -117,53 +127,41 @@ def build_session_config(
     """
     typed: dict[str, object] = {"num_blocks": DEFAULT_NUM_BLOCKS}
     for key, text in values.items():
-        try:
+        with _rejecting(f"field {key!r}: "):
             typed[key] = FIELDS[key][0](text)
-        except ValueError as exc:
-            raise ConfigError(f"field {key!r}: {exc}") from exc
     typed.update(overrides or {})
 
     seed = typed.get("master_seed", SessionConfig.master_seed)  # the dataclass default
-    try:
+    with _rejecting():
         # The secret set and the guessed set below are drawn from the seed.
         check_master_seed(seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if "secret_set" not in typed:
         typed["secret_set"] = sample_secret_set(seed)
 
-    try:
+    with _rejecting("field 'noise': "):
         noise = NoiseModel(**{
             key.removeprefix("noise."): value
             for key, value in typed.items() if key.startswith("noise.")
         })
-    except ValueError as exc:
-        raise ConfigError(f"field 'noise': {exc}") from exc
 
     kind, knowledge = typed.get("eve.kind", EveStrategy.kind), None
     if kind == "intercept_resend":
         knowledge = typed.get("eve.knowledge", UNIFORM_KNOWLEDGE)
-        try:
+        with _rejecting("field 'eve.knowledge': "):
             if knowledge.startswith("overlap="):
                 count = int(knowledge.split("=", 1)[1])
                 knowledge = sample_guessed_set(seed, typed["secret_set"], count)
             elif knowledge != UNIFORM_KNOWLEDGE:
                 knowledge = PatternSet.from_string(knowledge)
-        except ValueError as exc:
-            raise ConfigError(f"field 'eve.knowledge': {exc}") from exc
-    try:
+    with _rejecting("field 'eve.kind': "):
         eve = EveStrategy(kind, knowledge)
-    except ValueError as exc:
-        raise ConfigError(f"field 'eve.kind': {exc}") from exc
 
-    try:
+    with _rejecting():
         return SessionConfig(
             **{key: value for key, value in typed.items() if "." not in key},
             noise=noise,
             eve=eve,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def config_echo_items(config: SessionConfig) -> list[tuple[str, str]]:
@@ -407,30 +405,20 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
 @lru_cache(maxsize=1)
 def _chi_csv() -> bytes:
     """The chi CSV over all valid sets, header first, as one buffer built once per process.  A row's values
-    depend only on the set's relative permutation, so each distinct value triple is formatted once.  Each row
-    is a record of the id (``_id_text`` at the widest width) and its permutation's tail, NUL-padded and written
-    in place after the header; deleting the NULs leaves the lines.  The build holds at most one more buffer."""
+    depend only on the set's relative permutation, so each of the 120 row tails is formatted once.  Rows are
+    joined 2048 at a time: joining all 6540 in one step holds every row's bytes at once."""
     columns, relative = analysis.chi_by_relative()
-    triples = columns.view("V24")[:, 0].tolist()  # each row's three float64s as bytes
-    text = {triple: ",{:.9f},{:.9f},{:.9f}\n".format(*np.frombuffer(triple)) for triple in set(triples)}
-    tails, width = _byte_rows([text[triple] for triple in triples]), len(str(len(relative) - 1))
-    header = b"set_id,chi_physical_bits,overlap_00,overlap_01\n"
-    dtype = np.dtype([("id", f"V{width}"), ("tail", tails.dtype)])
-    csv = bytearray(len(header) + len(relative) * dtype.itemsize)
-    csv[:len(header)] = header
-    rows = np.frombuffer(csv, dtype, offset=len(header))
-    rows["id"] = _id_text(0, len(relative), width)
-    rows["tail"] = tails.take(relative)
-    del rows  # the view holds csv; once it is gone, each step below frees its input
-    csv = csv.translate(None, b"\0")
-    return bytes(csv)
+    tails = [b",%.9f,%.9f,%.9f\n" % tuple(row) for row in columns.tolist()]
+    chunks = [
+        b"".join([b"%d%s" % (i, tails[r]) for i, r in enumerate(relative[start:start + 2048].tolist(), start)])
+        for start in range(0, len(relative), 2048)
+    ]
+    return b"".join([b"set_id,chi_physical_bits,overlap_00,overlap_01\n", *chunks])
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
+    with _rejecting("bad --mu list: "):
         mu_values = [0.0, 0.1, 0.5] if args.mu is None else [float(v) for v in args.mu.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad --mu list: {exc}") from exc
     if not all(0 <= mu < float("inf") for mu in mu_values):
         raise ConfigError("--mu values must be finite and >= 0")
     if args.out and args.chi_csv and Path(args.out).resolve() == Path(args.chi_csv).resolve():
@@ -448,8 +436,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _load_config(args: argparse.Namespace) -> SessionConfig:
     path = Path(args.config)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError, not an OSError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     overrides = {
         key: getattr(args, key)
@@ -480,10 +468,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config(args)
     if not args.values:
         raise ConfigError("sweep needs a nonempty --values list")
-    try:
+    with _rejecting():
         values = [float(v) for v in args.values.split(",")]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     if not all(np.isfinite(values)):
         raise ConfigError("sweep values must be finite")
     echo, seeds, configs = dict(config_echo_items(base)), [], []

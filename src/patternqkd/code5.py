@@ -18,8 +18,9 @@ outcome ``(s, c)`` has the exact probability ``|<E_s c_L | state>|^2``
 with ``E_s`` the recovery for ``s``: :func:`decode_table` holds them for
 every relative wire permutation and :func:`decode_distribution` computes
 them for any state, both from the same 32 vectors ``E_s|c_L>``.
-:func:`frame_outcome_sources` says how a Pauli error in the decoder's frame
-relabels those outcomes.  Global phase is ignored throughout.
+:func:`class_sources` says how a Pauli error in the decoder's frame
+relabels those outcomes, through its class (:func:`frame_classes`) alone.
+Global phase is ignored throughout.
 """
 
 from __future__ import annotations
@@ -212,41 +213,27 @@ def decode_distribution(
     return {divmod(k, 2): float(p) for k, p in enumerate(probs) if p > _BRANCH_CUTOFF}
 
 
-def _relabel(x: np.ndarray, z: np.ndarray, basis: str, seen: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-    """``(s ^ syn(E), f)`` of :func:`frame_outcome_sources` for the frame
-    with masks ``x``, ``z`` and the syndromes ``seen`` (the ``s'`` there)."""
+def frame_classes(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.ndarray:
+    """The class ``2 * syn(E) + f`` of each Pauli ``E`` with masks ``x``, ``z`` (see :func:`pauli_masks`) in the
+    decoder's frame, i.e. on the wires after un-permuting; ``f`` is 1 iff ``E C(syn(E))`` anticommutes with the
+    logical read out.  :func:`class_sources` gives each class's relabelling."""
     x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
     syndrome = np.zeros_like(x)
     for generator in STABILIZER_GENERATORS:
-        gx, gz = pauli_masks(generator)
-        syndrome = (syndrome << 1) | _anticommute(x, z, gx, gz)
+        syndrome = (syndrome << 1) | _anticommute(x, z, *pauli_masks(generator))
     cx, cz = _recovery_masks()
-    before = seen ^ syndrome
-    lx, lz = pauli_masks(_logical_label(basis))
-    return before, _anticommute(cx[before] ^ x ^ cx[seen], cz[before] ^ z ^ cz[seen], lx, lz)
+    return 2 * syndrome + _anticommute(x ^ cx[syndrome], z ^ cz[syndrome], *pauli_masks(_logical_label(basis)))
 
 
-def frame_outcome_sources(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.ndarray:
-    """How a Pauli frame relabels decode outcomes, one row per frame.
-
-    ``x`` and ``z`` are the masks (see :func:`pauli_masks`) of a Pauli ``E``
-    in the decoder's frame, i.e. on the wires after un-permuting.  A
-    decoder that would see outcome ``(s, c)`` on the undisturbed state sees
-    ``(s ^ syn(E), c ^ f)`` on ``E`` times it, where ``f`` is 1 iff
-    ``C(s ^ syn(E)) E C(s)`` anticommutes with the logical read out.  The
-    returned ``src[n, 2*s' + c']`` is the undisturbed outcome ``2*s + c``
-    that becomes ``(s', c')`` under frame ``n``, so the disturbed
-    distribution is the undisturbed row gathered at ``src``.
-    """
-    before, flip = _relabel(np.asarray(x)[:, None], np.asarray(z)[:, None], basis, np.arange(N_SYNDROMES))
-    sources = 2 * before[:, :, None] + (np.arange(2) ^ flip[:, :, None])
-    return sources.reshape(len(before), 2 * N_SYNDROMES)
-
-
-def frame_classes(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.ndarray:
-    """``frame_outcome_sources(x, z, basis)[:, 0]``: ``2 * syn(E) + f``,
-    with ``f`` 1 iff ``E C(syn(E))`` anticommutes with the logical read
-    out.  Anticommutation adds up over products, so this class fixes the
-    whole row: the 32 classes are the 32 distinct relabellings."""
-    before, flip = _relabel(x, z, basis, 0)
-    return 2 * before + flip
+def class_sources(basis: str = "Z") -> np.ndarray:
+    """``src[k, 2*s' + c']`` is the undisturbed decode outcome ``2*s + c`` that becomes ``(s', c')`` under a
+    Pauli frame ``E`` of class ``k = 2t + f`` (:func:`frame_classes`), so the disturbed distribution is the
+    undisturbed row gathered at ``src[k]``.  Here ``s = s' ^ t``, and ``c' = c`` unless ``C(s') E C(s)``
+    anticommutes with the logical read out: anticommutation adds up over products, so that flip is
+    ``f ^ a[t] ^ a[s'] ^ a[s]``, with ``a[s]`` 1 iff ``C(s)`` anticommutes with the logical."""
+    a = _anticommute(*_recovery_masks(), *pauli_masks(_logical_label(basis)))
+    t, f = np.divmod(np.arange(2 * N_SYNDROMES), 2)
+    seen = np.arange(N_SYNDROMES)
+    before = seen ^ t[:, None]
+    flip = (f ^ a[t])[:, None] ^ a[seen] ^ a[before]
+    return (2 * before[:, :, None] + (np.arange(2) ^ flip[:, :, None])).reshape(2 * N_SYNDROMES, 2 * N_SYNDROMES)

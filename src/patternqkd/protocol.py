@@ -212,14 +212,7 @@ def _draw_table(basis: str, noisy: bool) -> np.ndarray:
     to 16, so repeating each outcome by its count lists, at position t, the
     outcome numbered by how many cumulative sixteenths are <= t.
     """
-    sources = np.arange(2 * code5.N_SYNDROMES)[None]
-    if noisy:
-        # The relabellings of all 1024 frames, each put at its class, which
-        # is its first entry.
-        x, z = np.divmod(np.arange(code5.DIM**2), code5.DIM)
-        relabellings = code5.frame_outcome_sources(x, z, basis)
-        sources = np.empty_like(relabellings[:2 * code5.N_SYNDROMES])
-        sources[relabellings[:, 0]] = relabellings
+    sources = code5.class_sources(basis) if noisy else np.arange(2 * code5.N_SYNDROMES)[None]
     counts = (code5.decode_table(basis) * 16).astype(np.int64)[:, :, sources]
     outcomes = np.broadcast_to(np.arange(counts.shape[-1], dtype=np.int8), counts.shape)
     table = np.repeat(outcomes.ravel(), counts.ravel()).reshape(*counts.shape[:-1], 16)

@@ -77,7 +77,7 @@ class TestDepolarizing:
         rng = np.random.default_rng(3)
         x, z = rng.integers(0, 32, size=(2, 50))
         for basis in ("Z", "X"):
-            sources = code5.frame_outcome_sources(x, z, basis)
+            sources = code5.class_sources(basis)[code5.frame_classes(x, z, basis)]
             assert np.all(np.sort(sources, axis=1) == np.arange(32))
             rows = code5.decode_table(basis)[rng.integers(0, 120, size=50), rng.integers(0, 2, size=50)]
             np.testing.assert_array_equal(np.take_along_axis(rows, sources, axis=1).sum(axis=1), 1.0)
@@ -89,7 +89,7 @@ class TestDepolarizing:
         for qubit in range(5):
             for letter in "XYZ":
                 x, z = code5.pauli_masks("I" * qubit + letter + "I" * (4 - qubit))
-                sources = code5.frame_outcome_sources(np.array([x]), np.array([z]))[0]
+                sources = code5.class_sources()[code5.frame_classes(x, z)]
                 for bit in (0, 1):
                     row = code5.decode_table()[identity, bit][sources]
                     (outcome,) = np.flatnonzero(row)

@@ -533,6 +533,41 @@ class TestParser:
         assert calls == [3]
 
 
+# Usage errors and the exact stderr each prints: config lines over a valid base (None: no config), arguments.
+USAGE_ERRORS = [
+    pytest.param({"noise.distance_km": "-1"}, ["simulate"], "field 'noise': distance_km must be >= 0, got -1.0",
+                 id="distance"),
+    pytest.param({"eve.kind": "intercept_resend", "eve.knowledge": "overlap=5"}, ["simulate"],
+                 "field 'eve.knowledge': count must be 0, 1, or 2", id="overlap"),
+    pytest.param({"num_blocks": "x"}, ["simulate"], "field 'num_blocks': invalid literal for int() with base 10: 'x'",
+                 id="num_blocks"),
+    pytest.param({"master_seed": "-3"}, ["simulate"], "master_seed must be an unsigned 64-bit integer", id="seed"),
+    pytest.param({"eve.kind": "foo"}, ["simulate"],
+                 "field 'eve.kind': expected one of none | intercept_resend, got 'foo'", id="eve_kind"),
+    pytest.param({"test_fraction": "1.5"}, ["simulate"], "test_fraction must be strictly inside (0,1), got 1.5",
+                 id="test_fraction"),
+    pytest.param({"eve.kind": "intercept_resend", "eve.knowledge": "12345 12345"}, ["simulate"],
+                 "field 'eve.knowledge': pattern set members must be distinct", id="knowledge_set"),
+    pytest.param(None, ["analyze", "--mu", "0,x"], "bad --mu list: could not convert string to float: 'x'", id="mu"),
+    pytest.param({}, ["sweep", "--axis", "distance_km", "--values", "1,y"], "could not convert string to float: 'y'",
+                 id="values"),
+]
+
+
+@pytest.mark.parametrize("items, command, message", USAGE_ERRORS)
+def test_usage_error_text_is_pinned(tmp_path, capsys, items, command, message):
+    args, out = list(command), tmp_path / "o"
+    if items is not None:
+        cfg = tmp_path / "session.cfg"
+        base = {"num_blocks": "10", "master_seed": "5", "secret_set": "12345 13452"}
+        cfg.write_text(_config_text({**base, **items}.items()))
+        args += ["--config", str(cfg), "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def forbidden_session(config):
     raise AssertionError("the session ran")
 
@@ -600,6 +635,18 @@ class TestSimulate:
     def test_missing_config_exits_two(self, tmp_path):
         missing = tmp_path / "nope.cfg"
         assert cli.main(["simulate", "--config", str(missing), "--out", str(tmp_path / "o")]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "command", [["simulate"], ["sweep", "--axis", "distance_km", "--values", "1"]], ids=["simulate", "sweep"]
+    )
+    def test_non_utf8_config_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
+        # Config files are UTF-8 whatever the locale; byte 0xe9 alone is not.
+        cfg, out = tmp_path / "latin1.cfg", tmp_path / "o"
+        cfg.write_bytes(b"num_blocks = 10\n# caf\xe9\n")
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xe9")
+        assert not out.exists()
 
     def test_cli_overrides(self, tmp_path):
         cfg = tmp_path / "session.cfg"

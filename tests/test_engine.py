@@ -61,17 +61,16 @@ class TestDecodeTable:
 
 class TestPauliFrames:
     def test_relabelling_matches_statevector_decodes(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            basis = "ZX"[int(rng.integers(0, 2))]
-            r = int(rng.integers(0, 120))
-            bit = int(rng.integers(0, 2))
-            label = "".join("IXYZ"[int(k)] for k in rng.integers(0, 4, size=5))
-            x, z = code5.pauli_masks(label)
-            sources = code5.frame_outcome_sources(np.array([x]), np.array([z]), basis)[0]
-            sent = apply_permutation(code5.encode_logical(bit, basis), all_patterns()[r])
-            noisy = exact_row(apply_pauli_string(sent, label), IDENTITY, basis)
-            np.testing.assert_allclose(code5.decode_table(basis)[r, bit][sources], noisy, atol=1e-12)
+        # Every frame in both bases, for the identity and for the secret set's relative permutation.
+        for basis in "ZX":
+            classes, sources = code5.frame_classes(*all_frames(), basis), code5.class_sources(basis)
+            for pattern in (IDENTITY, compose(invert(SECRET.first), SECRET.second)):
+                for bit in (0, 1):
+                    sent = apply_permutation(code5.encode_logical(bit, basis), pattern)
+                    row = code5.decode_table(basis)[all_patterns().index(pattern), bit]
+                    for n, (x, z) in enumerate(zip(*all_frames())):
+                        noisy = exact_row(apply_pauli_string(sent, frame_label(x, z)), IDENTITY, basis)
+                        np.testing.assert_allclose(row[sources[classes[n]]], noisy, atol=1e-12)
 
     def test_pauli_masks(self):
         assert code5.pauli_masks("XIIIZ") == (0b10000, 0b00001)
@@ -85,6 +84,11 @@ EDGE_WORDS = np.array([top << 60 | low for top in range(16) for low in (0, 2**60
 def all_frames():
     """The (x, z) masks of all 1024 five-qubit Pauli frames."""
     return np.divmod(np.arange(1024), 32)
+
+
+def frame_label(x, z):
+    """The Pauli string with masks ``x`` and ``z``, qubit 1 first."""
+    return "".join("IXZY"[(x >> (4 - k) & 1) + 2 * (z >> (4 - k) & 1)] for k in range(5))
 
 
 def assert_table_follows_the_definition(table, probabilities):
@@ -114,7 +118,7 @@ class TestIntegerDraw:
         # frames of class k, which is the relabelling's first entry.
         table = protocol._draw_table(basis, True)
         assert table.shape == (120, 2, 32, 16)
-        sources = np.unique(code5.frame_outcome_sources(*all_frames(), basis), axis=0)
+        sources = np.unique(code5.class_sources(basis)[code5.frame_classes(*all_frames(), basis)], axis=0)
         assert len(sources) == 32
         assert_table_follows_the_definition(
             table[:, :, sources[:, 0]], code5.decode_table(basis)[:, :, sources]
@@ -123,25 +127,31 @@ class TestIntegerDraw:
 
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_class_key_fixes_the_relabelling(self, basis):
-        # The key 2 * syn(E) + f, with f = 1 iff E C(syn(E)) anticommutes
-        # with the logical read out, worked out here from Pauli strings.
+        # The key 2 * syn(E) + f, with f = 1 iff E C(syn(E)) anticommutes with the logical read out, and
+        # each frame's full relabelling, worked out here from Pauli strings: under E, seen syndrome s
+        # comes from s ^ syn(E), its bit flipped iff C(s ^ syn(E)) E C(s) anticommutes with the logical.
         x, z = all_frames()
         lx, lz = code5.pauli_masks(code5.LOGICAL_Z if basis == "Z" else code5.LOGICAL_X)
-        keys = []
+        corrections = [code5.pauli_masks(code5.correction_table()[s]) for s in range(16)]
+        keys, relabellings = [], []
         for fx, fz in zip(x.tolist(), z.tolist()):
-            label = "".join("IXZY"[(fx >> (4 - k) & 1) + 2 * (fz >> (4 - k) & 1)] for k in range(5))
-            syndrome = code5.pauli_syndrome(label)
-            cx, cz = code5.pauli_masks(code5.correction_table()[syndrome])
+            syndrome = code5.pauli_syndrome(frame_label(fx, fz))
+            cx, cz = corrections[syndrome]
             flip = bin((fx ^ cx) & lz ^ (fz ^ cz) & lx).count("1") & 1
             keys.append(2 * syndrome + flip)
+            row = []
+            for seen in range(16):
+                (bx, bz), (sx, sz) = corrections[seen ^ syndrome], corrections[seen]
+                px, pz = bx ^ fx ^ sx, bz ^ fz ^ sz
+                turn = bin(px & lz ^ pz & lx).count("1") & 1
+                row += [2 * (seen ^ syndrome) + (bit ^ turn) for bit in (0, 1)]
+            relabellings.append(row)
         classes = code5.frame_classes(x, z, basis)
         assert classes.tolist() == keys
-        sources = code5.frame_outcome_sources(x, z, basis)
-        by_class = np.full((32, 32), -1)
-        by_class[classes] = sources
-        np.testing.assert_array_equal(by_class[classes], sources)
-        assert np.all(by_class >= 0)
-        assert by_class[0].tolist() == list(range(32))
+        sources = code5.class_sources(basis)
+        assert sources[classes].tolist() == relabellings
+        assert sources[0].tolist() == list(range(32))
+        assert np.all(np.sort(sources, axis=1) == np.arange(32))
 
     # Loss, depolarizing and pulse draws test u(w) < prob on integers; they
     # must agree with the float definition at every cutoff.

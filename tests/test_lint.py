@@ -59,3 +59,72 @@ def test_the_check_finds_an_unused_import():
         "    return None\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 4: replace"]
+
+
+# Public names that no package module reads, each kept for a reader outside the package.
+UNREAD_BY_THE_PACKAGE = {
+    "code5.encode_logical": "bench/ builds its statevector stages from it",
+    "code5.decode_distribution": "bench/ times the statevector decode with it",
+    "analysis.chi_physical_sweep": "bench/ times the chi sweep with it",
+    "patterns.compose": "the group law that tests compare relative_index against",
+}
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """The names ``node`` reads, a ``globals()[f"prefix..."]`` lookup reading ``prefix*``."""
+    names = set()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+            names.add(inner.id)
+        elif (
+            isinstance(inner, ast.Subscript) and isinstance(inner.slice, ast.JoinedStr)
+            and isinstance(inner.value, ast.Call) and getattr(inner.value.func, "id", None) == "globals"
+            and inner.slice.values and isinstance(inner.slice.values[0], ast.Constant)
+        ):
+            names.add(inner.slice.values[0].value + "*")
+    return names
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each public module-level function or class of ``sources`` (module name -> text) that
+    no ``__all__`` lists and that nothing reads: not another module, by import or as an attribute of the module,
+    nor its own module outside the definition itself."""
+    read, exported, public = set(), set(), []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                public += [(module, node.name)] if not node.name.startswith("_") else []
+                read |= {(module, name) for name in _names_read(node) if name != node.name}
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+            else:
+                read |= {(module, name) for name in _names_read(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                read |= {(node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+    prefixes = [(module, name[:-1]) for module, name in read if name.endswith("*")]
+    return [
+        f"{module}.{name}" for module, name in public
+        if (module, name) not in read and name not in exported
+        and not any(module == m and name.startswith(prefix) for m, prefix in prefixes)
+    ]
+
+
+def test_every_public_name_is_read_by_the_package():
+    names = unread_public_names({path.stem: path.read_text() for path in SOURCES})
+    assert sorted(names) == sorted(UNREAD_BY_THE_PACKAGE)
+
+
+def test_the_check_finds_an_unread_public_name():
+    sources = {
+        "a": "def used(): pass\ndef unused(): pass\ndef _private(): pass\ndef recursive(): return recursive()\n"
+             "class Exported: pass\n__all__ = ['Exported']\ndef caller(): return local()\ndef local(): pass\n",
+        "b": "from .a import used, caller\nfrom . import c\ndef helper(): return used() + c.read() + caller()\n"
+             "def cmd_run(): pass\ndef main(name): return globals()[f'cmd_{name}']()\n",
+        "c": "def read(): pass\ndef planted(): pass\n",
+        "d": "from .b import helper, main\n",
+    }
+    assert unread_public_names(sources) == ["a.unused", "a.recursive", "c.planted"]
