@@ -6,15 +6,17 @@ binary entropies / mutual informations, two readings of the Holevo bound
 for the transmitted ensembles, and Poisson photon-number statistics for
 weak-coherent-pulse sources.
 
-Two Holevo computations are deliberately kept side by side.  The *identical
+Two Holevo readings are deliberately kept side by side.  The *identical
 ensembles* model assigns both logical values the same mixture of the two
-pattern states, so its chi vanishes by construction.  The *physical* model
+pattern states, so its chi vanishes by construction: ``analyze`` prints
+the constant 0, and the tests compute it
+(``jacobi_oracle.holevo_identical_ensembles``).  The *physical* model
 conditions the ensemble on the logical bit (each bit's codeword mixed over
 the two patterns) and reports whatever the spectra say; the two need not
 agree, and nothing here asserts that they do.  A set's overlaps and
-spectra depend only on its relative permutation: :func:`_relative_spectra`
-computes them once for all 120, and :func:`chi_by_relative` gives the chi
-sweep as those 120 rows plus each set's row.
+spectra depend only on its relative permutation, so every per-set
+quantity is one row of one table: :func:`_relative_spectra` computes its
+120 rows once, and :func:`chi_by_relative` gives them with each set's row.
 
 Combinatorial probabilities use exact rational arithmetic; floating point
 appears only in entropies and Poisson terms.
@@ -31,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import code5
-from .patterns import PatternSet, all_patterns, pattern_indices, relative_index, set_index_array, shared_counts
+from .patterns import PatternSet, pattern_indices, relative_index, set_at, set_index_array, shared_counts
 from .patterns import valid_pattern_sets  # noqa: F401 - bench/workloads.py reads it as analysis.valid_pattern_sets
 
 
@@ -71,7 +73,7 @@ def guess_outcome_distribution(true_set: Optional[PatternSet] = None) -> GuessOu
     counting is invariant under relabeling); the default uses the first
     enumerated set.
     """
-    true_set = true_set or PatternSet(*(all_patterns()[k] for k in set_index_array()[0].tolist()))
+    true_set = true_set or set_at(0)
     counts = np.bincount(shared_counts(true_set), minlength=3).tolist()  # these sum to all valid sets
     none, one, both = (Fraction(count, sum(counts)) for count in counts)
     return GuessOutcomeDistribution(p_both=both, p_one=one, p_none=none)
@@ -105,9 +107,9 @@ def gram_entropies(grams: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _relative_spectra() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Gram matrices and entropies (average, rho0, rho1) of the pattern
-    sets, one per relative permutation; built once, read-only.
+def _relative_spectra() -> tuple[np.ndarray, np.ndarray]:
+    """``(grams, columns)`` of the pattern sets, one row per relative
+    permutation; built once, read-only.
 
     A set's states are ordered (first, 0), (second, 0), (first, 1),
     (second, 1).  Wire permutations are unitary, so their Gram matrix
@@ -116,86 +118,46 @@ def _relative_spectra() -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.nd
     are one exact integer product of :func:`code5.pattern_codewords` (0 or
     +-1 entries, so no partial sum of 32 terms leaves int8), and their
     spectra one stack of eigensolves.
+
+    ``columns[r]`` is (chi_physical_bits, overlap_00, overlap_01,
+    entropy_average_bits, entropy_rho0_bits, entropy_rho1_bits).  rho_a
+    mixes the bit-a codeword over the two patterns, and the physical chi
+    is S(average) - S(rho0)/2 - S(rho1)/2, reported as-is in [0, 1].
+    overlap_00 is |<pattern-0 state of bit 0 | pattern-1 state of bit 0>|;
+    overlap_01 crosses bit 0 under the first pattern with bit 1 under the
+    second.
     """
     states = code5.pattern_codewords("Z")
     identity = np.broadcast_to(states[:1], states.shape)
     vectors = np.stack([identity[:, 0], states[:, 0], identity[:, 1], states[:, 1]], axis=1)
     products = vectors @ vectors.transpose(0, 2, 1)
     grams = products / products[0, 0, 0]
-    halves = (gram_entropies(0.5 * grams[:, :2, :2]), gram_entropies(0.5 * grams[:, 2:, 2:]))
-    entropies = (gram_entropies(0.25 * grams), *halves)
-    for array in (grams, *entropies):
+    s_average = gram_entropies(0.25 * grams)
+    s0, s1 = gram_entropies(0.5 * grams[:, :2, :2]), gram_entropies(0.5 * grams[:, 2:, 2:])
+    columns = np.stack([s_average - 0.5 * s0 - 0.5 * s1, *np.abs(grams[:, 0, 1::2]).T, s_average, s0, s1], axis=1)
+    for array in (grams, columns):
         array.setflags(write=False)
-    return grams, entropies
-
-
-def pattern_state_overlap(pattern_set: PatternSet, bit: int = 0) -> float:
-    """Overlap of the two pattern states carrying the same logical bit.
-
-    Not zero in general; it is computed, reported, and never assumed.
-    """
-    grams, _ = _relative_spectra()
-    r = relative_index(*pattern_indices(pattern_set.members()))
-    return float(grams[r, 2 * bit, 2 * bit + 1])
-
-
-@dataclass(frozen=True)
-class HolevoReport:
-    """Both chi readings plus the bit-conditioned entropy terms (bits)."""
-
-    chi_identical_ensembles: float
-    chi_bit_conditioned: float
-    entropy_average: float
-    entropy_rho0: float
-    entropy_rho1: float
-
-
-def holevo_bit_conditioned_gram(pattern_set: PatternSet) -> HolevoReport:
-    """Both chi readings and the bit-conditioned entropy terms for one set.
-
-    rho_a mixes the bit-a codeword over the two patterns, and the
-    entropies come from :func:`gram_entropies`.  The identical-ensembles
-    chi is zero by construction: both logical values get the same mixture,
-    so chi = S(avg) - S(cond) cancels exactly.  The bit-conditioned chi is
-    reported as-is in [0, 1]; no agreement between the two is asserted.
-    """
-    _, entropies = _relative_spectra()
-    r = relative_index(*pattern_indices(pattern_set.members()))
-    s_average, s0, s1 = (float(e[r]) for e in entropies)
-    return HolevoReport(
-        chi_identical_ensembles=0.0,
-        chi_bit_conditioned=s_average - 0.5 * s0 - 0.5 * s1,
-        entropy_average=s_average,
-        entropy_rho0=s0,
-        entropy_rho1=s1,
-    )
+    return grams, columns
 
 
 def chi_by_relative(sets: Optional[list[PatternSet]] = None) -> tuple[np.ndarray, np.ndarray]:
-    """``(columns, relative)``: ``columns[r]`` is (chi_physical_bits,
-    overlap_00, overlap_01) of relative permutation r, for all 120, and
-    ``relative[i]`` is the r of set i in the order given (default: all
-    valid sets).
-
-    overlap_00 is |<pattern-0 state of bit 0 | pattern-1 state of bit 0>|;
-    overlap_01 crosses bit 0 under the first pattern with bit 1 under the
-    second.
-    """
+    """``(columns, relative)``: ``columns`` is the (120, 6) table of
+    :func:`_relative_spectra`, and ``relative[i]`` is the r of set i in
+    the order given (default: all valid sets), so ``columns[relative[i]]``
+    is that set's row."""
     if sets is None:
         pairs = set_index_array()
     else:
         pairs = pattern_indices([p for s in sets for p in s.members()]).reshape(-1, 2)
-    grams, (s_average, s0, s1) = _relative_spectra()
-    columns = np.stack([s_average - 0.5 * s0 - 0.5 * s1, np.abs(grams[:, 0, 1]), np.abs(grams[:, 0, 3])], axis=1)
-    return columns, relative_index(pairs[:, 0], pairs[:, 1])
+    return _relative_spectra()[1], relative_index(pairs[:, 0], pairs[:, 1])
 
 
 def chi_physical_sweep(sets: Optional[list[PatternSet]] = None) -> list[tuple[int, float, float, float]]:
     """Rows (set_id, chi_physical_bits, overlap_00, overlap_01) per set,
     ``set_id`` counting from 0 in the order given (default: all valid
-    sets); the rows of :func:`chi_by_relative`, one per set."""
+    sets); the first three columns of :func:`chi_by_relative`, one row per set."""
     columns, relative = chi_by_relative(sets)
-    return list(zip(range(len(relative)), *columns[relative].T.tolist()))
+    return list(zip(range(len(relative)), *columns[relative, :3].T.tolist()))
 
 
 def multiphoton_prob(mu: float) -> float:

@@ -380,19 +380,19 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
     if not 0 <= set_id < total:
         raise ConfigError(f"unknown set id {set_id} (valid: 0..{total - 1})")
     chosen = set_at(set_id)
-
-    report = analysis.holevo_bit_conditioned_gram(chosen)
-    overlap = abs(analysis.pattern_state_overlap(chosen))
+    columns, (r,) = analysis.chi_by_relative([chosen])
+    chi, overlap, _, s_average, s0, s1 = columns[r].tolist()
     lines = [
         *_analyze_head(),
         f"set_id = {set_id}",
         f"set_patterns = {chosen}",
         f"pattern_state_overlap = {overlap:.6f}",
-        f"chi_identical_ensembles_bits = {report.chi_identical_ensembles:.9f}",
-        f"chi_bit_conditioned_bits = {report.chi_bit_conditioned:.9f}",
-        f"entropy_average_bits = {report.entropy_average:.9f}",
-        f"entropy_rho0_bits = {report.entropy_rho0:.9f}",
-        f"entropy_rho1_bits = {report.entropy_rho1:.9f}",
+        # Both bits get the same mixture of the two pattern states, so this chi is 0 by construction.
+        f"chi_identical_ensembles_bits = {0.0:.9f}",
+        f"chi_bit_conditioned_bits = {chi:.9f}",
+        f"entropy_average_bits = {s_average:.9f}",
+        f"entropy_rho0_bits = {s0:.9f}",
+        f"entropy_rho1_bits = {s1:.9f}",
     ]
     for mu in mu_values:
         lines.append(
@@ -408,7 +408,7 @@ def _chi_csv() -> bytes:
     depend only on the set's relative permutation, so each of the 120 row tails is formatted once.  Rows are
     joined 2048 at a time: joining all 6540 in one step holds every row's bytes at once."""
     columns, relative = analysis.chi_by_relative()
-    tails = [b",%.9f,%.9f,%.9f\n" % tuple(row) for row in columns.tolist()]
+    tails = [b",%.9f,%.9f,%.9f\n" % tuple(row) for row in columns[:, :3].tolist()]
     chunks = [
         b"".join([b"%d%s" % (i, tails[r]) for i, r in enumerate(relative[start:start + 2048].tolist(), start)])
         for start in range(0, len(relative), 2048)
@@ -468,7 +468,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _load_config(args)
     if not args.values:
         raise ConfigError("sweep needs a nonempty --values list")
-    with _rejecting():
+    with _rejecting("bad --values list: "):
         values = [float(v) for v in args.values.split(",")]
     if not all(np.isfinite(values)):
         raise ConfigError("sweep values must be finite")

@@ -1,6 +1,6 @@
 """Jacobi-eigensolver route to the Holevo quantities, for tests only.
 
-An independent oracle for ``analysis.holevo_bit_conditioned_gram``: it
+An independent oracle for the rows of ``analysis.chi_by_relative``: it
 builds full 32x32 density matrices from the same pattern states and
 diagonalizes them with cyclic Jacobi rotations.  Past the states it shares
 no code with the Gram-matrix route, and it does not call LAPACK.
@@ -9,11 +9,11 @@ no code with the Gram-matrix route, and it does not call LAPACK.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from helpers import pattern_state
 
-from patternqkd.analysis import HolevoReport
 from patternqkd.patterns import PatternSet
 from patternqkd.quantum_core import DIM, N_QUBITS
 
@@ -163,7 +163,17 @@ def identical_ensembles_entropy(pattern_set: PatternSet) -> float:
     return von_neumann_entropy(density_from_ensemble(members))
 
 
-def holevo_bit_conditioned(pattern_set: PatternSet) -> HolevoReport:
+class HolevoReadings(NamedTuple):
+    """Both chi readings plus the bit-conditioned entropy terms (bits)."""
+
+    chi_identical_ensembles: float
+    chi_bit_conditioned: float
+    entropy_average: float
+    entropy_rho0: float
+    entropy_rho1: float
+
+
+def holevo_bit_conditioned(pattern_set: PatternSet) -> HolevoReadings:
     """Chi for the bit-conditioned ensembles, with all entropy terms.
 
     rho_a mixes the bit-a codeword over the two patterns; chi is computed
@@ -183,7 +193,7 @@ def holevo_bit_conditioned(pattern_set: PatternSet) -> HolevoReport:
     s0 = von_neumann_entropy(rho[0])
     s1 = von_neumann_entropy(rho[1])
     chi = s_average - 0.5 * s0 - 0.5 * s1
-    return HolevoReport(
+    return HolevoReadings(
         chi_identical_ensembles=holevo_identical_ensembles(pattern_set),
         chi_bit_conditioned=chi,
         entropy_average=s_average,

@@ -91,6 +91,13 @@ class TestEveSuccessModel:
             analysis.eve_success_probability(3)
 
 
+def set_row(pattern_set):
+    """The set's row of ``analysis.chi_by_relative``: (chi, overlap_00, overlap_01, entropy_average,
+    entropy_rho0, entropy_rho1)."""
+    columns, (r,) = analysis.chi_by_relative([pattern_set])
+    return columns[r].tolist()
+
+
 class TestHolevoIdenticalEnsembles:
     def test_vanishes_for_sampled_sets(self):
         rng = np.random.default_rng(1)
@@ -105,7 +112,7 @@ class TestHolevoIdenticalEnsembles:
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=15):
             chosen = table[int(index)]
-            overlap = abs(analysis.pattern_state_overlap(chosen))
+            overlap = set_row(chosen)[1]
             entropy = jacobi_oracle.identical_ensembles_entropy(chosen)
             expected = analysis.binary_entropy((1 + overlap) / 2)
             assert abs(entropy - expected) < 1e-9
@@ -118,7 +125,7 @@ class TestHolevoIdenticalEnsembles:
         rng = np.random.default_rng(3)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=40):
-            overlap = abs(analysis.pattern_state_overlap(table[int(index)]))
+            overlap = set_row(table[int(index)])[1]
             assert min(
                 abs(overlap - v) for v in (0.25, 0.5, 1.0)
             ) < 1e-9
@@ -129,25 +136,24 @@ class TestHolevoBitConditioned:
         rng = np.random.default_rng(4)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=10):
-            report = analysis.holevo_bit_conditioned_gram(table[int(index)])
-            assert -1e-9 <= report.chi_bit_conditioned <= 1.0 + 1e-9
-            for term in (report.entropy_average, report.entropy_rho0, report.entropy_rho1):
+            chi, _, _, s_average, s0, s1 = set_row(table[int(index)])
+            assert -1e-9 <= chi <= 1.0 + 1e-9
+            for term in (s_average, s0, s1):
                 assert 0.0 <= term <= 5.0
             # concavity of entropy
-            mixture_bound = 0.5 * report.entropy_rho0 + 0.5 * report.entropy_rho1
-            assert report.entropy_average >= mixture_bound - 1e-9
+            assert s_average >= 0.5 * s0 + 0.5 * s1 - 1e-9
 
     def test_gram_route_agrees_with_jacobi_route(self):
         rng = np.random.default_rng(5)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=8):
             full = jacobi_oracle.holevo_bit_conditioned(table[int(index)])
-            fast = analysis.holevo_bit_conditioned_gram(table[int(index)])
-            assert abs(full.chi_bit_conditioned - fast.chi_bit_conditioned) < 1e-9
-            assert abs(full.entropy_average - fast.entropy_average) < 1e-9
-            assert abs(full.entropy_rho0 - fast.entropy_rho0) < 1e-9
-            assert abs(full.entropy_rho1 - fast.entropy_rho1) < 1e-9
-            assert full.chi_identical_ensembles == fast.chi_identical_ensembles == 0.0
+            chi, _, _, s_average, s0, s1 = set_row(table[int(index)])
+            assert abs(full.chi_bit_conditioned - chi) < 1e-9
+            assert abs(full.entropy_average - s_average) < 1e-9
+            assert abs(full.entropy_rho0 - s0) < 1e-9
+            assert abs(full.entropy_rho1 - s1) < 1e-9
+            assert full.chi_identical_ensembles == 0.0  # the constant analyze prints
 
     def test_bit_parity_makes_chi_one_bit(self):
         # the all-Z parity operator commutes with every wire permutation, so
@@ -156,8 +162,7 @@ class TestHolevoBitConditioned:
         rng = np.random.default_rng(6)
         table = valid_pattern_sets()
         for index in rng.integers(0, len(table), size=10):
-            report = analysis.holevo_bit_conditioned_gram(table[int(index)])
-            assert abs(report.chi_bit_conditioned - 1.0) < 1e-9
+            assert abs(set_row(table[int(index)])[0] - 1.0) < 1e-9
 
     def test_sweep_rows_shape(self):
         rows = analysis.chi_physical_sweep(list(valid_pattern_sets()[:25]))
@@ -251,13 +256,13 @@ class TestBatchedSweep:
         rng = np.random.default_rng(12)
         table = valid_pattern_sets()
         chosen = [table[int(i)] for i in rng.integers(0, len(table), size=40)]
-        for row, pattern_set in zip(analysis.chi_physical_sweep(chosen), chosen):
+        (grams, _), (columns, relative) = analysis._relative_spectra(), analysis.chi_by_relative(chosen)
+        for row, pattern_set, r in zip(analysis.chi_physical_sweep(chosen), chosen, relative.tolist()):
             first, second = pattern_set.members()
             zero_zero = np.vdot(helpers.pattern_state(first, 0), helpers.pattern_state(second, 0))
             zero_one = np.vdot(helpers.pattern_state(first, 0), helpers.pattern_state(second, 1))
-            report = analysis.holevo_bit_conditioned_gram(pattern_set)
-            assert row[1:] == (report.chi_bit_conditioned, abs(zero_zero), abs(zero_one))
-            assert analysis.pattern_state_overlap(pattern_set, 1) == np.vdot(
+            assert row[1:] == (columns[r, 0], abs(zero_zero), abs(zero_one))
+            assert grams[r, 2, 3] == np.vdot(
                 helpers.pattern_state(first, 1), helpers.pattern_state(second, 1)
             )
 

@@ -424,8 +424,12 @@ class TestAnalyze:
 
     def test_second_chi_csv_builds_nothing(self, tmp_path, monkeypatch, capsys):
         assert cli.main(["analyze", "--chi-csv", str(tmp_path / "first.csv")]) == cli.EXIT_OK
-        calls = []
-        monkeypatch.setattr(cli.analysis, "chi_by_relative", lambda sets=None: calls.append(sets))
+        calls, real = [], cli.analysis.chi_by_relative
+
+        def recording(sets=None):  # a report's one-set row passes through; only the all-sets call is recorded
+            return real(sets) if sets is not None else calls.append(sets)
+
+        monkeypatch.setattr(cli.analysis, "chi_by_relative", recording)
         csv_path = tmp_path / "second.csv"
         assert cli.main(["analyze", "--set-id", "4", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
         assert calls == []
@@ -463,8 +467,22 @@ class TestAnalyze:
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == self.STDOUT_SHA256[set_id]
 
+    # One digest over the default-mu reports of all 6540 sets, each as `analyze --set-id N` prints it,
+    # concatenated in id order; taken from the per-set Holevo route.
+    EVERY_REPORT_SHA256 = "55bdf68d16945503629c0699f0352f5095b0d9e699306d00c3189bf67879192a"
+
+    def test_every_set_report_is_pinned(self):
+        digest = hashlib.sha256()
+        for set_id in range(len(valid_pattern_sets())):
+            digest.update(("\n".join(cli._analyze_lines([0.0, 0.1, 0.5], set_id)) + "\n").encode())
+        assert digest.hexdigest() == self.EVERY_REPORT_SHA256
+
     def test_sweep_fault_writes_no_file(self, tmp_path, monkeypatch, capsys):
-        def broken(sets=None):
+        real = cli.analysis.chi_by_relative
+
+        def broken(sets=None):  # the report's one-set row builds; the CSV's all-sets call faults
+            if sets is not None:
+                return real(sets)
             raise RuntimeError("sweep failed")
 
         monkeypatch.setattr(cli.analysis, "chi_by_relative", broken)
@@ -549,8 +567,8 @@ USAGE_ERRORS = [
     pytest.param({"eve.kind": "intercept_resend", "eve.knowledge": "12345 12345"}, ["simulate"],
                  "field 'eve.knowledge': pattern set members must be distinct", id="knowledge_set"),
     pytest.param(None, ["analyze", "--mu", "0,x"], "bad --mu list: could not convert string to float: 'x'", id="mu"),
-    pytest.param({}, ["sweep", "--axis", "distance_km", "--values", "1,y"], "could not convert string to float: 'y'",
-                 id="values"),
+    pytest.param({}, ["sweep", "--axis", "distance_km", "--values", "1,y"],
+                 "bad --values list: could not convert string to float: 'y'", id="values"),
 ]
 
 

@@ -1,6 +1,11 @@
-"""Static checks on the package source that no installed linter covers."""
+"""Static checks no installed linter covers: on the package source, and on the names the benchmark reads."""
 
 import ast
+import functools
+import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +133,71 @@ def test_the_check_finds_an_unread_public_name():
         "d": "from .b import helper, main\n",
     }
     assert unread_public_names(sources) == ["a.unused", "a.recursive", "c.planted"]
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether ``from module import name`` works: ``name`` is an attribute or a submodule of ``module``."""
+    try:
+        return hasattr(importlib.import_module(module), name) or bool(importlib.util.find_spec(f"{module}.{name}"))
+    except ModuleNotFoundError:
+        return False
+
+
+def missing_bench_names(sources: dict[str, str], loaded: set[str]) -> list[str]:
+    """What the bench reads from the package and the package lacks, for ``sources`` (bench file name -> text)
+    and ``loaded`` (the modules in ``sys.modules`` once ``cli`` is imported): each name a
+    ``from patternqkd... import`` imports, each attribute chain ``workloads.py`` reads off its ``cli``
+    argument, and each layer of ``tracer.LAYERS`` that importing ``cli`` does not load."""
+    from patternqkd import cli
+
+    missing = []
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "patternqkd":
+                names = [alias.name for alias in node.names if not _resolves(node.module, alias.name)]
+                missing += [f"{file}: {node.module}.{name}" for name in names]
+            elif file == "workloads.py" and isinstance(node, ast.Attribute):
+                chain, root = [], node
+                while isinstance(root, ast.Attribute):
+                    chain, root = [root.attr, *chain], root.value
+                if getattr(root, "id", None) == "cli":
+                    try:
+                        functools.reduce(getattr, chain, cli)
+                    except AttributeError:
+                        missing.append(f"{file}: cli.{'.'.join(chain)}")
+            elif file == "tracer.py" and isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS":
+                layers = ast.literal_eval(node.value)
+                missing += [f"{file}: LAYERS {layer}" for layer in layers if f"patternqkd.{layer}" not in loaded]
+    return sorted(set(missing))
+
+
+def test_every_name_the_bench_reads_exists():
+    src = str(Path(patternqkd.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from patternqkd import cli; print(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    sources = {path.name: path.read_text() for path in sorted(BENCH.glob("*.py"))}
+    assert {"workloads.py", "tracer.py", "test_bench.py"} <= set(sources)
+    assert missing_bench_names(sources, set(done.stdout.split())) == []
+
+
+def test_the_bench_check_finds_a_missing_name():
+    sources = {
+        "test_bench.py": "from patternqkd import cli, gone_module\n"
+                         "from patternqkd.analysis import binary_entropy, gone\n"
+                         "from patternqkd.gone_too import anything\n",
+        "workloads.py": "def op(cli):\n    cli.main([])\n    cli.analysis.chi_by_relative()\n"
+                        "    return cli.analysis.gone_function(), other.gone\n",
+        "tracer.py": "LAYERS = ('code5', 'analysis', 'gone_layer')\n",
+    }
+    loaded = {"patternqkd.code5", "patternqkd.analysis"}
+    assert missing_bench_names(sources, loaded) == [
+        "test_bench.py: patternqkd.analysis.gone",
+        "test_bench.py: patternqkd.gone_module",
+        "test_bench.py: patternqkd.gone_too.anything",
+        "tracer.py: LAYERS gone_layer",
+        "workloads.py: cli.analysis.gone_function",
+    ]
