@@ -24,9 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
-from .patterns import PatternSet, set_at, sets_sharing
+from .patterns import PatternSet
 
 UNIFORM_KNOWLEDGE = "uniform"
 EVE_KINDS = ("none", "intercept_resend")
@@ -92,23 +90,6 @@ class EveStrategy:
             if self.knowledge != UNIFORM_KNOWLEDGE and not isinstance(self.knowledge, PatternSet):
                 raise ValueError("intercept_resend needs a PatternSet or 'uniform' knowledge")
 
-    @classmethod
-    def none(cls) -> "EveStrategy":
-        return cls(kind="none")
-
-    @classmethod
-    def intercept_resend(cls, knowledge: Union[PatternSet, str]) -> "EveStrategy":
-        return cls(kind="intercept_resend", knowledge=knowledge)
-
     @property
     def active(self) -> bool:
         return self.kind != "none"
-
-
-def guessed_set_with_overlap(
-    true_set: PatternSet, correct_count: int, rng: np.random.Generator
-) -> PatternSet:
-    """Uniformly draw a valid set sharing exactly ``correct_count`` patterns
-    with ``true_set`` (2 returns the set itself)."""
-    rows = sets_sharing(true_set, correct_count)
-    return set_at(rows[int(rng.integers(0, len(rows)))])

@@ -6,7 +6,8 @@ usable secret set only if they disagree in at least three positions, which
 leaves 6540 unordered pairs out of the 120 * 119 / 2 = 7140 possible ones.
 
 All enumerations here are eager, lexicographically ordered, and cached, so
-they can serve as exact distribution oracles elsewhere.
+they can serve as exact distribution oracles elsewhere.  Every draw of a set
+from a generator is made here too, as a row of the set table.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class Pattern:
         return "".join(str(v) for v in self.mapping)
 
     @classmethod
-    def identity(cls) -> "Pattern":
-        return cls(POSITIONS)
-
-    @classmethod
     def from_string(cls, text: str) -> "Pattern":
         """Parse one-line notation such as ``"21345"``."""
         if len(text) != 5 or not text.isdigit():
@@ -81,9 +78,6 @@ class PatternSet:
 
     def members(self) -> tuple[Pattern, Pattern]:
         return (self.first, self.second)
-
-    def __contains__(self, pattern: Pattern) -> bool:
-        return pattern == self.first or pattern == self.second
 
     def __str__(self) -> str:
         return f"{self.first} {self.second}"
@@ -213,3 +207,12 @@ def sets_sharing(true_set: PatternSet, count: int) -> np.ndarray:
     if count not in (0, 1, 2):
         raise ValueError("count must be 0, 1, or 2")
     return np.flatnonzero(shared_counts(true_set) == count)
+
+
+def guessed_set_with_overlap(
+    true_set: PatternSet, correct_count: int, rng: np.random.Generator
+) -> PatternSet:
+    """Uniformly draw a valid set sharing exactly ``correct_count`` patterns
+    with ``true_set`` (2 returns the set itself)."""
+    rows = sets_sharing(true_set, correct_count)
+    return set_at(rows[int(rng.integers(0, len(rows)))])

@@ -60,7 +60,7 @@ with the same config are therefore bitwise identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -68,8 +68,9 @@ import numpy as np
 
 from . import code5
 from .analysis import multiphoton_prob
-from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE, guessed_set_with_overlap
-from .patterns import POSITIONS, PatternSet, all_patterns, invert, pattern_indices, relative_index, sample_pattern_set
+from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
+from .patterns import POSITIONS, PatternSet, all_patterns, guessed_set_with_overlap, invert, pattern_indices
+from .patterns import relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
 DECISION_ABORT = "abort"
@@ -129,8 +130,8 @@ class SessionConfig:
     master_seed: int = 0
     test_fraction: float = 0.5
     mqer_threshold: float = 0.10
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    eve: EveStrategy = field(default_factory=EveStrategy.none)
+    noise: NoiseModel = NoiseModel()
+    eve: EveStrategy = EveStrategy()
     logical_basis: str = "Z"
 
     def __post_init__(self) -> None:

@@ -36,11 +36,13 @@ from statevector_oracle import (
 )
 
 from patternqkd import analysis, cli, code5
-from patternqkd.channel import EveStrategy, NoiseModel, guessed_set_with_overlap
+from patternqkd.channel import EveStrategy, NoiseModel
 from patternqkd.patterns import (
+    POSITIONS,
     Pattern,
     PatternSet,
     all_patterns,
+    guessed_set_with_overlap,
     pattern_distance,
     valid_pattern_sets,
 )
@@ -72,17 +74,17 @@ def _session(seed: int, eve: EveStrategy, noise: NoiseModel = NoiseModel()):
 
 @pytest.fixture(scope="module")
 def honest_report():
-    return _session(1001, EveStrategy.none())[0]
+    return _session(1001, EveStrategy())[0]
 
 
 @pytest.fixture(scope="module")
 def eve_uniform_outcome():
-    return _session(1003, EveStrategy.intercept_resend("uniform"))
+    return _session(1003, EveStrategy("intercept_resend", "uniform"))
 
 
 @pytest.fixture(scope="module")
 def eve_knows_outcome():
-    return _session(1003, EveStrategy.intercept_resend(SECRET))
+    return _session(1003, EveStrategy("intercept_resend", SECRET))
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +93,7 @@ def relative_bit_distributions():
     from patternqkd.patterns import invert  # noqa: F401 (used by consumers)
 
     table: dict[tuple[Pattern, int], list[float]] = {}
-    identity = Pattern.identity()
+    identity = Pattern(POSITIONS)
     for r in all_patterns():
         for a in (0, 1):
             state = apply_permutation(code5.encode_logical(a), r)
@@ -449,7 +451,7 @@ def test_c10_eve_knowledge_sweep(eve_knows_outcome):
 
     for k, seed, model_value in ((1, 1004, 0.625), (0, 1005, 0.5)):
         guessed = guessed_set_with_overlap(SECRET, k, np.random.default_rng(2024 + k))
-        report, records = _session(seed, EveStrategy.intercept_resend(guessed))
+        report, records = _session(seed, EveStrategy("intercept_resend", guessed))
         n = sum(1 for r in as_records(records) if r.eve is not None)
         sigma = math.sqrt(model_value * (1 - model_value) / n)
         measured = report.eve_success_rate

@@ -12,14 +12,15 @@ from records_oracle import as_records
 
 from patternqkd import code5, protocol
 from patternqkd.analysis import multiphoton_prob, pns_block_leak_prob
-from patternqkd.channel import EveStrategy, NoiseModel, guessed_set_with_overlap
-from patternqkd.patterns import Pattern, PatternSet, all_patterns, valid_pattern_sets
+from patternqkd.channel import EveStrategy, NoiseModel
+from patternqkd.patterns import POSITIONS, Pattern, PatternSet, all_patterns, guessed_set_with_overlap
+from patternqkd.patterns import valid_pattern_sets
 from patternqkd.protocol import SessionConfig, run_session
 
 SECRET = PatternSet.from_string("12345 13452")
 
 
-def session(blocks, seed, eve=EveStrategy.none(), **noise):
+def session(blocks, seed, eve=EveStrategy(), **noise):
     config = SessionConfig(num_blocks=blocks, secret_set=SECRET, master_seed=seed, noise=NoiseModel(**noise), eve=eve)
     report, columns = run_session(config)
     return report, as_records(columns)
@@ -85,7 +86,7 @@ class TestDepolarizing:
     def test_single_error_corrected_end_to_end(self):
         # weight-1 channel hits are transparent to an honest decode;
         # deliberate 30-case injections live in the code tests
-        identity = all_patterns().index(Pattern.identity())
+        identity = all_patterns().index(Pattern(POSITIONS))
         for qubit in range(5):
             for letter in "XYZ":
                 x, z = code5.pauli_masks("I" * qubit + letter + "I" * (4 - qubit))
@@ -165,11 +166,11 @@ class TestEveStrategy:
             EveStrategy(kind="measure_everything")
         with pytest.raises(ValueError):
             EveStrategy(kind="intercept_resend", knowledge=None)
-        EveStrategy.intercept_resend("uniform")
-        EveStrategy.intercept_resend(valid_pattern_sets()[0])
+        EveStrategy("intercept_resend", "uniform")
+        EveStrategy("intercept_resend", valid_pattern_sets()[0])
 
     def test_none_passes_state_through(self):
-        report, records = session(600, 13, eve=EveStrategy.none())
+        report, records = session(600, 13, eve=EveStrategy())
         assert report.eve_success_rate is None
         assert all(r.eve is None for r in records)
         assert all((r.syndrome, r.bob_bit) == (0, r.alice_bit) for r in records if r.sifted)
@@ -177,7 +178,7 @@ class TestEveStrategy:
     def test_matching_guess_is_undetectable(self):
         # Eve holds the true set and happens to pick Alice's pattern: she
         # reads the bit exactly and Bob sees a clean block.
-        _, records = session(120, 14, eve=EveStrategy.intercept_resend(SECRET))
+        _, records = session(120, 14, eve=EveStrategy("intercept_resend", SECRET))
         seen_match = 0
         for r in records:
             if r.eve.guessed_pattern == SECRET.members()[r.alice_pattern_index]:
@@ -190,14 +191,14 @@ class TestEveStrategy:
     def test_resent_state_is_codeword_under_guess(self):
         # Whenever Bob decodes with Eve's guessed pattern he reads her bit
         # with a trivial syndrome, whatever Alice sent.
-        _, records = session(12_000, 15, eve=EveStrategy.intercept_resend("uniform"))
+        _, records = session(12_000, 15, eve=EveStrategy("intercept_resend", "uniform"))
         matches = [r for r in records if r.eve.guessed_pattern == SECRET.members()[r.bob_pattern_index]]
         assert len(matches) > 40
         assert all((r.bob_bit, r.syndrome) == (r.eve.eve_bit, 0) for r in matches)
 
     def test_uniform_guess_agreement_near_half(self):
         # "effectively random": agreement averaged over uniform guesses
-        report, _ = session(4000, 16, eve=EveStrategy.intercept_resend("uniform"))
+        report, _ = session(4000, 16, eve=EveStrategy("intercept_resend", "uniform"))
         assert abs(report.eve_success_rate - 0.5) < 0.05
 
     def test_uniform_guess_success_at_exact_value(self):
@@ -208,7 +209,7 @@ class TestEveStrategy:
         table = code5.decode_table("Z")
         exact = 23 / 48
         assert abs(np.mean([table[:, b, b::2].sum(axis=1) for b in (0, 1)]) - exact) < 1e-12
-        report, _ = session(4000, 16, eve=EveStrategy.intercept_resend("uniform"))
+        report, _ = session(4000, 16, eve=EveStrategy("intercept_resend", "uniform"))
         sigma = math.sqrt(exact * (1 - exact) / 4000)
         assert abs(report.eve_success_rate - exact) < 3 * sigma
 

@@ -991,8 +991,8 @@ class TestColumnarRecords:
     @pytest.mark.parametrize("config", [
         dict(noise=NoiseModel(per_qubit_flip_prob=0.1)),
         dict(noise=NoiseModel(distance_km=5.0, loss_db_per_km=1.0, mean_photon_number=0.5)),
-        dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(distance_km=3.0)),
-        dict(eve=EveStrategy.intercept_resend(PatternSet.from_string("12345 21453")), logical_basis="X",
+        dict(eve=EveStrategy("intercept_resend", UNIFORM_KNOWLEDGE), noise=NoiseModel(distance_km=3.0)),
+        dict(eve=EveStrategy("intercept_resend", PatternSet.from_string("12345 21453")), logical_basis="X",
              noise=NoiseModel(per_qubit_flip_prob=0.05)),
         dict(noise=NoiseModel(distance_km=400.0)),
     ], ids=["noisy", "lossy", "interceptor", "x-basis", "zero-sifted"])
@@ -1009,7 +1009,7 @@ class TestColumnarRecords:
     @pytest.mark.parametrize("first", [5, 95, 995, 9995, 99995, 99_999_995])
     @pytest.mark.parametrize("config", [
         dict(noise=NoiseModel(distance_km=400.0)),
-        dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(per_qubit_flip_prob=0.05)),
+        dict(eve=EveStrategy("intercept_resend", UNIFORM_KNOWLEDGE), noise=NoiseModel(per_qubit_flip_prob=0.05)),
     ], ids=["all-lost", "all-intercepted"])
     def test_equals_the_per_record_formatter_across_id_widths(self, config, first):
         session = SessionConfig(num_blocks=4200, secret_set=PatternSet.from_string("12345 13452"), master_seed=43, **config)
@@ -1025,8 +1025,8 @@ class TestColumnarRecords:
     # and in a chunk with an id shorter than its widest.  Sessions shifted to
     # start 5 rows before ids reach 10, 100, 1000 and 10 000.
     BRANCHES = {
-        "no-nul": dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE)),
-        "some-lost": dict(eve=EveStrategy.intercept_resend(UNIFORM_KNOWLEDGE), noise=NoiseModel(distance_km=0.03)),
+        "no-nul": dict(eve=EveStrategy("intercept_resend", UNIFORM_KNOWLEDGE)),
+        "some-lost": dict(eve=EveStrategy("intercept_resend", UNIFORM_KNOWLEDGE), noise=NoiseModel(distance_km=0.03)),
         "no-interceptor": dict(),
     }
 

@@ -19,10 +19,10 @@ from statevector_oracle import (
 )
 
 from patternqkd import code5
-from patternqkd.patterns import Pattern, all_patterns, compose, invert
+from patternqkd.patterns import POSITIONS, Pattern, all_patterns, compose, invert
 from patternqkd.quantum_core import apply_permutation
 
-IDENTITY = Pattern.identity()
+IDENTITY = Pattern(POSITIONS)
 
 # Textbook 16-term expansion of the logical zero (amplitudes +-1/4),
 # an external anchor for the generator and sign conventions.

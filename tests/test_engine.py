@@ -30,7 +30,7 @@ from patternqkd.protocol import SessionConfig, run_session
 from patternqkd.quantum_core import apply_permutation
 
 SECRET = PatternSet.from_string("12345 13452")
-IDENTITY = Pattern.identity()
+IDENTITY = Pattern(POSITIONS)
 
 # The documented layout: 20 raw Philox words per block, keyed by spawn key (0,).
 WORDS_PER_BLOCK = 20
@@ -239,7 +239,7 @@ def replay_session(config: SessionConfig) -> list[BlockRecord]:
     return records
 
 
-def replay_config(basis="Z", eve=EveStrategy.intercept_resend("uniform"), mu=0.2, blocks=300, seed=2024,
+def replay_config(basis="Z", eve=EveStrategy("intercept_resend", "uniform"), mu=0.2, blocks=300, seed=2024,
                   distance=1.576):
     return SessionConfig(
         num_blocks=blocks,
@@ -262,7 +262,7 @@ class TestReferenceReplay:
 
     @pytest.mark.parametrize(
         "basis, eve",
-        [("Z", EveStrategy.none()), ("X", EveStrategy.intercept_resend(PatternSet.from_string("12345 21453")))],
+        [("Z", EveStrategy()), ("X", EveStrategy("intercept_resend", PatternSet.from_string("12345 21453")))],
     )
     def test_other_interceptors_and_leaky_source(self, basis, eve):
         config = replay_config(basis, eve, mu=1.5, blocks=200, seed=77)
@@ -304,8 +304,8 @@ class TestChunking:
         distance=st.sampled_from([0.0, 4.0, 40.0]),
         mu=st.sampled_from([0.0, 0.3, 3.0]),
         eve=st.sampled_from([
-            EveStrategy.none(), EveStrategy.intercept_resend("uniform"),
-            EveStrategy.intercept_resend(PatternSet.from_string("12345 21453")),
+            EveStrategy(), EveStrategy("intercept_resend", "uniform"),
+            EveStrategy("intercept_resend", PatternSet.from_string("12345 21453")),
         ]),
         basis=st.sampled_from(["Z", "X"]),
         batch=st.integers(1, 70),
@@ -340,7 +340,7 @@ class TestSessionGranularWork:
     def test_no_loss_or_pulse_word_compared_when_the_config_rules_it_out(self, monkeypatch, distance, mu):
         noise = NoiseModel(distance_km=distance, mean_photon_number=mu)
         config = SessionConfig(num_blocks=3000, secret_set=SECRET, master_seed=8, noise=noise,
-                               eve=EveStrategy.intercept_resend("uniform"))
+                               eve=EveStrategy("intercept_resend", "uniform"))
         survival, q = noise.photon_survival_prob ** 5, analysis.multiphoton_prob(mu)
         compared = Counter()
         real = protocol._below
@@ -398,8 +398,8 @@ def cutoff(prob):
 
 TABLE_SETS = [SECRET, PatternSet.from_string("12345 21453"), PatternSet.from_string("54321 15234")]
 TABLE_EVES = [
-    EveStrategy.none(), EveStrategy.intercept_resend("uniform"),
-    EveStrategy.intercept_resend(PatternSet.from_string("13452 41523")),
+    EveStrategy(), EveStrategy("intercept_resend", "uniform"),
+    EveStrategy("intercept_resend", PatternSet.from_string("13452 41523")),
 ]
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,8 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: os", "line 4: replace"]
 
 
-# Public names that no package module reads, each kept for a reader outside the package.
+# Public names that no package module reads, each kept for a reader outside the package (a method as
+# ``module.Class.name``).
 UNREAD_BY_THE_PACKAGE = {
     "code5.encode_logical": "bench/ builds its statevector stages from it",
     "code5.decode_distribution": "bench/ times the statevector decode with it",
@@ -90,13 +92,26 @@ def _names_read(node: ast.AST) -> set[str]:
     return names
 
 
+def _attributes_read(node: ast.AST) -> Counter:
+    """How often ``node`` reads each attribute name, as ``X.name``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def unread_public_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each public module-level function or class of ``sources`` (module name -> text) that
     no ``__all__`` lists and that nothing reads: not another module, by import or as an attribute of the module,
-    nor its own module outside the definition itself."""
-    read, exported, public = set(), set(), []
+    nor its own module outside the definition itself.  Then ``module.Class.name`` for each public method or
+    property of a public class (dunders are private here) that nothing reads as ``X.name``, ``cls.name`` included,
+    outside the method itself."""
+    read, exported, public, methods, attributes = set(), set(), [], [], Counter()
     for module, text in sources.items():
         tree = ast.parse(text)
+        attributes += _attributes_read(tree)
+        methods += [
+            (f"{module}.{node.name}.{item.name}", _attributes_read(item)[item.name])
+            for node in tree.body if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+        ]
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 public += [(module, node.name)] if not node.name.startswith("_") else []
@@ -115,7 +130,7 @@ def unread_public_names(sources: dict[str, str]) -> list[str]:
         f"{module}.{name}" for module, name in public
         if (module, name) not in read and name not in exported
         and not any(module == m and name.startswith(prefix) for m, prefix in prefixes)
-    ]
+    ] + [method for method, own in methods if attributes[method.rsplit(".", 1)[-1]] == own]
 
 
 def test_every_public_name_is_read_by_the_package():
@@ -133,6 +148,22 @@ def test_the_check_finds_an_unread_public_name():
         "d": "from .b import helper, main\n",
     }
     assert unread_public_names(sources) == ["a.unused", "a.recursive", "c.planted"]
+
+
+def test_the_check_finds_an_unread_method():
+    sources = {
+        "e": "class Value:\n"
+             "    def __repr__(self): return 'Value()'\n"
+             "    @classmethod\n    def unread_maker(cls): return cls()\n"
+             "    @property\n    def unread_view(self): return 1\n"
+             "    @classmethod\n    def parse(cls, text): return cls.checked(text)\n"
+             "    @classmethod\n    def checked(cls, text): return cls()\n"
+             "    def again(self): return self.again()\n"
+             "    def _private(self): pass\n"
+             "class _Hidden:\n    def unread(self): pass\n",
+        "f": "from .e import Value\nVALUE = Value.parse('x')\n",
+    }
+    assert unread_public_names(sources) == ["e.Value.unread_maker", "e.Value.unread_view", "e.Value.again"]
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

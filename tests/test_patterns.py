@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from patternqkd import patterns
 from patternqkd.patterns import (
+    POSITIONS,
     Pattern,
     PatternSet,
     all_patterns,
@@ -24,7 +25,7 @@ from patternqkd.patterns import (
     valid_pattern_sets,
 )
 
-IDENTITY = Pattern.identity()
+IDENTITY = Pattern(POSITIONS)
 
 
 class TestPattern:

@@ -16,6 +16,7 @@ from patternqkd.protocol import (
     decide,
     estimate_mqer,
     run_session,
+    sample_guessed_set,
     sample_secret_set,
     session_rng,
     sift,
@@ -32,7 +33,7 @@ def make_config(**overrides) -> SessionConfig:
         test_fraction=0.5,
         mqer_threshold=0.10,
         noise=NoiseModel(),
-        eve=EveStrategy.none(),
+        eve=EveStrategy(),
         logical_basis="Z",
     )
     base.update(overrides)
@@ -89,7 +90,7 @@ class TestRunBlock:
     def test_eve_record_dropped_on_lost_blocks(self):
         config = make_config(
             noise=NoiseModel(distance_km=200.0, loss_db_per_km=0.2),
-            eve=EveStrategy.intercept_resend(SECRET),
+            eve=EveStrategy("intercept_resend", SECRET),
         )
         record = run_block(config, 3)
         assert record.lost and record.eve is None
@@ -207,16 +208,16 @@ class TestRunSession:
 
     def test_eve_success_ordering(self):
         # uniform-120 < one-correct < both-correct on matched seeds
-        from patternqkd.channel import guessed_set_with_overlap
+        from patternqkd.patterns import guessed_set_with_overlap
 
         seed = 16
         guess_rng = np.random.default_rng(99)
         one_correct = guessed_set_with_overlap(SECRET, 1, guess_rng)
         rates = {}
         for name, strategy in (
-            ("uniform", EveStrategy.intercept_resend("uniform")),
-            ("one", EveStrategy.intercept_resend(one_correct)),
-            ("both", EveStrategy.intercept_resend(SECRET)),
+            ("uniform", EveStrategy("intercept_resend", "uniform")),
+            ("one", EveStrategy("intercept_resend", one_correct)),
+            ("both", EveStrategy("intercept_resend", SECRET)),
         ):
             report, _ = run_session(
                 make_config(num_blocks=4000, master_seed=seed, eve=strategy)
@@ -273,6 +274,23 @@ class TestSecretSetSampling:
     def test_deterministic_in_seed(self):
         assert sample_secret_set(7) == sample_secret_set(7)
         assert sample_secret_set(7) != sample_secret_set(8)
+
+    # Seed -> (secret set, guessed sets sharing 0 and 1 patterns with it), as version 0.4.0 drew them:
+    # moving a draw between modules must leave every seed-drawn set as it was.
+    PINNED_DRAWS = {
+        0: ("35241 45312", "35214 41532", "41532 45312"),
+        1: ("32451 53124", "15432 41523", "24531 53124"),
+        7: ("35241 54231", "24153 43125", "34152 54231"),
+        2024: ("14253 42351", "12435 14532", "12534 42351"),
+        2**64 - 1: ("12354 34512", "31452 51324", "25143 34512"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_DRAWS))
+    def test_draws_are_pinned(self, seed):
+        secret, *guesses = self.PINNED_DRAWS[seed]
+        assert str(sample_secret_set(seed)) == secret
+        drawn = [str(sample_guessed_set(seed, PatternSet.from_string(secret), k)) for k in (0, 1, 2)]
+        assert drawn == [*guesses, secret]
 
 
 class TestRecordShape:

@@ -16,7 +16,7 @@ from jacobi_oracle import (
 )
 from statevector_oracle import apply_pauli_string, basis_state, inner_product
 
-from patternqkd.patterns import Pattern, all_patterns, compose, invert
+from patternqkd.patterns import POSITIONS, Pattern, all_patterns, compose, invert
 from patternqkd.quantum_core import DIM, apply_pauli, apply_permutation
 
 PAULI_MATRICES = {
@@ -43,7 +43,7 @@ class TestPermutations:
         rng = np.random.default_rng(5)
         psi = random_state(rng)
         np.testing.assert_allclose(
-            apply_permutation(psi, Pattern.identity()), psi, atol=1e-15
+            apply_permutation(psi, Pattern(POSITIONS)), psi, atol=1e-15
         )
 
     def test_swap_of_first_two_positions(self):
