@@ -4,7 +4,7 @@ from .channel import EveStrategy, NoiseModel
 from .patterns import Pattern, PatternSet
 from .protocol import SessionConfig, SessionReport, run_session
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "EveStrategy",

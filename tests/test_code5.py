@@ -11,11 +11,14 @@ from statevector_oracle import (
     _codeword,
     apply_pauli_string,
     correct,
+    correction_table,
     decode_block,
     decode_distribution,
     extract_syndrome,
     inner_product,
     measure_logical,
+    pauli_syndrome,
+    single_qubit_pauli_labels,
 )
 
 from patternqkd import code5
@@ -108,18 +111,24 @@ class TestSyndromes:
             np.testing.assert_allclose(post, cw, atol=1e-12)
 
     def test_fifteen_distinct_nonzero_syndromes(self):
-        syndromes = [code5.pauli_syndrome(e) for e in code5.single_qubit_pauli_labels()]
+        syndromes = [pauli_syndrome(e) for e in single_qubit_pauli_labels()]
         assert len(syndromes) == 15
         assert 0 not in syndromes
         assert len(set(syndromes)) == 15
 
     def test_extract_matches_algebraic_syndrome(self):
         rng = np.random.default_rng(1)
-        for label in code5.single_qubit_pauli_labels():
+        for label in single_qubit_pauli_labels():
             for bit in (0, 1):
                 errored = apply_pauli_string(code5.encode_logical(bit), label)
                 syndrome, _ = extract_syndrome(errored, rng)
-                assert syndrome == code5.pauli_syndrome(label)
+                assert syndrome == pauli_syndrome(label)
+
+    def test_mask_syndromes_equal_the_letter_count_on_every_pauli(self):
+        labels = ["".join(letters) for letters in itertools.product("IXYZ", repeat=5)]
+        x, z = np.array([code5.pauli_masks(label) for label in labels]).T
+        assert code5.syndromes(x, z).tolist() == [pauli_syndrome(label) for label in labels]
+        assert code5.syndromes(*code5.pauli_masks("IIYII")) == pauli_syndrome("IIYII")
 
     def test_syndrome_bits_rendering(self):
         assert code5.syndrome_bits(0) == "0000"
@@ -130,11 +139,27 @@ class TestSyndromes:
 
 class TestCorrection:
     def test_table_structure(self):
-        table = code5.correction_table()
+        table = correction_table()
         assert table[0] == "IIIII"
         assert sorted(table) == list(range(16))
         recoveries = {label for syndrome, label in table.items() if syndrome != 0}
-        assert recoveries == set(code5.single_qubit_pauli_labels())
+        assert recoveries == set(single_qubit_pauli_labels())
+
+    def test_recovery_masks_equal_the_enumerated_table(self):
+        table = correction_table()
+        masks = code5._recovery_masks()
+        np.testing.assert_array_equal(masks, np.array([code5.pauli_masks(table[s]) for s in range(16)]).T)
+        assert not masks.flags.writeable
+
+    def test_recovery_masks_reject_a_degenerate_generator_set(self, monkeypatch):
+        # g1 twice: syndrome bits 1 and 2 always agree, so weight-one Paulis must share syndromes.
+        monkeypatch.setattr(code5, "STABILIZER_GENERATORS", ("XZZXI", "XZZXI", "XIXZZ", "ZXIXZ"))
+        code5._recovery_masks.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="once each"):
+                code5._recovery_masks()
+        finally:
+            code5._recovery_masks.cache_clear()
 
     def test_trivial_syndrome_leaves_state(self):
         rng = np.random.default_rng(2)
@@ -143,7 +168,7 @@ class TestCorrection:
 
     def test_all_thirty_single_error_recoveries(self):
         rng = np.random.default_rng(3)
-        for label in code5.single_qubit_pauli_labels():
+        for label in single_qubit_pauli_labels():
             for bit in (0, 1):
                 cw = code5.encode_logical(bit)
                 errored = apply_pauli_string(cw, label)
@@ -191,6 +216,10 @@ class TestLogicalMeasurement:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
             measure_logical(code5.encode_logical(0), rng, basis="Q")
+        with pytest.raises(ValueError, match="basis"):
+            code5.encode_logical(0, basis="Q")
+        with pytest.raises(ValueError, match="basis"):
+            code5.class_sources("Q")
 
 
 class TestDecodeBlock:
@@ -215,7 +244,7 @@ class TestDecodeBlock:
     def test_single_error_after_pattern_still_corrected(self):
         rng = np.random.default_rng(7)
         patterns = all_patterns()
-        for label in code5.single_qubit_pauli_labels():
+        for label in single_qubit_pauli_labels():
             pattern = patterns[rng.integers(120)]
             for bit in (0, 1):
                 sent = apply_permutation(code5.encode_logical(bit), pattern)

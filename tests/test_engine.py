@@ -19,7 +19,7 @@ import test_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from records_oracle import BlockRecord, EveRecord, as_records, format_records, run_block
-from statevector_oracle import apply_pauli_string, decode_distribution
+from statevector_oracle import apply_pauli_string, correction_table, decode_distribution, pauli_syndrome
 
 from patternqkd import analysis, cli, code5, protocol
 from patternqkd.channel import EveStrategy, NoiseModel
@@ -132,10 +132,10 @@ class TestIntegerDraw:
         # comes from s ^ syn(E), its bit flipped iff C(s ^ syn(E)) E C(s) anticommutes with the logical.
         x, z = all_frames()
         lx, lz = code5.pauli_masks(code5.LOGICAL_Z if basis == "Z" else code5.LOGICAL_X)
-        corrections = [code5.pauli_masks(code5.correction_table()[s]) for s in range(16)]
+        corrections = [code5.pauli_masks(correction_table()[s]) for s in range(16)]
         keys, relabellings = [], []
         for fx, fz in zip(x.tolist(), z.tolist()):
-            syndrome = code5.pauli_syndrome(frame_label(fx, fz))
+            syndrome = pauli_syndrome(frame_label(fx, fz))
             cx, cz = corrections[syndrome]
             flip = bin((fx ^ cx) & lz ^ (fz ^ cz) & lx).count("1") & 1
             keys.append(2 * syndrome + flip)
@@ -463,7 +463,7 @@ def forbid_float_routes(monkeypatch):
     for name in ("encode_logical", "decode_distribution"):
         monkeypatch.setattr(code5, name, forbidden)
     for cached in (
-        code5._codewords, code5.pattern_codewords, code5._decode_basis, code5.decode_table,
+        code5._recovery_masks, code5._codewords, code5.pattern_codewords, code5._decode_basis, code5.decode_table,
         protocol._draw_table, protocol._frame_class_table, protocol._session_tables, analysis._relative_spectra,
     ):
         cached.cache_clear()

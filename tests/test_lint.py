@@ -71,7 +71,7 @@ def test_the_check_finds_an_unused_import():
 # ``module.Class.name``).
 UNREAD_BY_THE_PACKAGE = {
     "code5.encode_logical": "bench/ builds its statevector stages from it",
-    "code5.decode_distribution": "bench/ times the statevector decode with it",
+    "code5.decode_distribution": "bench/test_bench.py takes it as its statevector reference",
     "analysis.chi_physical_sweep": "bench/ times the chi sweep with it",
     "patterns.compose": "the group law that tests compare relative_index against",
 }
@@ -180,17 +180,27 @@ def _resolves(module: str, name: str) -> bool:
 def missing_bench_names(sources: dict[str, str], loaded: set[str]) -> list[str]:
     """What the bench reads from the package and the package lacks, for ``sources`` (bench file name -> text)
     and ``loaded`` (the modules in ``sys.modules`` once ``cli`` is imported): each name a
-    ``from patternqkd... import`` imports, each attribute chain ``workloads.py`` reads off its ``cli``
-    argument, and each layer of ``tracer.LAYERS`` that importing ``cli`` does not load."""
+    ``from patternqkd... import`` imports, each attribute read off a package module that such an import binds,
+    each attribute chain ``workloads.py`` reads off its ``cli`` argument, and each layer of ``tracer.LAYERS``
+    that importing ``cli`` does not load."""
     from patternqkd import cli
 
     missing = []
     for file, text in sources.items():
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        modules = {
+            alias.asname or alias.name: f"{node.module}.{alias.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "patternqkd"
+            for alias in node.names if importlib.util.find_spec(f"{node.module}.{alias.name}")
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "patternqkd":
                 names = [alias.name for alias in node.names if not _resolves(node.module, alias.name)]
                 missing += [f"{file}: {node.module}.{name}" for name in names]
-            elif file == "workloads.py" and isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                module = modules[node.value.id]
+                missing += [] if _resolves(module, node.attr) else [f"{file}: {module}.{node.attr}"]
+            if file == "workloads.py" and isinstance(node, ast.Attribute):
                 chain, root = [], node
                 while isinstance(root, ast.Attribute):
                     chain, root = [root.attr, *chain], root.value
@@ -205,6 +215,14 @@ def missing_bench_names(sources: dict[str, str], loaded: set[str]) -> list[str]:
     return sorted(set(missing))
 
 
+# Names the bench reads and the package lacks, each with why the bench still reads it.
+STALE_BENCH_READS = {
+    "test_bench.py: patternqkd.channel.eve_apply": "test_tracer_patches_names_imported_by_protocol asserts "
+    "protocol.eve_apply is channel.eve_apply; red since eve_apply left both modules, until ROADMAP item 1 re-pins it",
+    "test_bench.py: patternqkd.protocol.eve_apply": "the same assertion of the same red test",
+}
+
+
 def test_every_name_the_bench_reads_exists():
     src = str(Path(patternqkd.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -212,14 +230,18 @@ def test_every_name_the_bench_reads_exists():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     sources = {path.name: path.read_text() for path in sorted(BENCH.glob("*.py"))}
     assert {"workloads.py", "tracer.py", "test_bench.py"} <= set(sources)
-    assert missing_bench_names(sources, set(done.stdout.split())) == []
+    assert missing_bench_names(sources, set(done.stdout.split())) == sorted(STALE_BENCH_READS)
 
 
 def test_the_bench_check_finds_a_missing_name():
     sources = {
         "test_bench.py": "from patternqkd import cli, gone_module\n"
                          "from patternqkd.analysis import binary_entropy, gone\n"
-                         "from patternqkd.gone_too import anything\n",
+                         "from patternqkd.gone_too import anything\n"
+                         "from patternqkd import code5 as c5, protocol\n"
+                         "from patternqkd.quantum_core import apply_permutation\n"
+                         "def test(other):\n    return (c5.encode_logical, c5.gone_reader, protocol.gone_attr,\n"
+                         "            apply_permutation.__wrapped__, gone_module.anything, other.gone)\n",
         "workloads.py": "def op(cli):\n    cli.main([])\n    cli.analysis.chi_by_relative()\n"
                         "    return cli.analysis.gone_function(), other.gone\n",
         "tracer.py": "LAYERS = ('code5', 'analysis', 'gone_layer')\n",
@@ -227,8 +249,10 @@ def test_the_bench_check_finds_a_missing_name():
     loaded = {"patternqkd.code5", "patternqkd.analysis"}
     assert missing_bench_names(sources, loaded) == [
         "test_bench.py: patternqkd.analysis.gone",
+        "test_bench.py: patternqkd.code5.gone_reader",
         "test_bench.py: patternqkd.gone_module",
         "test_bench.py: patternqkd.gone_too.anything",
+        "test_bench.py: patternqkd.protocol.gone_attr",
         "tracer.py: LAYERS gone_layer",
         "workloads.py: cli.analysis.gone_function",
     ]
