@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, analysis, code5
 from .channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
-from .patterns import PatternSet, all_patterns, set_at, set_index_array
+from .patterns import PatternSet, all_patterns, relative_index, set_index_array
 from .protocol import (
     DECISION_CONTINUE,
     Blocks,
@@ -375,17 +375,11 @@ def _analyze_head() -> tuple[str, ...]:
     return tuple(lines)
 
 
-def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
-    total = len(set_index_array())
-    if not 0 <= set_id < total:
-        raise ConfigError(f"unknown set id {set_id} (valid: 0..{total - 1})")
-    chosen = set_at(set_id)
-    columns, (r,) = analysis.chi_by_relative([chosen])
-    chi, overlap, _, s_average, s0, s1 = columns[r].tolist()
-    lines = [
-        *_analyze_head(),
-        f"set_id = {set_id}",
-        f"set_patterns = {chosen}",
+@lru_cache(maxsize=None)  # one entry per relative permutation, at most 120
+def _relative_lines(r: int) -> tuple[str, ...]:
+    """The report lines of every set with relative permutation ``r``, built once per process on first use."""
+    chi, overlap, _, s_average, s0, s1 = analysis._relative_spectra()[1][r].tolist()
+    return (
         f"pattern_state_overlap = {overlap:.6f}",
         # Both bits get the same mixture of the two pattern states, so this chi is 0 by construction.
         f"chi_identical_ensembles_bits = {0.0:.9f}",
@@ -393,13 +387,41 @@ def _analyze_lines(mu_values: list[float], set_id: int) -> list[str]:
         f"entropy_average_bits = {s_average:.9f}",
         f"entropy_rho0_bits = {s0:.9f}",
         f"entropy_rho1_bits = {s1:.9f}",
+    )
+
+
+def _pns_lines(mu_list: str) -> list[str]:
+    """The report's ``pns`` lines for a comma-separated ``--mu`` list, in its order; the values are checked."""
+    with _rejecting("bad --mu list: "):
+        mu_values = [float(v) for v in mu_list.split(",")]
+    if not all(0 <= mu < float("inf") for mu in mu_values):
+        raise ConfigError("--mu values must be finite and >= 0")
+    return [
+        f"pns[mu={_fmt(mu)}] multiphoton = {analysis.multiphoton_prob(mu):.6e}"
+        f" leak = {analysis.pns_block_leak_prob(mu):.6e}"
+        for mu in mu_values
     ]
-    for mu in mu_values:
-        lines.append(
-            f"pns[mu={_fmt(mu)}] multiphoton = {analysis.multiphoton_prob(mu):.6e}"
-            f" leak = {analysis.pns_block_leak_prob(mu):.6e}"
-        )
-    return lines
+
+
+@lru_cache(maxsize=1)
+def _default_pns_lines() -> tuple[str, ...]:
+    """The ``pns`` lines of an ``analyze`` without ``--mu``, built once per process."""
+    return tuple(_pns_lines("0,0.1,0.5"))
+
+
+def _analyze_lines(set_id: int, pns_lines: Sequence[str]) -> list[str]:
+    """The ``analyze`` report of set ``set_id``, ending in ``pns_lines``; all but two lines are looked up."""
+    pairs = set_index_array()
+    if not 0 <= set_id < len(pairs):
+        raise ConfigError(f"unknown set id {set_id} (valid: 0..{len(pairs) - 1})")
+    (i, j), patterns = pairs[set_id].tolist(), all_patterns()
+    return [
+        *_analyze_head(),
+        f"set_id = {set_id}",
+        f"set_patterns = {patterns[i]} {patterns[j]}",
+        *_relative_lines(int(relative_index(i, j))),
+        *pns_lines,
+    ]
 
 
 @lru_cache(maxsize=1)
@@ -417,13 +439,10 @@ def _chi_csv() -> bytes:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    with _rejecting("bad --mu list: "):
-        mu_values = [0.0, 0.1, 0.5] if args.mu is None else [float(v) for v in args.mu.split(",")]
-    if not all(0 <= mu < float("inf") for mu in mu_values):
-        raise ConfigError("--mu values must be finite and >= 0")
+    pns_lines = _default_pns_lines() if args.mu is None else _pns_lines(args.mu)
     if args.out and args.chi_csv and Path(args.out).resolve() == Path(args.chi_csv).resolve():
         raise ConfigError("--out and --chi-csv name the same file")
-    text = "\n".join(_analyze_lines(mu_values, args.set_id)) + "\n"
+    text = "\n".join(_analyze_lines(args.set_id, pns_lines)) + "\n"
     outputs = {args.out: text.encode, args.chi_csv: _chi_csv}
     try:
         _write_outputs({Path(path): [data()] for path, data in outputs.items() if path})

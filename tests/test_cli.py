@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from records_oracle import as_records, format_records
 
 import patternqkd
-from patternqkd import cli
+from patternqkd import cli, patterns
 from patternqkd.channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
-from patternqkd.patterns import PatternSet, all_patterns, valid_pattern_sets
+from patternqkd.patterns import PatternSet, all_patterns, set_at, valid_pattern_sets
 from patternqkd.protocol import SessionConfig, SessionReport, run_session
 
 
@@ -316,7 +316,8 @@ class TestLazyStartup:
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
         "code5._recovery_masks", "code5.pattern_codewords", "code5.decode_table",
         "protocol._draw_table", "protocol._frame_class_table", "protocol._session_tables",
-        "cli._record_parts", "cli._analyze_head", "cli._chi_csv", "cli.build_parser",
+        "cli._record_parts", "cli._analyze_head", "cli._relative_lines", "cli._default_pns_lines", "cli._chi_csv",
+        "cli.build_parser",
     )
 
     def test_import_fills_no_table_cache(self):
@@ -447,6 +448,57 @@ class TestAnalyze:
         stdout = capsys.readouterr().out
         assert hashlib.sha256(stdout.encode()).hexdigest() == self.STDOUT_SHA256[1234]
 
+    # The report's per-set and default-mu lines are built once per process, by whichever call comes first;
+    # set 126 shares its relative permutation (25) with set 17.
+    @pytest.mark.parametrize("first", [
+        [], ["--set-id", "6539"], ["--mu", "0.3,2"], ["--set-id", "126"],
+    ], ids=["defaults", "set-id", "mu", "same-relative"])
+    def test_report_does_not_depend_on_the_first_call(self, capsys, first):
+        cli._relative_lines.cache_clear()
+        cli._default_pns_lines.cache_clear()
+        assert cli.main(["analyze", *first]) == cli.EXIT_OK
+        for set_id, digest in self.STDOUT_SHA256.items():
+            capsys.readouterr()
+            assert cli.main(["analyze", "--set-id", str(set_id)]) == cli.EXIT_OK
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    # 0 and -0.0 are equal floats with equal hashes, yet each prints as spelled, in the order given.
+    def test_mu_spellings_print_in_order_after_earlier_calls(self, capsys):
+        assert cli.main(["analyze"]) == cli.EXIT_OK
+        assert cli.main(["analyze", "--mu", "0"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["analyze", "--mu=0,-0.0,1e-1"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "pns[mu=0.0] multiphoton = 0.000000e+00 leak = 0.000000e+00",
+            "pns[mu=-0.0] multiphoton = 0.000000e+00 leak = 0.000000e+00",
+            "pns[mu=0.1] multiphoton = 4.678840e-03 leak = 1.017095e-06",
+        ]
+
+    def test_warm_analyze_builds_nothing(self, monkeypatch, capsys):
+        assert cli.main(["analyze", "--set-id", "17"]) == cli.EXIT_OK
+        columns, (r,) = cli.analysis.chi_by_relative([set_at(126)])  # the route that built each report
+        chi, overlap, _, s_average, s0, s1 = columns[r].tolist()
+        expected = [
+            *cli._analyze_head(), "set_id = 126", f"set_patterns = {set_at(126)}",
+            f"pattern_state_overlap = {overlap:.6f}", f"chi_identical_ensembles_bits = {0.0:.9f}",
+            f"chi_bit_conditioned_bits = {chi:.9f}", f"entropy_average_bits = {s_average:.9f}",
+            f"entropy_rho0_bits = {s0:.9f}", f"entropy_rho1_bits = {s1:.9f}",
+            *(f"pns[mu={mu}] multiphoton = {cli.analysis.multiphoton_prob(mu):.6e}"
+              f" leak = {cli.analysis.pns_block_leak_prob(mu):.6e}" for mu in (0.0, 0.1, 0.5)),
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm analyze rebuilt a report line")
+
+        for module in (cli.analysis, patterns):
+            for name in ("chi_by_relative", "pattern_indices", "set_at", "multiphoton_prob",
+                         "pns_block_leak_prob", "_relative_spectra"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        capsys.readouterr()
+        assert cli.main(["analyze", "--set-id", "126"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+
     # Digests of the stdout of `analyze --set-id N` as printed by the
     # per-set statevector route.  Sets 4 and 16 carry the other two
     # overlaps (1/2 and 1); set 16 prints its pure-state entropies as
@@ -474,7 +526,7 @@ class TestAnalyze:
     def test_every_set_report_is_pinned(self):
         digest = hashlib.sha256()
         for set_id in range(len(valid_pattern_sets())):
-            digest.update(("\n".join(cli._analyze_lines([0.0, 0.1, 0.5], set_id)) + "\n").encode())
+            digest.update(("\n".join(cli._analyze_lines(set_id, cli._default_pns_lines())) + "\n").encode())
         assert digest.hexdigest() == self.EVERY_REPORT_SHA256
 
     def test_sweep_fault_writes_no_file(self, tmp_path, monkeypatch, capsys):
