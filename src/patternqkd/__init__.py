@@ -1,10 +1,39 @@
-"""Pattern-based QKD over the five-qubit perfect code: simulation and analysis."""
+"""Pattern-based QKD over the five-qubit perfect code: simulation and analysis.
 
-from .channel import EveStrategy, NoiseModel
+The session layer, ``channel`` and ``protocol``, executes on first use (``_lazy``, ``__getattr__``),
+so ``analyze`` and ``enumerate`` never execute it.
+"""
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+from types import ModuleType
+
 from .patterns import Pattern, PatternSet
-from .protocol import SessionConfig, SessionReport, run_session
 
 __version__ = "0.6.0"
+
+
+def _lazy(name: str) -> ModuleType:
+    """Submodule ``name``, registered in ``sys.modules``; its body runs on the first attribute read."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    sys.modules[spec.name] = module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+channel, protocol = _lazy("channel"), _lazy("protocol")
+_SESSION_NAMES = {
+    "EveStrategy": channel, "NoiseModel": channel,
+    "SessionConfig": protocol, "SessionReport": protocol, "run_session": protocol,
+}
+
+
+def __getattr__(name: str) -> object:
+    if name in _SESSION_NAMES:
+        return getattr(_SESSION_NAMES[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EveStrategy",

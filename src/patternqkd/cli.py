@@ -26,20 +26,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, analysis, code5
-from .channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
+from . import __version__, analysis, channel, code5, protocol
 from .patterns import PatternSet, all_patterns, relative_index, set_index_array
-from .protocol import (
-    DECISION_CONTINUE,
-    Blocks,
-    SessionConfig,
-    SessionReport,
-    check_master_seed,
-    run_session,
-    sample_guessed_set,
-    sample_secret_set,
-    sweep_seed,
-)
 
 EXIT_OK = 0
 EXIT_FAULT = 1
@@ -115,7 +103,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def build_session_config(
     values: dict[str, str], overrides: Optional[dict[str, object]] = None
-) -> SessionConfig:
+) -> protocol.SessionConfig:
     """Assemble a validated SessionConfig from parsed values plus typed
     command-line overrides (keyed like the values).
 
@@ -131,40 +119,40 @@ def build_session_config(
             typed[key] = FIELDS[key][0](text)
     typed.update(overrides or {})
 
-    seed = typed.get("master_seed", SessionConfig.master_seed)  # the dataclass default
+    seed = typed.get("master_seed", protocol.SessionConfig.master_seed)  # the dataclass default
     with _rejecting():
         # The secret set and the guessed set below are drawn from the seed.
-        check_master_seed(seed)
+        protocol.check_master_seed(seed)
     if "secret_set" not in typed:
-        typed["secret_set"] = sample_secret_set(seed)
+        typed["secret_set"] = protocol.sample_secret_set(seed)
 
     with _rejecting("field 'noise': "):
-        noise = NoiseModel(**{
+        noise = channel.NoiseModel(**{
             key.removeprefix("noise."): value
             for key, value in typed.items() if key.startswith("noise.")
         })
 
-    kind, knowledge = typed.get("eve.kind", EveStrategy.kind), None
+    kind, knowledge = typed.get("eve.kind", channel.EveStrategy.kind), None
     if kind == "intercept_resend":
-        knowledge = typed.get("eve.knowledge", UNIFORM_KNOWLEDGE)
+        knowledge = typed.get("eve.knowledge", channel.UNIFORM_KNOWLEDGE)
         with _rejecting("field 'eve.knowledge': "):
             if knowledge.startswith("overlap="):
                 count = int(knowledge.split("=", 1)[1])
-                knowledge = sample_guessed_set(seed, typed["secret_set"], count)
-            elif knowledge != UNIFORM_KNOWLEDGE:
+                knowledge = protocol.sample_guessed_set(seed, typed["secret_set"], count)
+            elif knowledge != channel.UNIFORM_KNOWLEDGE:
                 knowledge = PatternSet.from_string(knowledge)
     with _rejecting("field 'eve.kind': "):
-        eve = EveStrategy(kind, knowledge)
+        eve = channel.EveStrategy(kind, knowledge)
 
     with _rejecting():
-        return SessionConfig(
+        return protocol.SessionConfig(
             **{key: value for key, value in typed.items() if "." not in key},
             noise=noise,
             eve=eve,
         )
 
 
-def config_echo_items(config: SessionConfig) -> list[tuple[str, str]]:
+def config_echo_items(config: protocol.SessionConfig) -> list[tuple[str, str]]:
     """The resolved configuration as flat key/value pairs, one per table
     row; the knowledge of an absent interceptor is echoed as '-'."""
     return [(key, _fmt(reduce(getattr, key.split("."), config))) for key in FIELDS]
@@ -222,7 +210,7 @@ def _record_parts() -> tuple[np.ndarray, np.ndarray]:
     return _byte_rows(front), _byte_rows([f" {g} {s} {t}\n" for g in guesses for s in "01" for t in "01"])
 
 
-def _line_codes(blocks: Blocks) -> tuple[np.ndarray, np.ndarray]:
+def _line_codes(blocks: protocol.Blocks) -> tuple[np.ndarray, np.ndarray]:
     """Each row's int16 codes into the two parts of ``_record_parts``: ``(4a + 2i + j) * 35 + 2s + c + 3``
     and ``((2g + b + 3) * 2 + sifted) * 2 + tested``; a missing value is -1, so a lost decode or a missing
     guess has code 0.  Built in place by Horner steps (multiplier, addend): only the codes are new memory."""
@@ -237,7 +225,7 @@ def _line_codes(blocks: Blocks) -> tuple[np.ndarray, np.ndarray]:
     return front, back
 
 
-def format_records(blocks: Blocks) -> Iterator[bytes]:
+def format_records(blocks: protocol.Blocks) -> Iterator[bytes]:
     """``records.txt`` in chunks: the header line, then ``RECORDS_CHUNK_ROWS`` rows at a time, each row a
     record of fixed-width NUL-padded byte-string fields, each one 1-D ``take``: the block id (``_id_text``),
     then the two parts of ``_record_parts`` by the codes ``_line_codes`` computes once per session.  Only an
@@ -257,7 +245,7 @@ def format_records(blocks: Blocks) -> Iterator[bytes]:
         yield text.translate(None, b"\0") if missing or len(str(first)) < width else text
 
 
-def format_report(report: SessionReport) -> str:
+def format_report(report: protocol.SessionReport) -> str:
     """Session report as a flat key-value document."""
     items = [
         ("blocks_sent", str(report.blocks_sent)),
@@ -300,7 +288,8 @@ def _hashed(chunks: Iterable[bytes], digest: "hashlib._Hash") -> Iterator[bytes]
 
 
 def _write_with_manifest(
-    out: Path, config: SessionConfig, files: dict[Path, Iterable[bytes]], extra: Optional[list[tuple[str, str]]] = None
+    out: Path, config: protocol.SessionConfig, files: dict[Path, Iterable[bytes]],
+    extra: Optional[list[tuple[str, str]]] = None,
 ) -> None:
     """Write the data files, hashed as they stream, and last ``out/manifest.txt`` naming them, in one
     ``_write_outputs``: no file is moved into place before the manifest is complete."""
@@ -452,7 +441,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_config(args: argparse.Namespace) -> SessionConfig:
+def _load_config(args: argparse.Namespace) -> protocol.SessionConfig:
     path = Path(args.config)
     try:
         text = path.read_text(encoding="utf-8")
@@ -469,7 +458,7 @@ def _load_config(args: argparse.Namespace) -> SessionConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out = _prepare_out_dir(args.out)
-    report, blocks = run_session(config)
+    report, blocks = protocol.run_session(config)
     _write_with_manifest(out, config, {
         out / "report.txt": [format_report(report).encode()],
         out / "records.txt": format_records(blocks),
@@ -478,7 +467,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"decision={report.decision} mqer={_fmt(report.mqer_estimate)} "
         f"sifted={report.blocks_sifted} tested={report.blocks_tested}"
     )
-    return EXIT_OK if report.decision == DECISION_CONTINUE else EXIT_ABORT
+    return EXIT_OK if report.decision == protocol.DECISION_CONTINUE else EXIT_ABORT
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -499,7 +488,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             swept = {"eve.kind": "intercept_resend", "eve.knowledge": f"overlap={int(value)}"}
         else:
             raise ConfigError(f"eve_overlap values must be 0, 1, or 2, got {value}")
-        seeds.append(sweep_seed(base.master_seed, index))
+        seeds.append(protocol.sweep_seed(base.master_seed, index))
         configs.append(build_session_config(echo, {"master_seed": seeds[-1], **swept}))
     out = _prepare_out_dir(args.out)
 
@@ -507,7 +496,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fault: Optional[str] = None
     for index, (value, config) in enumerate(zip(values, configs)):
         try:
-            report, _ = run_session(config)
+            report, _ = protocol.run_session(config)
         except Exception as exc:  # noqa: BLE001 - flagged in manifest
             fault = f"run {index} (value {value}): {exc}"
             break

@@ -362,6 +362,7 @@ def estimate_mqer(
     if not len(errors):
         return 0.0, 0, disclosed
     n_test = math.ceil(test_fraction * len(errors))
+    # Keep the call as it is: above 10 000 sifted blocks, shuffle=False would disclose another set.
     disclosed[rng.choice(len(errors), size=n_test, replace=False)] = True
     return int(np.count_nonzero(errors & disclosed)) / n_test, n_test, disclosed
 

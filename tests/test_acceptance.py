@@ -37,7 +37,7 @@ from statevector_oracle import (
     single_qubit_pauli_labels,
 )
 
-from patternqkd import analysis, cli, code5
+from patternqkd import analysis, cli, code5, protocol
 from patternqkd.channel import EveStrategy, NoiseModel
 from patternqkd.patterns import (
     POSITIONS,
@@ -546,7 +546,7 @@ def test_c13_reproducibility_and_exit_codes(tmp_path, monkeypatch):
     def boom(config):
         raise RuntimeError("synthetic")
 
-    monkeypatch.setattr(cli, "run_session", boom)
+    monkeypatch.setattr(protocol, "run_session", boom)
     code_fault = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "f")])
     monkeypatch.undo()
 

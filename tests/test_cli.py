@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from records_oracle import as_records, format_records
 
 import patternqkd
-from patternqkd import cli, patterns
+from patternqkd import cli, patterns, protocol
 from patternqkd.channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
 from patternqkd.patterns import PatternSet, all_patterns, set_at, valid_pattern_sets
 from patternqkd.protocol import SessionConfig, SessionReport, run_session
@@ -340,6 +340,41 @@ class TestLazyStartup:
         sizes = json.loads(done.stdout)
         assert set(self.TABLES) <= set(sizes)
         assert {name: size for name, size in sizes.items() if size} == {}
+
+    def test_only_simulate_executes_the_session_layer(self, tmp_path):
+        # channel and protocol are registered on import and run on first use: analyze and enumerate leave
+        # them unexecuted, simulate executes both.  type() reads no attribute, so it triggers no load.
+        src = Path(patternqkd.__file__).resolve().parent.parent
+        (tmp_path / "session.cfg").write_text(HONEST_CFG)
+        code = textwrap.dedent("""
+            import io, json, sys, types
+            from contextlib import redirect_stdout
+            sys.path.insert(0, sys.argv[1])
+            from patternqkd import cli
+            layers = ("quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli")
+            seen = {"imported": [layer for layer in layers if f"patternqkd.{layer}" in sys.modules]}
+            for argv in (
+                ["analyze", "--set-id", "17"],
+                ["enumerate", "--out", sys.argv[2] + "/tables"],
+                ["simulate", "--config", sys.argv[2] + "/session.cfg", "--out", sys.argv[2] + "/run"],
+            ):
+                with redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                session = [sys.modules[f"patternqkd.{name}"] for name in ("channel", "protocol")]
+                seen[argv[0]] = [code, [m.__name__ for m in session if type(m) is types.ModuleType]]
+            import patternqkd
+            seen["unresolved"] = [name for name in patternqkd.__all__ if not hasattr(patternqkd, name)]
+            print(json.dumps(seen))
+        """)
+        argv = [sys.executable, "-c", code, str(src), str(tmp_path)]
+        done = subprocess.run(argv, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == {
+            "imported": ["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli"],
+            "analyze": [cli.EXIT_OK, []],
+            "enumerate": [cli.EXIT_OK, []],
+            "simulate": [cli.EXIT_OK, ["patternqkd.channel", "patternqkd.protocol"]],
+            "unresolved": [],
+        }
 
 
 class TestAnalyze:
@@ -751,7 +786,7 @@ class TestSimulate:
         cfg.write_text(HONEST_CFG)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        monkeypatch.setattr(protocol, "run_session", forbidden_session)
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(blocker / "run")])
         assert code == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
@@ -765,7 +800,7 @@ class TestSimulate:
         out = tmp_path / "run"
         out.mkdir()
         out.chmod(0o555)
-        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        monkeypatch.setattr(protocol, "run_session", forbidden_session)
         try:
             code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         finally:
@@ -782,7 +817,7 @@ class TestSimulate:
         out.mkdir()
         access = os.access
         monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != out and access(path, mode))
-        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        monkeypatch.setattr(protocol, "run_session", forbidden_session)
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         assert code == cli.EXIT_USAGE
         assert "cannot write" in capsys.readouterr().err
@@ -918,7 +953,7 @@ class TestSweep:
         cfg = tmp_path / "session.cfg"
         cfg.write_text(HONEST_CFG)
         out = tmp_path / "sweep"
-        monkeypatch.setattr(cli, "run_session", forbidden_session)
+        monkeypatch.setattr(protocol, "run_session", forbidden_session)
         code = cli.main([
             "sweep", "--config", str(cfg), "--axis", axis,
             "--values", values, "--blocks", "50", "--out", str(out),
@@ -997,7 +1032,7 @@ class TestSweep:
         cfg = tmp_path / "session.cfg"
         cfg.write_text(HONEST_CFG)
         out = tmp_path / "sweep"
-        calls, real = [], cli.run_session
+        calls, real = [], protocol.run_session
 
         def second_run_fails(config):
             calls.append(config)
@@ -1005,7 +1040,7 @@ class TestSweep:
                 raise RuntimeError("run failed")
             return real(config)
 
-        monkeypatch.setattr(cli, "run_session", second_run_fails)
+        monkeypatch.setattr(protocol, "run_session", second_run_fails)
         code = cli.main([
             "sweep", "--config", str(cfg), "--axis", "eve_overlap",
             "--values", "1,0,2", "--blocks", "50", "--out", str(out),
@@ -1159,7 +1194,7 @@ class TestOutputFiles:
     def test_manifest_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys, command):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(EVE_CFG)
-        sessions, real_echo, real_session = [], cli.config_echo_items, cli.run_session
+        sessions, real_echo, real_session = [], cli.config_echo_items, protocol.run_session
 
         def failing(config):
             # Only in the manifest step: a sweep also echoes its base config to build its runs.
@@ -1167,7 +1202,7 @@ class TestOutputFiles:
                 raise OSError("manifest lost")
             return real_echo(config)
 
-        monkeypatch.setattr(cli, "run_session", lambda config: sessions.append(config) or real_session(config))
+        monkeypatch.setattr(protocol, "run_session", lambda config: sessions.append(config) or real_session(config))
         monkeypatch.setattr(cli, "config_echo_items", failing)
         out = tmp_path / "run"
         assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
@@ -1263,6 +1298,25 @@ class TestGoldenRecords:
         for name, digest in self.PINNED_SHA256.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
+    # An honest session with 12 488 sifted blocks, above the 10 000 population at which numpy's
+    # Generator.choice(replace=False) changes method, and a test fraction whose draw of k = 375 lies in
+    # (n/50, n/20]: there shuffle=False would take Floyd's algorithm and disclose a different set than the
+    # tail shuffle estimate_mqer uses (seen at n = 10 001, k = 201).  At test_fraction 0.5 both draw the
+    # same set, so these digests pin what the other pinned sessions cannot.
+    PINNED_ABOVE_10000_SIFTED = {
+        "records.txt": "505e1c3f8d009ef943afabbed43a652a8e376cf92ceff3703bde581391b05400",
+        "report.txt": "f2bd7568bfacae7bfc798a83c7e8f6c78286503ee0c20ae2d8b826fe59c50383",
+    }
+
+    def test_test_subset_of_above_10000_sifted_blocks_is_pinned(self, tmp_path, capsys):
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text("num_blocks = 25000\nmaster_seed = 25\nsecret_set = 12345 13452\ntest_fraction = 0.03\n")
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "decision=continue mqer=0.0 sifted=12488 tested=375\n"
+        for name, digest in self.PINNED_ABOVE_10000_SIFTED.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
 
 class TestByteContract:
     # Exit code and sha256 of records.txt, report.txt and stdout, taken
@@ -1337,7 +1391,7 @@ class TestInternalFaultContract:
         def boom(config):
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setattr(cli, "run_session", boom)
+        monkeypatch.setattr(protocol, "run_session", boom)
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_FAULT
         assert "synthetic fault" in capsys.readouterr().err
