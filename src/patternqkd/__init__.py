@@ -1,7 +1,8 @@
 """Pattern-based QKD over the five-qubit perfect code: simulation and analysis.
 
-The session layer, ``channel`` and ``protocol``, executes on first use (``_lazy``, ``__getattr__``),
-so ``analyze`` and ``enumerate`` never execute it.
+``channel``, ``protocol`` (the session layer) and ``analysis`` execute on first use (``_lazy``, ``__getattr__``):
+``analyze`` executes ``analysis`` only, ``enumerate`` none, ``simulate`` and ``sweep`` the session layer, and
+``analysis`` too for a mean photon number above 0 (README "Start-up cost" gives the measured pairs).
 """
 
 import sys
@@ -22,7 +23,7 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
-channel, protocol = _lazy("channel"), _lazy("protocol")
+analysis, channel, protocol = _lazy("analysis"), _lazy("channel"), _lazy("protocol")
 _SESSION_NAMES = {
     "EveStrategy": channel, "NoiseModel": channel,
     "SessionConfig": protocol, "SessionReport": protocol, "run_session": protocol,

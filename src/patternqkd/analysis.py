@@ -3,8 +3,8 @@
 Covers the interceptor's classical guessing game (exact fractions over the
 6540 valid pattern sets), her per-block success model and the resulting
 binary entropies / mutual informations, two readings of the Holevo bound
-for the transmitted ensembles, and Poisson photon-number statistics for
-weak-coherent-pulse sources.
+for the transmitted ensembles, Poisson photon-number statistics for
+weak-coherent-pulse sources, and the text ``analyze`` writes.
 
 Two Holevo readings are deliberately kept side by side.  The *identical
 ensembles* model assigns both logical values the same mixture of the two
@@ -28,12 +28,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import code5
-from .patterns import PatternSet, pattern_indices, relative_index, set_at, set_index_array, shared_counts
+from .patterns import PatternSet, all_patterns, pattern_indices, relative_index, set_at, set_index_array, shared_counts
 from .patterns import valid_pattern_sets  # noqa: F401 - bench/workloads.py reads it as analysis.valid_pattern_sets
 
 
@@ -177,3 +177,81 @@ def pns_block_leak_prob(mu: float) -> float:
     q = multiphoton_prob(mu)
     return sum(math.comb(5, j) * q**j * (1.0 - q) ** (5 - j) for j in range(3, 6))
 
+
+@lru_cache(maxsize=1)
+def _analyze_head() -> tuple[str, ...]:
+    """The report lines that depend on no argument, built once per process: the totals, the guess
+    fractions and, per number of patterns guessed, the success, its entropy and the mutual information."""
+    total, dist = len(set_index_array()), guess_outcome_distribution()
+    lines = [
+        f"patterns_total = {len(all_patterns())}",
+        f"pattern_sets_total = {total}",
+        f"guess_both_fraction = {int(dist.p_both * total)}/{total}",
+        f"guess_one_fraction = {int(dist.p_one * total)}/{total}",
+        f"guess_none_fraction = {int(dist.p_none * total)}/{total}",
+        f"guess_both = {float(dist.p_both):.6e}",
+        f"guess_one = {float(dist.p_one):.6f}",
+        f"guess_none = {float(dist.p_none):.6f}",
+    ]
+    for label, k in (("none", 0), ("one", 1), ("both", 2)):
+        success = eve_success_probability(k)
+        lines.append(f"success_{label} = {success}")
+        lines.append(f"entropy_success_{label} = {binary_entropy(success):.4f}")
+        lines.append(f"mutual_info_{label} = {intercept_resend_mutual_info(success):.4f}")
+    return tuple(lines)
+
+
+@lru_cache(maxsize=None)  # one entry per relative permutation, at most 120
+def _relative_lines(r: int) -> tuple[str, ...]:
+    """The report lines of every set with relative permutation ``r``, built once per process on first use."""
+    chi, overlap, _, s_average, s0, s1 = _relative_spectra()[1][r].tolist()
+    return (
+        f"pattern_state_overlap = {overlap:.6f}",
+        # Both bits get the same mixture of the two pattern states, so this chi is 0 by construction.
+        f"chi_identical_ensembles_bits = {0.0:.9f}",
+        f"chi_bit_conditioned_bits = {chi:.9f}",
+        f"entropy_average_bits = {s_average:.9f}",
+        f"entropy_rho0_bits = {s0:.9f}",
+        f"entropy_rho1_bits = {s1:.9f}",
+    )
+
+
+def _pns_lines(mu_values: Sequence[float]) -> list[str]:
+    """The report's ``pns`` lines, one per mean photon number in the order given, each spelled by ``repr``."""
+    return [
+        f"pns[mu={mu!r}] multiphoton = {multiphoton_prob(mu):.6e} leak = {pns_block_leak_prob(mu):.6e}"
+        for mu in mu_values
+    ]
+
+
+@lru_cache(maxsize=1)
+def _default_pns_lines() -> tuple[str, ...]:
+    """The ``pns`` lines of a report without mean photon numbers, built once per process."""
+    return tuple(_pns_lines((0.0, 0.1, 0.5)))
+
+
+def report_lines(set_id: int, mu_values: Optional[Sequence[float]] = None) -> list[str]:
+    """The ``analyze`` report of the set in row ``set_id`` of :func:`set_index_array`, ending in the ``pns`` lines
+    of ``mu_values`` (finite, >= 0; default 0, 0.1, 0.5, whose lines are cached: then all but two are looked up)."""
+    (i, j), patterns = set_index_array()[set_id].tolist(), all_patterns()
+    return [
+        *_analyze_head(),
+        f"set_id = {set_id}",
+        f"set_patterns = {patterns[i]} {patterns[j]}",
+        *_relative_lines(int(relative_index(i, j))),
+        *(_default_pns_lines() if mu_values is None else _pns_lines(mu_values)),
+    ]
+
+
+@lru_cache(maxsize=1)
+def chi_csv() -> bytes:
+    """The chi CSV over all valid sets, header first, as one buffer built once per process.  A row's values
+    depend only on the set's relative permutation, so each of the 120 row tails is formatted once.  Rows are
+    joined 2048 at a time: joining all 6540 in one step holds every row's bytes at once."""
+    columns, relative = chi_by_relative()
+    tails = [b",%.9f,%.9f,%.9f\n" % tuple(row) for row in columns[:, :3].tolist()]
+    chunks = [
+        b"".join([b"%d%s" % (i, tails[r]) for i, r in enumerate(relative[start:start + 2048].tolist(), start)])
+        for start in range(0, len(relative), 2048)
+    ]
+    return b"".join([b"set_id,chi_physical_bits,overlap_00,overlap_01\n", *chunks])

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__, analysis, channel, code5, protocol
-from .patterns import PatternSet, all_patterns, relative_index, set_index_array
+from .patterns import PatternSet, all_patterns, set_index_array
 
 EXIT_OK = 0
 EXIT_FAULT = 1
@@ -339,100 +339,20 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=1)
-def _analyze_head() -> tuple[str, ...]:
-    """The report lines that depend on no argument, built once per process: the totals, the guess
-    fractions and, per number of patterns guessed, the success, its entropy and the mutual information."""
-    total, dist = len(set_index_array()), analysis.guess_outcome_distribution()
-    lines = [
-        f"patterns_total = {len(all_patterns())}",
-        f"pattern_sets_total = {total}",
-        f"guess_both_fraction = {int(dist.p_both * total)}/{total}",
-        f"guess_one_fraction = {int(dist.p_one * total)}/{total}",
-        f"guess_none_fraction = {int(dist.p_none * total)}/{total}",
-        f"guess_both = {float(dist.p_both):.6e}",
-        f"guess_one = {float(dist.p_one):.6f}",
-        f"guess_none = {float(dist.p_none):.6f}",
-    ]
-    for label, k in (("none", 0), ("one", 1), ("both", 2)):
-        success = analysis.eve_success_probability(k)
-        lines.append(f"success_{label} = {success}")
-        lines.append(f"entropy_success_{label} = {analysis.binary_entropy(success):.4f}")
-        lines.append(
-            f"mutual_info_{label} = {analysis.intercept_resend_mutual_info(success):.4f}"
-        )
-    return tuple(lines)
-
-
-@lru_cache(maxsize=None)  # one entry per relative permutation, at most 120
-def _relative_lines(r: int) -> tuple[str, ...]:
-    """The report lines of every set with relative permutation ``r``, built once per process on first use."""
-    chi, overlap, _, s_average, s0, s1 = analysis._relative_spectra()[1][r].tolist()
-    return (
-        f"pattern_state_overlap = {overlap:.6f}",
-        # Both bits get the same mixture of the two pattern states, so this chi is 0 by construction.
-        f"chi_identical_ensembles_bits = {0.0:.9f}",
-        f"chi_bit_conditioned_bits = {chi:.9f}",
-        f"entropy_average_bits = {s_average:.9f}",
-        f"entropy_rho0_bits = {s0:.9f}",
-        f"entropy_rho1_bits = {s1:.9f}",
-    )
-
-
-def _pns_lines(mu_list: str) -> list[str]:
-    """The report's ``pns`` lines for a comma-separated ``--mu`` list, in its order; the values are checked."""
-    with _rejecting("bad --mu list: "):
-        mu_values = [float(v) for v in mu_list.split(",")]
-    if not all(0 <= mu < float("inf") for mu in mu_values):
-        raise ConfigError("--mu values must be finite and >= 0")
-    return [
-        f"pns[mu={_fmt(mu)}] multiphoton = {analysis.multiphoton_prob(mu):.6e}"
-        f" leak = {analysis.pns_block_leak_prob(mu):.6e}"
-        for mu in mu_values
-    ]
-
-
-@lru_cache(maxsize=1)
-def _default_pns_lines() -> tuple[str, ...]:
-    """The ``pns`` lines of an ``analyze`` without ``--mu``, built once per process."""
-    return tuple(_pns_lines("0,0.1,0.5"))
-
-
-def _analyze_lines(set_id: int, pns_lines: Sequence[str]) -> list[str]:
-    """The ``analyze`` report of set ``set_id``, ending in ``pns_lines``; all but two lines are looked up."""
-    pairs = set_index_array()
-    if not 0 <= set_id < len(pairs):
-        raise ConfigError(f"unknown set id {set_id} (valid: 0..{len(pairs) - 1})")
-    (i, j), patterns = pairs[set_id].tolist(), all_patterns()
-    return [
-        *_analyze_head(),
-        f"set_id = {set_id}",
-        f"set_patterns = {patterns[i]} {patterns[j]}",
-        *_relative_lines(int(relative_index(i, j))),
-        *pns_lines,
-    ]
-
-
-@lru_cache(maxsize=1)
-def _chi_csv() -> bytes:
-    """The chi CSV over all valid sets, header first, as one buffer built once per process.  A row's values
-    depend only on the set's relative permutation, so each of the 120 row tails is formatted once.  Rows are
-    joined 2048 at a time: joining all 6540 in one step holds every row's bytes at once."""
-    columns, relative = analysis.chi_by_relative()
-    tails = [b",%.9f,%.9f,%.9f\n" % tuple(row) for row in columns[:, :3].tolist()]
-    chunks = [
-        b"".join([b"%d%s" % (i, tails[r]) for i, r in enumerate(relative[start:start + 2048].tolist(), start)])
-        for start in range(0, len(relative), 2048)
-    ]
-    return b"".join([b"set_id,chi_physical_bits,overlap_00,overlap_01\n", *chunks])
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    pns_lines = _default_pns_lines() if args.mu is None else _pns_lines(args.mu)
+    mu_values = None
+    if args.mu is not None:
+        with _rejecting("bad --mu list: "):
+            mu_values = [float(v) for v in args.mu.split(",")]
+        if not all(0 <= mu < float("inf") for mu in mu_values):
+            raise ConfigError("--mu values must be finite and >= 0")
     if args.out and args.chi_csv and Path(args.out).resolve() == Path(args.chi_csv).resolve():
         raise ConfigError("--out and --chi-csv name the same file")
-    text = "\n".join(_analyze_lines(args.set_id, pns_lines)) + "\n"
-    outputs = {args.out: text.encode, args.chi_csv: _chi_csv}
+    total = len(set_index_array())
+    if not 0 <= args.set_id < total:
+        raise ConfigError(f"unknown set id {args.set_id} (valid: 0..{total - 1})")
+    text = "\n".join(analysis.report_lines(args.set_id, mu_values)) + "\n"
+    outputs = {args.out: text.encode, args.chi_csv: analysis.chi_csv}
     try:
         _write_outputs({Path(path): [data()] for path, data in outputs.items() if path})
     except OSError as exc:

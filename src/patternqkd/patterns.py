@@ -123,16 +123,16 @@ _BASE5 = 5 ** np.arange(len(POSITIONS) - 1, -1, -1)
 
 
 @lru_cache(maxsize=1)
-def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pattern's one-line notation (0-based); the lookup from
-    one-line notation read as a base-5 number to the index; and the table
-    of relative permutations, ``relative[d, e]`` the index of
-    ``compose(invert(d), e)``."""
+def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every pattern's one-line notation (0-based); the lookup from one-line notation read as a base-5
+    number to the index; the table of relative permutations, ``relative[d, e]`` the index of
+    ``compose(invert(d), e)``; and every inverse's notation, scattered: ``inverse[p, maps[p, i]] = i``."""
     maps = np.array([p.mapping for p in all_patterns()]) - 1
-    inverse = np.array([invert(p).mapping for p in all_patterns()]) - 1
+    inverse = np.empty_like(maps)
+    inverse[np.arange(len(maps))[:, None], maps] = np.arange(len(POSITIONS))
     index = np.zeros(5 ** len(POSITIONS), dtype=np.int64)
     index[maps @ _BASE5] = np.arange(len(maps))
-    return maps, index, index[inverse[:, maps] @ _BASE5].astype(np.int8)
+    return maps, index, index[inverse[:, maps] @ _BASE5].astype(np.int8), inverse
 
 
 def relative_index(decoder: np.ndarray, sender: np.ndarray) -> np.ndarray:

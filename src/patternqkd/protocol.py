@@ -66,10 +66,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import code5
-from .analysis import multiphoton_prob
+from . import analysis, code5
 from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
-from .patterns import POSITIONS, PatternSet, all_patterns, guessed_set_with_overlap, invert, pattern_indices
+from .patterns import POSITIONS, PatternSet, _pattern_arrays, all_patterns, guessed_set_with_overlap, pattern_indices
 from .patterns import relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
@@ -236,7 +235,7 @@ def _frame_class_table(basis: str, members: tuple[int, int]) -> np.ndarray:
     """``table[d * 1024 + f]``: the class (``code5.frame_classes``) of physical frame f for a decoder holding
     pattern ``members[d]``, in uint16.  Un-permuting with q moves wire j to mask bit 5 - q^-1(j)."""
     codes = np.arange(4 ** len(POSITIONS))[:, None] // _WIRE_WEIGHTS % 4
-    shifts = 5 - np.array([invert(all_patterns()[q]).mapping for q in members])[:, None]
+    shifts = 4 - _pattern_arrays()[3][list(members)][:, None]
     x, z = (np.sum(hit[None] << shifts, axis=2).ravel() for hit in (codes >= 2, (codes == 1) | (codes == 2)))
     table = code5.frame_classes(x, z, basis).astype(np.uint16)
     table.setflags(write=False)
@@ -325,7 +324,8 @@ def _simulate(config: SessionConfig, first: int, count: int) -> Blocks:
     stream.advance(first * WORDS_PER_BLOCK // 4)
     blocks = Blocks(first, *(np.zeros(count, dtype) for dtype in _COLUMN_DTYPES))
     p, eve = config.noise.per_qubit_flip_prob, config.eve
-    survival, q = config.noise.photon_survival_prob ** 5, multiphoton_prob(config.noise.mean_photon_number)
+    survival, mu = config.noise.photon_survival_prob ** 5, config.noise.mean_photon_number
+    q = analysis.multiphoton_prob(mu) if mu else 0.0  # what it is at mu = 0; analysis loads on first use
     draws, guesses, heard, bob_rows, frames = _session_tables(
         config.logical_basis, p > 0.0, config.secret_set, eve.knowledge if eve.active else None)
     for start in range(0, count, _BATCH_BLOCKS):

@@ -316,8 +316,8 @@ class TestLazyStartup:
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
         "code5._recovery_masks", "code5.pattern_codewords", "code5.decode_table",
         "protocol._draw_table", "protocol._frame_class_table", "protocol._session_tables",
-        "cli._record_parts", "cli._analyze_head", "cli._relative_lines", "cli._default_pns_lines", "cli._chi_csv",
-        "cli.build_parser",
+        "analysis._analyze_head", "analysis._relative_lines", "analysis._default_pns_lines", "analysis.chi_csv",
+        "cli._record_parts", "cli.build_parser",
     )
 
     def test_import_fills_no_table_cache(self):
@@ -328,7 +328,7 @@ class TestLazyStartup:
             sys.path.insert(0, sys.argv[1])
             from patternqkd import cli
             sizes = {}
-            for name, module in sys.modules.items():
+            for name, module in list(sys.modules.items()):  # vars() executes a lazy layer, whose imports add modules
                 if not name.startswith("patternqkd."):
                     continue
                 for attr, f in vars(module).items():
@@ -342,39 +342,54 @@ class TestLazyStartup:
         assert {name: size for name, size in sizes.items() if size} == {}
 
     def test_only_simulate_executes_the_session_layer(self, tmp_path):
-        # channel and protocol are registered on import and run on first use: analyze and enumerate leave
-        # them unexecuted, simulate executes both.  type() reads no attribute, so it triggers no load.
+        # channel, protocol and analysis are registered on import and run on first use: analyze and enumerate
+        # leave the session layer unexecuted, simulate executes it, and analysis only when mu > 0.  Each run is a
+        # fresh interpreter, its commands in order.  type() reads no attribute, so it triggers no load.
         src = Path(patternqkd.__file__).resolve().parent.parent
         (tmp_path / "session.cfg").write_text(HONEST_CFG)
+        (tmp_path / "pulses.cfg").write_text(HONEST_CFG + "noise.mean_photon_number = 0.1\n")
         code = textwrap.dedent("""
             import io, json, sys, types
             from contextlib import redirect_stdout
             sys.path.insert(0, sys.argv[1])
             from patternqkd import cli
             layers = ("quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli")
-            seen = {"imported": [layer for layer in layers if f"patternqkd.{layer}" in sys.modules]}
-            for argv in (
-                ["analyze", "--set-id", "17"],
-                ["enumerate", "--out", sys.argv[2] + "/tables"],
-                ["simulate", "--config", sys.argv[2] + "/session.cfg", "--out", sys.argv[2] + "/run"],
-            ):
+            seen = [[layer for layer in layers if f"patternqkd.{layer}" in sys.modules]]
+            for argv in json.loads(sys.argv[2]):
                 with redirect_stdout(io.StringIO()):
                     code = cli.main(argv)
-                session = [sys.modules[f"patternqkd.{name}"] for name in ("channel", "protocol")]
-                seen[argv[0]] = [code, [m.__name__ for m in session if type(m) is types.ModuleType]]
+                lazy = [sys.modules[f"patternqkd.{name}"] for name in ("analysis", "channel", "protocol")]
+                seen.append([code, [m.__name__ for m in lazy if type(m) is types.ModuleType]])
             import patternqkd
-            seen["unresolved"] = [name for name in patternqkd.__all__ if not hasattr(patternqkd, name)]
+            seen.append([name for name in patternqkd.__all__ if not hasattr(patternqkd, name)])
             print(json.dumps(seen))
         """)
-        argv = [sys.executable, "-c", code, str(src), str(tmp_path)]
-        done = subprocess.run(argv, capture_output=True, text=True, check=True)
-        assert json.loads(done.stdout) == {
-            "imported": ["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli"],
-            "analyze": [cli.EXIT_OK, []],
-            "enumerate": [cli.EXIT_OK, []],
-            "simulate": [cli.EXIT_OK, ["patternqkd.channel", "patternqkd.protocol"]],
-            "unresolved": [],
-        }
+
+        def executed(*commands):
+            argv = [sys.executable, "-c", code, str(src), json.dumps(commands)]
+            return json.loads(subprocess.run(argv, capture_output=True, text=True, check=True).stdout)
+
+        def simulate(config):
+            return ["simulate", "--config", str(tmp_path / config), "--out", str(tmp_path / "run")]
+
+        imported = ["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli"]
+        session = ["patternqkd.channel", "patternqkd.protocol"]
+        assert executed(["analyze", "--set-id", "17"], ["enumerate", "--out", str(tmp_path / "tables")],
+                        simulate("session.cfg")) == [
+            imported,
+            [cli.EXIT_OK, ["patternqkd.analysis"]],
+            [cli.EXIT_OK, ["patternqkd.analysis"]],
+            [cli.EXIT_OK, ["patternqkd.analysis", *session]],
+            [],
+        ]
+        assert executed(["enumerate", "--out", str(tmp_path / "tables")], simulate("session.cfg"),
+                        simulate("pulses.cfg")) == [
+            imported,
+            [cli.EXIT_OK, []],
+            [cli.EXIT_OK, session],
+            [cli.EXIT_OK, ["patternqkd.analysis", *session]],
+            [],
+        ]
 
 
 class TestAnalyze:
@@ -451,7 +466,7 @@ class TestAnalyze:
     ], ids=["defaults", "set-id", "mu", "out"])
     def test_chi_csv_does_not_depend_on_the_first_call(self, tmp_path, monkeypatch, capsys, first):
         monkeypatch.chdir(tmp_path)
-        cli._chi_csv.cache_clear()
+        cli.analysis.chi_csv.cache_clear()
         assert cli.main(["analyze", *first, "--chi-csv", "first.csv"]) == cli.EXIT_OK
         assert cli.main(["analyze", "--set-id", "17", "--chi-csv", "second.csv"]) == cli.EXIT_OK
         for name in ("first.csv", "second.csv"):
@@ -469,8 +484,8 @@ class TestAnalyze:
         csv_path = tmp_path / "second.csv"
         assert cli.main(["analyze", "--set-id", "4", "--chi-csv", str(csv_path)]) == cli.EXIT_OK
         assert calls == []
-        assert type(cli._chi_csv()) is bytes
-        assert csv_path.read_bytes() == cli._chi_csv() == (tmp_path / "first.csv").read_bytes()
+        assert type(cli.analysis.chi_csv()) is bytes
+        assert csv_path.read_bytes() == cli.analysis.chi_csv() == (tmp_path / "first.csv").read_bytes()
 
     def test_second_analyze_does_not_recompute_the_head(self, monkeypatch, capsys):
         assert cli.main(["analyze"]) == cli.EXIT_OK
@@ -489,8 +504,8 @@ class TestAnalyze:
         [], ["--set-id", "6539"], ["--mu", "0.3,2"], ["--set-id", "126"],
     ], ids=["defaults", "set-id", "mu", "same-relative"])
     def test_report_does_not_depend_on_the_first_call(self, capsys, first):
-        cli._relative_lines.cache_clear()
-        cli._default_pns_lines.cache_clear()
+        cli.analysis._relative_lines.cache_clear()
+        cli.analysis._default_pns_lines.cache_clear()
         assert cli.main(["analyze", *first]) == cli.EXIT_OK
         for set_id, digest in self.STDOUT_SHA256.items():
             capsys.readouterr()
@@ -514,7 +529,7 @@ class TestAnalyze:
         columns, (r,) = cli.analysis.chi_by_relative([set_at(126)])  # the route that built each report
         chi, overlap, _, s_average, s0, s1 = columns[r].tolist()
         expected = [
-            *cli._analyze_head(), "set_id = 126", f"set_patterns = {set_at(126)}",
+            *cli.analysis._analyze_head(), "set_id = 126", f"set_patterns = {set_at(126)}",
             f"pattern_state_overlap = {overlap:.6f}", f"chi_identical_ensembles_bits = {0.0:.9f}",
             f"chi_bit_conditioned_bits = {chi:.9f}", f"entropy_average_bits = {s_average:.9f}",
             f"entropy_rho0_bits = {s0:.9f}", f"entropy_rho1_bits = {s1:.9f}",
@@ -526,8 +541,8 @@ class TestAnalyze:
             raise AssertionError("a warm analyze rebuilt a report line")
 
         for module in (cli.analysis, patterns):
-            for name in ("chi_by_relative", "pattern_indices", "set_at", "multiphoton_prob",
-                         "pns_block_leak_prob", "_relative_spectra"):
+            for name in ("chi_by_relative", "pattern_indices", "set_at", "multiphoton_prob", "pns_block_leak_prob",
+                         "_relative_spectra", "_pns_lines", "guess_outcome_distribution"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         capsys.readouterr()
@@ -561,7 +576,7 @@ class TestAnalyze:
     def test_every_set_report_is_pinned(self):
         digest = hashlib.sha256()
         for set_id in range(len(valid_pattern_sets())):
-            digest.update(("\n".join(cli._analyze_lines(set_id, cli._default_pns_lines())) + "\n").encode())
+            digest.update(("\n".join(cli.analysis.report_lines(set_id)) + "\n").encode())
         assert digest.hexdigest() == self.EVERY_REPORT_SHA256
 
     def test_sweep_fault_writes_no_file(self, tmp_path, monkeypatch, capsys):
@@ -573,7 +588,7 @@ class TestAnalyze:
             raise RuntimeError("sweep failed")
 
         monkeypatch.setattr(cli.analysis, "chi_by_relative", broken)
-        cli._chi_csv.cache_clear()  # a CSV cached by an earlier call would never call the sweep
+        cli.analysis.chi_csv.cache_clear()  # a CSV cached by an earlier call would never call the sweep
         csv_path, out_path = tmp_path / "chi.csv", tmp_path / "report.txt"
         code = cli.main(["analyze", "--chi-csv", str(csv_path), "--out", str(out_path)])
         assert code == cli.EXIT_FAULT

@@ -505,11 +505,3 @@ class TestSessionPath:
         run_session(config)
         assert cumsums == []
         assert not hasattr(protocol, "BlockRecord")  # the columns are the only block model
-
-    def test_relative_permutation_indexing(self):
-        # The engine picks table rows by compose(invert(decoder), sender).
-        patterns = all_patterns()
-        table = relative_index(*np.divmod(np.arange(120 * 120), 120)).reshape(120, 120)
-        assert table.dtype == np.int8
-        for (d, e), r in np.ndenumerate(table):
-            assert patterns[r] == compose(invert(patterns[d]), patterns[e])

@@ -110,6 +110,14 @@ class TestGroupOperations:
             all_patterns()[relative_index(d, e)], all_patterns()[relative_index(e, f)]
         )
 
+    def test_array_tables_match_invert_and_compose_exhaustively(self):
+        # test_group_laws samples; the engine reads any entry of the scattered inverse and the relative table.
+        _, _, _, inverse = patterns._pattern_arrays()
+        assert [tuple(row) for row in (inverse + 1).tolist()] == [invert(p).mapping for p in all_patterns()]
+        table = relative_index(*np.divmod(np.arange(120 * 120), 120)).reshape(120, 120)
+        assert table.dtype == np.int8
+        for (d, e), r in np.ndenumerate(table):
+            assert all_patterns()[r] == compose(invert(all_patterns()[d]), all_patterns()[e])
 
 class TestPatternSet:
     def test_canonicalization(self):
