@@ -12,11 +12,12 @@ pattern states, so its chi vanishes by construction: ``analyze`` prints
 the constant 0, and the tests compute it
 (``jacobi_oracle.holevo_identical_ensembles``).  The *physical* model
 conditions the ensemble on the logical bit (each bit's codeword mixed over
-the two patterns) and reports whatever the spectra say; the two need not
-agree, and nothing here asserts that they do.  A set's overlaps and
-spectra depend only on its relative permutation, so every per-set
-quantity is one row of one table: :func:`_relative_spectra` computes its
-120 rows once, and :func:`chi_by_relative` gives them with each set's row.
+the two patterns) and reports whatever its entropies give; the two need
+not agree, and nothing here asserts that they do.  A set's overlaps depend
+only on its relative permutation, and its entropies and chi are closed-form
+functions of them, so every per-set quantity is one row of one table:
+:func:`_relative_spectra` computes its 120 rows once from exact integer
+overlaps, and :func:`chi_by_relative` gives them with each set's row.
 
 Combinatorial probabilities use exact rational arithmetic; floating point
 appears only in entropies and Poisson terms.
@@ -91,53 +92,32 @@ def eve_success_probability(correct_patterns_in_guess: int) -> float:
     return 0.5 + correct_patterns_in_guess / 8.0
 
 
-def gram_entropies(grams: np.ndarray) -> np.ndarray:
-    """Von Neumann entropies in bits of a stack of mixtures, one per Gram matrix.
-
-    The nonzero eigenvalues of ``sum_i w_i |psi_i><psi_i|`` equal those of
-    ``M[i,j] = sqrt(w_i w_j) <psi_i|psi_j>``, so a k-member mixture only
-    needs a k x k eigenproblem; ``grams[..., :, :]`` holds one such M.  The
-    test suite checks it against a full 32x32 Jacobi eigensolver that
-    shares no code with it.
-    """
-    eigenvalues = np.linalg.eigvalsh(grams)
-    positive = eigenvalues > 1e-12
-    terms = np.where(positive, eigenvalues * np.log2(np.where(positive, eigenvalues, 1.0)), 0.0)
-    return -np.sum(terms, axis=-1)
-
-
 @lru_cache(maxsize=1)
-def _relative_spectra() -> tuple[np.ndarray, np.ndarray]:
-    """``(grams, columns)`` of the pattern sets, one row per relative
-    permutation; built once, read-only.
+def _relative_spectra() -> np.ndarray:
+    """The pattern sets' (120, 6) table, one row per relative permutation r (first inverted, composed with
+    second); built once, read-only.
 
-    A set's states are ordered (first, 0), (second, 0), (first, 1),
-    (second, 1).  Wire permutations are unitary, so their Gram matrix
-    depends only on the relative permutation r (first inverted, composed
-    with second): it is that of the pair (identity, r).  The 120 matrices
-    are one exact integer product of :func:`code5.pattern_codewords` (0 or
-    +-1 entries, so no partial sum of 32 terms leaves int8), and their
-    spectra one stack of eigensolves.
-
-    ``columns[r]`` is (chi_physical_bits, overlap_00, overlap_01,
-    entropy_average_bits, entropy_rho0_bits, entropy_rho1_bits).  rho_a
-    mixes the bit-a codeword over the two patterns, and the physical chi
-    is S(average) - S(rho0)/2 - S(rho1)/2, reported as-is in [0, 1].
-    overlap_00 is |<pattern-0 state of bit 0 | pattern-1 state of bit 0>|;
-    overlap_01 crosses bit 0 under the first pattern with bit 1 under the
-    second.
+    ``columns[r]`` is (chi_physical_bits, overlap_00, overlap_01, entropy_average_bits, entropy_rho0_bits,
+    entropy_rho1_bits).  rho_b mixes the bit-b codeword over the two patterns; overlap_00 is |<pattern-0 state
+    of bit 0 | pattern-1 state of bit 0>|, and overlap_01 crosses bit 0 under the first pattern with bit 1 under
+    the second.  Wire permutations are unitary, so a set's overlaps are those of the pair (identity, r): one
+    exact integer product of :func:`code5.pattern_codewords` (0 or +-1 entries, so no partial sum of 32 terms
+    leaves int8).  Every cross-bit overlap is 0 (the bits sit in opposite parity sectors), so rho_b has
+    eigenvalues (1 +- o_b)/2 with o_b its bit's overlap, the average is an equal mixture of orthogonal parts,
+    S(average) = 1 + (S(rho0) + S(rho1))/2, and chi = S(average) - S(rho0)/2 - S(rho1)/2 is reported as-is.
     """
     states = code5.pattern_codewords("Z")
-    identity = np.broadcast_to(states[:1], states.shape)
-    vectors = np.stack([identity[:, 0], states[:, 0], identity[:, 1], states[:, 1]], axis=1)
-    products = vectors @ vectors.transpose(0, 2, 1)
-    grams = products / products[0, 0, 0]
-    s_average = gram_entropies(0.25 * grams)
-    s0, s1 = gram_entropies(0.5 * grams[:, :2, :2]), gram_entropies(0.5 * grams[:, 2:, 2:])
-    columns = np.stack([s_average - 0.5 * s0 - 0.5 * s1, *np.abs(grams[:, 0, 1::2]).T, s_average, s0, s1], axis=1)
-    for array in (grams, columns):
-        array.setflags(write=False)
-    return grams, columns
+    products = (states[0] @ states.transpose(0, 2, 1)).astype(np.int64)  # [r, b, c] = <id.b | r.c>
+    if products[:, [0, 1], [1, 0]].any():
+        raise AssertionError("a bit-0 pattern state overlaps a bit-1 pattern state: the bit parity sectors mix")
+    overlaps = np.abs(products / products[0, 0, 0])
+    halves = (1 + overlaps[:, [0, 1], [0, 1], None] * [1, -1]) / 2  # [r, b] = the two eigenvalues of rho_b
+    positive = halves > 1e-12
+    s0, s1 = -np.sum(np.where(positive, halves * np.log2(np.where(positive, halves, 1.0)), 0.0), axis=-1).T
+    s_average = 1 + (s0 + s1) / 2
+    columns = np.stack([s_average - 0.5 * s0 - 0.5 * s1, *overlaps[:, 0].T, s_average, s0, s1], axis=1)
+    columns.setflags(write=False)
+    return columns
 
 
 def chi_by_relative(sets: Optional[list[PatternSet]] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -149,7 +129,7 @@ def chi_by_relative(sets: Optional[list[PatternSet]] = None) -> tuple[np.ndarray
         pairs = set_index_array()
     else:
         pairs = pattern_indices([p for s in sets for p in s.members()]).reshape(-1, 2)
-    return _relative_spectra()[1], relative_index(pairs[:, 0], pairs[:, 1])
+    return _relative_spectra(), relative_index(pairs[:, 0], pairs[:, 1])
 
 
 def chi_physical_sweep(sets: Optional[list[PatternSet]] = None) -> list[tuple[int, float, float, float]]:
@@ -204,7 +184,7 @@ def _analyze_head() -> tuple[str, ...]:
 @lru_cache(maxsize=None)  # one entry per relative permutation, at most 120
 def _relative_lines(r: int) -> tuple[str, ...]:
     """The report lines of every set with relative permutation ``r``, built once per process on first use."""
-    chi, overlap, _, s_average, s0, s1 = _relative_spectra()[1][r].tolist()
+    chi, overlap, _, s_average, s0, s1 = _relative_spectra()[r].tolist()
     return (
         f"pattern_state_overlap = {overlap:.6f}",
         # Both bits get the same mixture of the two pattern states, so this chi is 0 by construction.

@@ -1,9 +1,15 @@
-"""Jacobi-eigensolver route to the Holevo quantities, for tests only.
+"""Two eigensolver routes to the Holevo quantities, for tests only.
 
-An independent oracle for the rows of ``analysis.chi_by_relative``: it
-builds full 32x32 density matrices from the same pattern states and
-diagonalizes them with cyclic Jacobi rotations.  Past the states it shares
-no code with the Gram-matrix route, and it does not call LAPACK.
+Independent oracles for the rows of ``analysis.chi_by_relative``, which
+``analysis`` computes in closed form from three overlaps:
+
+- the Jacobi route builds full 32x32 density matrices from the same
+  pattern states and diagonalizes them with cyclic Jacobi rotations; past
+  the states it shares no code with the other routes, and it does not call
+  LAPACK;
+- the Gram route (:func:`gram_columns`) is the one ``analysis`` used
+  before the closed form: the 120 4x4 Gram matrices of the relative
+  permutations and three batched LAPACK eigensolves.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from helpers import pattern_state
 
+from patternqkd import code5
 from patternqkd.patterns import PatternSet
 from patternqkd.quantum_core import DIM, N_QUBITS
 
@@ -131,6 +138,42 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return min(max(entropy, 0.0), float(N_QUBITS))
 
 
+def gram_entropies(grams: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of a stack of mixtures, one per Gram matrix.
+
+    The nonzero eigenvalues of ``sum_i w_i |psi_i><psi_i|`` equal those of
+    ``M[i,j] = sqrt(w_i w_j) <psi_i|psi_j>``, so a k-member mixture only
+    needs a k x k eigenproblem; ``grams[..., :, :]`` holds one such M.  The
+    test suite checks it against the Jacobi route.
+    """
+    eigenvalues = np.linalg.eigvalsh(grams)
+    positive = eigenvalues > 1e-12
+    terms = np.where(positive, eigenvalues * np.log2(np.where(positive, eigenvalues, 1.0)), 0.0)
+    return -np.sum(terms, axis=-1)
+
+
+def relative_grams() -> np.ndarray:
+    """The (120, 4, 4) Gram matrices of the pattern sets, one per relative permutation r.
+
+    A set's states are ordered (first, 0), (second, 0), (first, 1),
+    (second, 1).  Wire permutations are unitary, so their Gram matrix
+    depends only on r: it is that of the pair (identity, r), one exact
+    integer product of ``code5.pattern_codewords``.
+    """
+    states = code5.pattern_codewords("Z")
+    identity = np.broadcast_to(states[:1], states.shape)
+    vectors = np.stack([identity[:, 0], states[:, 0], identity[:, 1], states[:, 1]], axis=1)
+    products = vectors @ vectors.transpose(0, 2, 1)
+    return products / products[0, 0, 0]
+
+
+def gram_columns() -> np.ndarray:
+    """The (120, 6) table of ``analysis.chi_by_relative`` by the Gram route: the spectra of
+    :func:`relative_grams`, three stacks of eigensolves."""
+    grams = relative_grams()
+    s_average = gram_entropies(0.25 * grams)
+    s0, s1 = gram_entropies(0.5 * grams[:, :2, :2]), gram_entropies(0.5 * grams[:, 2:, 2:])
+    return np.stack([s_average - 0.5 * s0 - 0.5 * s1, *np.abs(grams[:, 0, 1::2]).T, s_average, s0, s1], axis=1)
 
 
 def holevo_identical_ensembles(pattern_set: PatternSet) -> float:

@@ -8,7 +8,6 @@ import helpers
 import jacobi_oracle
 import numpy as np
 import pytest
-from helpers import random_state
 from statevector_oracle import decode_block
 
 from patternqkd import analysis, code5, quantum_core
@@ -173,34 +172,6 @@ class TestHolevoBitConditioned:
             assert ov01 < 1e-9  # opposite parity sectors never overlap
 
 
-def weighted_gram(members):
-    """M[i, j] = sqrt(w_i w_j) <psi_i|psi_j> of a weighted ensemble."""
-    return np.array([
-        [math.sqrt(wi * wj) * np.vdot(psi_i, psi_j) for wj, psi_j in members]
-        for wi, psi_i in members
-    ])
-
-
-class TestGramEntropy:
-    def test_matches_full_entropy_on_random_ensembles(self):
-        rng = np.random.default_rng(7)
-        for size in (2, 3, 4):
-            weights = rng.dirichlet(np.ones(size))
-            members = [(float(w), random_state(rng)) for w in weights]
-            via_gram = float(analysis.gram_entropies(weighted_gram(members)))
-            via_jacobi = jacobi_oracle.von_neumann_entropy(jacobi_oracle.density_from_ensemble(members))
-            assert abs(via_gram - via_jacobi) < 1e-9
-
-    def test_stack_equals_each_matrix_alone(self):
-        rng = np.random.default_rng(11)
-        grams = np.array([
-            weighted_gram([(float(w), random_state(rng)) for w in rng.dirichlet(np.ones(3))])
-            for _ in range(6)
-        ])
-        stacked = analysis.gram_entropies(grams)
-        assert stacked.tolist() == [float(analysis.gram_entropies(g)) for g in grams]
-
-
 class TestRelativeGram:
     def test_every_pair_has_the_gram_matrix_of_its_relative_permutation(self):
         # statevector overlaps of all 120 x 120 pattern pairs, exact in floats
@@ -209,9 +180,47 @@ class TestRelativeGram:
         p, q = np.indices((120, 120)).reshape(2, -1)
         members = np.stack([2 * p, 2 * q, 2 * p + 1, 2 * q + 1], axis=1)
         blocks = overlaps[members[:, :, None], members[:, None, :]]
-        grams, _ = analysis._relative_spectra()
+        grams = jacobi_oracle.relative_grams()
         assert not blocks.imag.any()
         assert np.array_equal(blocks.real, grams[relative_index(p, q)])
+
+    def test_closed_form_rows_equal_the_gram_route(self):
+        closed, gram = analysis.chi_by_relative()[0], jacobi_oracle.gram_columns()
+        assert np.abs(closed - gram).max() < 1e-12
+        assert ["%.9f" % v for v in closed.ravel().tolist()] == ["%.9f" % v for v in gram.ravel().tolist()]
+
+    def test_a_cross_bit_overlap_is_refused(self, monkeypatch):
+        # a bit-1 state equal to a bit-0 state: the parity sectors no longer separate the bits
+        mixed = code5.pattern_codewords("Z").copy()
+        mixed[7, 1] = mixed[7, 0]
+        monkeypatch.setattr(code5, "pattern_codewords", lambda basis="Z": mixed)
+        analysis._relative_spectra.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="parity sectors"):
+                analysis._relative_spectra()
+        finally:
+            analysis._relative_spectra.cache_clear()
+
+
+class TestOverlapClasses:
+    CLASSES = ((1.0, 10, 540, 1.0), (0.5, 50, 2400, 0.5), (0.25, 60, 3600, 0.375))  # overlap, r's, sets, agreement
+
+    def test_three_overlaps_census(self):
+        columns, relative = analysis.chi_by_relative()
+        overlap = columns[:, 1]
+        for value, permutations, sets, _ in self.CLASSES:
+            assert np.count_nonzero(overlap == value) == permutations
+            assert np.count_nonzero(overlap[relative] == value) == sets
+        assert len(relative) == 6540
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_overlap_maps_one_to_one_onto_the_decode_agreement(self, basis):
+        # agreement[r, b]: chance that a decoder one relative permutation r off returns the bit b sent
+        table = code5.decode_table(basis)
+        agreement = np.stack([table[:, b, b::2].sum(axis=-1) for b in (0, 1)], axis=1)
+        overlap = analysis.chi_by_relative()[0][:, 1]
+        for value, _, _, agreed in self.CLASSES:
+            assert (agreement[overlap == value] == agreed).all()
 
 
 class TestBatchedSweep:
@@ -250,13 +259,13 @@ class TestBatchedSweep:
         table = list(valid_pattern_sets())
         few = self.count_calls(monkeypatch, table[:25])
         every = self.count_calls(monkeypatch, table)
-        assert few == every == {"eigvalsh": 3, "statevector": 0}
+        assert few == every == {"eigvalsh": 0, "statevector": 0}
 
     def test_rows_equal_the_statevector_overlaps(self):
         rng = np.random.default_rng(12)
         table = valid_pattern_sets()
         chosen = [table[int(i)] for i in rng.integers(0, len(table), size=40)]
-        (grams, _), (columns, relative) = analysis._relative_spectra(), analysis.chi_by_relative(chosen)
+        grams, (columns, relative) = jacobi_oracle.relative_grams(), analysis.chi_by_relative(chosen)
         for row, pattern_set, r in zip(analysis.chi_physical_sweep(chosen), chosen, relative.tolist()):
             first, second = pattern_set.members()
             zero_zero = np.vdot(helpers.pattern_state(first, 0), helpers.pattern_state(second, 0))

@@ -67,6 +67,28 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 2: os", "line 4: replace"]
 
 
+def assert_statements(source: str) -> list[int]:
+    """The line of each ``assert`` statement in ``source``.  ``python -O`` strips them, so a check the package
+    needs at run time raises ``AssertionError`` itself."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_has_an_assert_statement(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_the_check_finds_an_assert_statement():
+    source = (
+        "def f(x):\n"
+        "    if not x:\n"
+        "        raise AssertionError('kept under -O')\n"
+        "    assert x, 'stripped under -O'\n"
+        "    return [y for y in x if y]\n"
+    )
+    assert assert_statements(source) == [4]
+
+
 # Public names that no package module reads, each kept for a reader outside the package (a method as
 # ``module.Class.name``).
 UNREAD_BY_THE_PACKAGE = {

@@ -1,7 +1,8 @@
-"""Statevector arithmetic, plus the test-side density matrices and
-Jacobi eigensolver that serve as the entropy oracle."""
+"""Statevector arithmetic, plus the test-side density matrices, Jacobi
+eigensolver and Gram-matrix entropies that serve as the entropy oracles."""
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -11,6 +12,7 @@ from jacobi_oracle import (
     assert_valid_state,
     density_from_ensemble,
     entropy_from_eigenvalues,
+    gram_entropies,
     hermitian_eigenvalues,
     von_neumann_entropy,
 )
@@ -201,6 +203,34 @@ class TestEntropy:
     def test_entropy_from_eigenvalues_handles_zeros(self):
         assert entropy_from_eigenvalues(np.array([0.0, 0.0, 1.0])) == 0.0
         assert abs(entropy_from_eigenvalues(np.array([0.5, 0.5])) - 1.0) < 1e-12
+
+
+def weighted_gram(members):
+    """M[i, j] = sqrt(w_i w_j) <psi_i|psi_j> of a weighted ensemble."""
+    return np.array([
+        [math.sqrt(wi * wj) * np.vdot(psi_i, psi_j) for wj, psi_j in members]
+        for wi, psi_i in members
+    ])
+
+
+class TestGramEntropy:
+    def test_matches_full_entropy_on_random_ensembles(self):
+        rng = np.random.default_rng(7)
+        for size in (2, 3, 4):
+            weights = rng.dirichlet(np.ones(size))
+            members = [(float(w), random_state(rng)) for w in weights]
+            via_gram = float(gram_entropies(weighted_gram(members)))
+            via_jacobi = von_neumann_entropy(density_from_ensemble(members))
+            assert abs(via_gram - via_jacobi) < 1e-9
+
+    def test_stack_equals_each_matrix_alone(self):
+        rng = np.random.default_rng(11)
+        grams = np.array([
+            weighted_gram([(float(w), random_state(rng)) for w in rng.dirichlet(np.ones(3))])
+            for _ in range(6)
+        ])
+        stacked = gram_entropies(grams)
+        assert stacked.tolist() == [float(gram_entropies(g)) for g in grams]
 
 
 class TestInnerProduct:
