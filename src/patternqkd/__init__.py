@@ -11,7 +11,7 @@ from types import ModuleType
 
 from .patterns import Pattern, PatternSet
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 
 def _lazy(name: str) -> ModuleType:

@@ -32,8 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .patterns import Pattern, _pattern_arrays, invert
-from .quantum_core import _PARITY, DIM, N_QUBITS, apply_pauli, apply_permutation
+from .patterns import Pattern, _pattern_arrays
+from .quantum_core import _PARITY, DIM, N_QUBITS, apply_pauli
 
 STABILIZER_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 LOGICAL_Z = "ZZZZZ"
@@ -138,7 +138,7 @@ def pattern_codewords(basis: str = "Z") -> np.ndarray:
     """``states[p, b]`` is ``_codewords(basis)[b]`` wire-permuted by
     ``all_patterns()[p]``, in int8: entries 0 or +-1, so products are exact."""
     # apply_permutation(v, p) == v[gathers[p]]: bit 4 - i of the source index
-    # is bit 4 - p(i) of the output index (positions 0-based)
+    # is bit 4 - maps[p, i] of the output index (positions 0-based)
     maps, index = _pattern_arrays()[0], np.arange(DIM)
     gathers = np.zeros((len(maps), DIM), dtype=np.int64)
     for i in range(N_QUBITS):
@@ -192,7 +192,7 @@ def decode_distribution(
     ``_BRANCH_CUTOFF`` are left out; the rest sum to ``<state|state>``.
     """
     rows = _decode_basis(basis)
-    amplitudes = rows @ apply_permutation(state, invert(pattern))
+    amplitudes = rows @ state.reshape((2,) * N_QUBITS).transpose(np.subtract(pattern.mapping, 1)).reshape(DIM)
     probs = np.abs(amplitudes) ** 2 / np.sum(rows[0] ** 2)
     return {divmod(k, 2): float(p) for k, p in enumerate(probs) if p > _BRANCH_CUTOFF}
 

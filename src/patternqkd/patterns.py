@@ -27,8 +27,8 @@ MIN_SET_DISTANCE = 3
 class Pattern:
     """A permutation of the five wire positions, in one-line notation.
 
-    ``mapping[i - 1] == p(i)`` is the physical position that standard
-    position ``i`` is sent to.
+    ``mapping[i - 1]`` is the physical position that standard position
+    ``i`` is sent to.
     """
 
     mapping: tuple[int, int, int, int, int]
@@ -36,9 +36,6 @@ class Pattern:
     def __post_init__(self) -> None:
         if tuple(sorted(self.mapping)) != POSITIONS:
             raise ValueError(f"not a permutation of 1..5: {self.mapping}")
-
-    def __call__(self, position: int) -> int:
-        return self.mapping[position - 1]
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.mapping)
@@ -106,27 +103,15 @@ def pattern_distance(p: Pattern, q: Pattern) -> int:
     return sum(1 for a, b in zip(p.mapping, q.mapping) if a != b)
 
 
-def compose(p: Pattern, q: Pattern) -> Pattern:
-    """Function composition ``p after q``: the result maps i to p(q(i))."""
-    return Pattern(tuple(p(q(i)) for i in POSITIONS))
-
-
-def invert(p: Pattern) -> Pattern:
-    """The inverse permutation: ``compose(p, invert(p))`` is the identity."""
-    inverse = [0] * 5
-    for i in POSITIONS:
-        inverse[p(i) - 1] = i
-    return Pattern(tuple(inverse))
-
-
 _BASE5 = 5 ** np.arange(len(POSITIONS) - 1, -1, -1)
 
 
 @lru_cache(maxsize=1)
 def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every pattern's one-line notation (0-based); the lookup from one-line notation read as a base-5
-    number to the index; the table of relative permutations, ``relative[d, e]`` the index of
-    ``compose(invert(d), e)``; and every inverse's notation, scattered: ``inverse[p, maps[p, i]] = i``."""
+    number to the index; the table of relative permutations, ``relative[d, e]`` the index of ``d^-1 e``,
+    whose notation is ``inverse[d, maps[e]]``; and every inverse's notation, scattered:
+    ``inverse[p, maps[p, i]] = i``."""
     maps = np.array([p.mapping for p in all_patterns()]) - 1
     inverse = np.empty_like(maps)
     inverse[np.arange(len(maps))[:, None], maps] = np.arange(len(POSITIONS))
@@ -136,9 +121,9 @@ def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 def relative_index(decoder: np.ndarray, sender: np.ndarray) -> np.ndarray:
-    """Index of ``compose(invert(d), e)`` for each pair of pattern indices
-    (into :func:`all_patterns`) in the two arrays: the relative permutation
-    that a decoder holding pattern d sees on a block sent under pattern e."""
+    """Index of ``d^-1 e`` (``e``, then the inverse of ``d``) for each pair of pattern indices (into
+    :func:`all_patterns`) in the two arrays: the relative permutation that a decoder holding pattern d sees
+    on a block sent under pattern e."""
     return _pattern_arrays()[2][decoder, sender]
 
 

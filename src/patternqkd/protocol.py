@@ -351,10 +351,12 @@ def estimate_mqer(
     """Disclose a uniform test subset and estimate the multi-qubit error rate.
 
     ``errors[j]`` says whether sifted block j's corrected bit mismatches
-    Alice's.  Samples ``ceil(test_fraction * len(errors))`` blocks without
-    replacement; returns the fraction of them in error, their number and
-    the disclosure mask over the sifted blocks.  No sifted blocks yield
-    (0.0, 0, an empty mask); callers flag that as a warning.
+    Alice's.  Samples ``math.ceil(test_fraction * len(errors))`` blocks
+    without replacement, the product taken in binary floating point: that
+    can be one more than the decimal ceiling (0.07 of 100 blocks discloses
+    8, 0.55 of 100 discloses 56).  Returns the fraction of them in error,
+    their number and the disclosure mask over the sifted blocks.  No sifted
+    blocks yield (0.0, 0, an empty mask); callers flag that as a warning.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be strictly inside (0,1), got {test_fraction}")

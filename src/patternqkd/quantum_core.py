@@ -11,11 +11,9 @@ Every operation returns a fresh array; nothing mutates its inputs.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .patterns import Pattern, invert
+from .patterns import Pattern
 
 N_QUBITS = 5
 DIM = 32
@@ -23,18 +21,11 @@ DIM = 32
 _PARITY = np.array([bin(v).count("1") & 1 for v in range(DIM)], dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _permutation_axes(mapping: tuple[int, ...]) -> tuple[int, ...]:
-    # output axis m holds the bit from standard position inverse(m + 1)
-    p = Pattern(mapping)
-    p_inv = invert(p)
-    return tuple(p_inv(m + 1) - 1 for m in range(N_QUBITS))
-
-
 def apply_permutation(state: np.ndarray, pattern: Pattern) -> np.ndarray:
     """Permute the qubit wires: the bit at standard position i moves to
-    physical position pattern(i)."""
-    axes = _permutation_axes(pattern.mapping)
+    physical position ``pattern.mapping[i - 1]``."""
+    # output axis m takes the standard position that the pattern sends to m
+    axes = np.argsort(pattern.mapping)
     return state.reshape((2,) * N_QUBITS).transpose(axes).reshape(DIM).copy()
 
 

@@ -9,9 +9,12 @@ by enumerating the weight-one strings (:func:`correction_table`), codewords
 prepared by projection, and a sequential projective measurement of
 g1..g4 followed by table correction and a logical read-out, sampled
 (:func:`decode_block`) or enumerated branch by branch
-(:func:`decode_distribution`).  It shares only the code's constants and
-the wire permutation with the package, so the tests check the integer
-route against code it does not use.
+(:func:`decode_distribution`).  Its wire permutation is its own too: the
+pattern algebra (:func:`compose`, :func:`invert`) and a transpose by the
+inverse's axes (:func:`permute_wires`), where the package reads index
+arrays.  It shares only the code's constants with the package, so the
+tests check the integer and index-array routes against code they do not
+use.
 """
 
 from __future__ import annotations
@@ -28,11 +31,38 @@ from patternqkd.code5 import (
     N_SYNDROMES,
     STABILIZER_GENERATORS,
 )
-from patternqkd.patterns import Pattern, invert
-from patternqkd.quantum_core import DIM, N_QUBITS, apply_permutation
+from patternqkd.patterns import POSITIONS, Pattern
+from patternqkd.quantum_core import DIM, N_QUBITS
 
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def compose(p: Pattern, q: Pattern) -> Pattern:
+    """Function composition ``p after q``: the result maps i to p(q(i))."""
+    return Pattern(tuple(p.mapping[q.mapping[i - 1] - 1] for i in POSITIONS))
+
+
+def invert(p: Pattern) -> Pattern:
+    """The inverse permutation: ``compose(p, invert(p))`` is the identity."""
+    inverse = [0] * 5
+    for i in POSITIONS:
+        inverse[p.mapping[i - 1] - 1] = i
+    return Pattern(tuple(inverse))
+
+
+@lru_cache(maxsize=None)
+def _permutation_axes(mapping: tuple[int, ...]) -> tuple[int, ...]:
+    # output axis m holds the bit from standard position inverse(m + 1)
+    p_inv = invert(Pattern(mapping))
+    return tuple(p_inv.mapping[m] - 1 for m in range(N_QUBITS))
+
+
+def permute_wires(state: np.ndarray, pattern: Pattern) -> np.ndarray:
+    """Permute the qubit wires: the bit at standard position i moves to
+    physical position p(i), with ``p(i) = pattern.mapping[i - 1]``."""
+    axes = _permutation_axes(pattern.mapping)
+    return state.reshape((2,) * N_QUBITS).transpose(axes).reshape(DIM).copy()
 
 
 def single_qubit_pauli_labels() -> tuple[str, ...]:
@@ -214,7 +244,7 @@ def decode_block(
     probabilities 0 or 1) whenever ``pattern`` matches the encoding pattern
     and at most one physical qubit was hit.
     """
-    state = apply_permutation(state, invert(pattern))
+    state = permute_wires(state, invert(pattern))
     syndrome, state = extract_syndrome(state, rng)
     state = correct(state, syndrome)
     bit = measure_logical(state, rng, basis)
@@ -231,7 +261,7 @@ def decode_distribution(
     the bit bias of wrong-pattern decoding.
     """
     logical = _logical_label(basis)
-    start = apply_permutation(state, invert(pattern))
+    start = permute_wires(state, invert(pattern))
     branches: list[tuple[float, np.ndarray, int]] = [(1.0, start, 0)]
     for generator in STABILIZER_GENERATORS:
         grown: list[tuple[float, np.ndarray, int]] = []

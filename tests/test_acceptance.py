@@ -31,8 +31,10 @@ from statevector_oracle import (
     correct,
     decode_block,
     decode_distribution,
+    compose,
     extract_syndrome,
     inner_product,
+    invert,
     pauli_syndrome,
     single_qubit_pauli_labels,
 )
@@ -92,8 +94,6 @@ def eve_knows_outcome():
 @pytest.fixture(scope="module")
 def relative_bit_distributions():
     """Exact P(decoded bit | encoded bit) per relative wire permutation."""
-    from patternqkd.patterns import invert  # noqa: F401 (used by consumers)
-
     table: dict[tuple[Pattern, int], list[float]] = {}
     identity = Pattern(POSITIONS)
     for r in all_patterns():
@@ -137,7 +137,7 @@ def _stabilizer_symmetries() -> tuple[set[str], set[Pattern]]:
     def permuted(label: str, pattern: Pattern) -> str:
         out = [""] * 5
         for i, ch in enumerate(label, start=1):
-            out[pattern(i) - 1] = ch
+            out[pattern.mapping[i - 1] - 1] = ch
         return "".join(out)
 
     symmetries = {
@@ -156,8 +156,6 @@ def _exact_uniform_mqer(dists) -> float:
     decode of her retransmission sees its inverse, with r uniform over the
     120 permutations.
     """
-    from patternqkd.patterns import invert
-
     total_correct = 0.0
     for r in all_patterns():
         r_inv = invert(r)
@@ -169,8 +167,6 @@ def _exact_uniform_mqer(dists) -> float:
 
 def _exact_knows_mqer(dists, secret: PatternSet) -> float:
     """Model MQER when the interceptor holds the true set."""
-    from patternqkd.patterns import compose, invert
-
     p0, p1 = secret.members()
     r = compose(invert(p1), p0)
     error = 0.0
@@ -372,8 +368,6 @@ def test_c08_honest_noiseless(honest_report):
 
 
 def test_c09_eve_uniform(eve_uniform_outcome, relative_bit_distributions):
-    from patternqkd.patterns import invert
-
     report, _ = eve_uniform_outcome
     dists = relative_bit_distributions
 

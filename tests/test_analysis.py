@@ -118,17 +118,6 @@ class TestHolevoIdenticalEnsembles:
             if overlap < 1e-9:
                 assert abs(entropy - 1.0) < 1e-9
 
-    def test_overlap_values_over_sample(self):
-        # permuted same-bit codewords are never orthogonal here; the overlap
-        # magnitude always lands in {1/4, 1/2, 1}
-        rng = np.random.default_rng(3)
-        table = valid_pattern_sets()
-        for index in rng.integers(0, len(table), size=40):
-            overlap = set_row(table[int(index)])[1]
-            assert min(
-                abs(overlap - v) for v in (0.25, 0.5, 1.0)
-            ) < 1e-9
-
 
 class TestHolevoBitConditioned:
     def test_report_bounds(self):
@@ -206,8 +195,11 @@ class TestOverlapClasses:
     CLASSES = ((1.0, 10, 540, 1.0), (0.5, 50, 2400, 0.5), (0.25, 60, 3600, 0.375))  # overlap, r's, sets, agreement
 
     def test_three_overlaps_census(self):
+        # permuted same-bit codewords are never orthogonal here: every row and every set has one of three
+        # overlap magnitudes, exactly
         columns, relative = analysis.chi_by_relative()
         overlap = columns[:, 1]
+        assert set(overlap.tolist()) == {value for value, _, _, _ in self.CLASSES}
         for value, permutations, sets, _ in self.CLASSES:
             assert np.count_nonzero(overlap == value) == permutations
             assert np.count_nonzero(overlap[relative] == value) == sets

@@ -10,19 +10,22 @@ from statevector_oracle import (
     SQRT_HALF,
     _codeword,
     apply_pauli_string,
+    compose,
     correct,
     correction_table,
     decode_block,
     decode_distribution,
     extract_syndrome,
     inner_product,
+    invert,
     measure_logical,
     pauli_syndrome,
+    permute_wires,
     single_qubit_pauli_labels,
 )
 
-from patternqkd import code5
-from patternqkd.patterns import POSITIONS, Pattern, all_patterns, compose, invert
+from patternqkd import code5, quantum_core
+from patternqkd.patterns import POSITIONS, Pattern, all_patterns
 from patternqkd.quantum_core import apply_permutation
 
 IDENTITY = Pattern(POSITIONS)
@@ -323,13 +326,13 @@ class TestPatternCodewords:
             calls.append(args)
             return apply_permutation(*args)
 
-        monkeypatch.setattr(code5, "apply_permutation", counting)
-        code5.decode_distribution(code5.encode_logical(0), IDENTITY)  # the counter sees code5's calls
-        assert len(calls) == 1
+        monkeypatch.setattr(quantum_core, "apply_permutation", counting)
+        assert not hasattr(code5, "apply_permutation")  # so the counter sees every call code5 makes
         code5.pattern_codewords.cache_clear()
         for basis in ("Z", "X"):
             code5.pattern_codewords(basis)
-        assert len(calls) == 1
+        code5.decode_distribution(code5.encode_logical(0), IDENTITY)
+        assert calls == []
 
 
 class TestOneDecodePath:
@@ -355,6 +358,15 @@ class TestOneDecodePath:
                     assert abs(prob - reference[key]) < 1e-12
         with pytest.raises(ValueError):
             code5.decode_distribution(states[0], IDENTITY, basis="Y")
+
+    @pytest.mark.parametrize("basis", ["Z", "X"])
+    def test_decode_distribution_equals_the_object_route_on_every_pattern(self, basis):
+        # the package un-permutes by the axes pattern.mapping - 1; the oracle by an inverted Pattern
+        state = random_state(np.random.default_rng(33))
+        for pattern in all_patterns():
+            unpermuted = permute_wires(state, invert(pattern))
+            ours = code5.decode_distribution(state, pattern, basis)
+            assert ours == code5.decode_distribution(unpermuted, IDENTITY, basis)
 
     def test_src_has_no_statevector_measurement_path(self):
         # that path is tests/statevector_oracle.py; np.bitwise_count needs

@@ -19,12 +19,14 @@ import test_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from records_oracle import BlockRecord, EveRecord, as_records, format_records, run_block
-from statevector_oracle import apply_pauli_string, correction_table, decode_distribution, pauli_syndrome
+from statevector_oracle import (
+    apply_pauli_string, compose, correction_table, decode_distribution, invert, pauli_syndrome,
+)
 
 from patternqkd import analysis, cli, code5, protocol
 from patternqkd.channel import EveStrategy, NoiseModel
 from patternqkd.patterns import (
-    POSITIONS, Pattern, PatternSet, all_patterns, compose, invert, pattern_indices, relative_index,
+    POSITIONS, Pattern, PatternSet, all_patterns, pattern_indices, relative_index,
 )
 from patternqkd.protocol import SessionConfig, run_session
 from patternqkd.quantum_core import apply_permutation
@@ -386,7 +388,7 @@ def reference_noise_frames(words, p, secret_set, bob_pattern):
     z = (protocol._below(words, p) ^ protocol._below(words, p / 3)).astype(np.int64)  # p / 3 <= u(w) < p
     # Un-permuting with q moves physical wire j to position q^-1(j), whose
     # mask bit is 5 - q^-1(j).
-    shifts = np.array([[5 - invert(q)(j) for j in POSITIONS] for q in secret_set.members()])
+    shifts = np.array([[5 - invert(q).mapping[j - 1] for j in POSITIONS] for q in secret_set.members()])
     shifts = shifts[bob_pattern]
     return np.sum(x << shifts, axis=1), np.sum(z << shifts, axis=1)
 

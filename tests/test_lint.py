@@ -3,6 +3,7 @@
 import ast
 import functools
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -95,7 +96,7 @@ UNREAD_BY_THE_PACKAGE = {
     "code5.encode_logical": "bench/ builds its statevector stages from it",
     "code5.decode_distribution": "bench/test_bench.py takes it as its statevector reference",
     "analysis.chi_physical_sweep": "bench/ times the chi sweep with it",
-    "patterns.compose": "the group law that tests compare relative_index against",
+    "quantum_core.apply_permutation": "bench/ permutes its statevectors with it",
 }
 
 
@@ -186,6 +187,90 @@ def test_the_check_finds_an_unread_method():
         "f": "from .e import Value\nVALUE = Value.parse('x')\n",
     }
     assert unread_public_names(sources) == ["e.Value.unread_maker", "e.Value.unread_view", "e.Value.again"]
+
+
+def defined_functions(sources: dict[str, str]) -> set[str]:
+    """``module.qualname`` of every ``def`` in ``sources`` (module name -> text), as its code object names it:
+    ``Class.method``, and ``outer.<locals>.inner`` for a nested one."""
+    names = set()
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), f"{module}.")
+    return names
+
+
+def test_the_def_census_names_methods_and_nested_functions():
+    source = "def outer():\n    def inner(): pass\nclass Value:\n    def method(self):\n        return lambda: 1\n"
+    assert defined_functions({"m": source}) == {"m.outer", "m.outer.<locals>.inner", "m.Value.method"}
+
+
+# Runs every subcommand in one process under sys.settrace, in the directory argv[1], and prints as JSON the
+# (file, qualname) of each code object entered and each run's exit code.
+_TRACED_RUN = """
+import contextlib, io, json, os, sys
+
+entered = set()
+
+def trace(frame, event, arg):
+    entered.add((frame.f_code.co_filename, frame.f_code.co_qualname))
+
+sys.settrace(trace)
+from patternqkd import cli
+
+os.chdir(sys.argv[1])
+configs = {
+    "uniform": "secret_set = 12345 13452\\neve.kind = intercept_resend",
+    "noisy": "logical_basis = X\\nnoise.per_qubit_flip_prob = 0.05\\nnoise.distance_km = 5\\n"
+             "noise.mean_photon_number = 0.3\\neve.kind = intercept_resend\\neve.knowledge = overlap=1",
+    "guessed": "eve.kind = intercept_resend\\neve.knowledge = 12345 23451",
+    "honest": "",
+    "unknown": "bogus = 1",
+}
+for name, text in configs.items():
+    with open(f"{name}.cfg", "w") as handle:
+        handle.write(f"num_blocks = 200\\nmaster_seed = 7\\n{text}\\n")
+runs = [
+    ["enumerate", "--out", "enumerate", "--sets-csv"],
+    ["analyze"],
+    ["analyze", "--mu", "0,0.3", "--out", "report.txt", "--chi-csv", "chi.csv"],
+    ["analyze", "--set-id", "6540"],
+    *(["simulate", "--config", f"{name}.cfg", "--out", name] for name in configs),
+    *(["sweep", "--config", "honest.cfg", "--out", axis, "--axis", axis, "--values", values]
+      for axis, values in (("distance_km", "0,5"), ("per_qubit_flip_prob", "0,0.05"),
+                           ("mean_photon_number", "0,0.3"), ("eve_overlap", "0,1,2"))),
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+sys.settrace(None)
+print(json.dumps({"entered": sorted(entered), "codes": codes}))
+"""
+
+
+def test_every_def_is_entered_by_some_subcommand(tmp_path):
+    # A def that no subcommand enters serves only its tests or a reader outside the package, and the second
+    # kind is named in UNREAD_BY_THE_PACKAGE; valid_pattern_sets is read by analysis.chi_physical_sweep alone.
+    package = Path(patternqkd.__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(tmp_path)], capture_output=True, text=True, check=True, env=env
+    )
+    result = json.loads(done.stdout)
+    # enumerate; analyze twice, then a bad --set-id; simulate: three interceptors abort, honest continues, an
+    # unknown key; the four sweeps
+    assert result["codes"] == [0, 0, 0, 2, 3, 3, 3, 0, 2, 0, 0, 0, 0]
+    entered = {
+        f"{Path(file).stem}.{name}" for file, name in result["entered"] if Path(file).parent == package
+    }
+    defined = defined_functions({path.stem: path.read_text() for path in SOURCES})
+    assert sorted(defined - entered) == sorted([*UNREAD_BY_THE_PACKAGE, "patterns.valid_pattern_sets"])
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

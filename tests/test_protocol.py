@@ -139,6 +139,12 @@ class TestEstimateMqer:
         assert np.count_nonzero(disclosed) == tested
         assert disclosed.shape == kept.shape
 
+    @pytest.mark.parametrize("fraction, sifted, tested", [(0.07, 100, 8), (0.55, 100, 56), (0.5, 2501, 1251)])
+    def test_subset_size_is_the_binary_float_ceiling(self, fraction, sifted, tested):
+        # 0.07 * 100 is 7.000000000000001 in binary floating point, one block above the decimal 7
+        _, count, disclosed = estimate_mqer(np.zeros(sifted, dtype=bool), fraction, session_rng(0, 0))
+        assert count == np.count_nonzero(disclosed) == tested
+
     def test_input_is_not_modified(self):
         config = make_config(num_blocks=400, master_seed=22, noise=NoiseModel(per_qubit_flip_prob=0.2))
         _, blocks = run_session(config)

@@ -16,9 +16,9 @@ from jacobi_oracle import (
     hermitian_eigenvalues,
     von_neumann_entropy,
 )
-from statevector_oracle import apply_pauli_string, basis_state, inner_product
+from statevector_oracle import apply_pauli_string, basis_state, compose, inner_product, invert, permute_wires
 
-from patternqkd.patterns import POSITIONS, Pattern, all_patterns, compose, invert
+from patternqkd.patterns import POSITIONS, Pattern, all_patterns
 from patternqkd.quantum_core import DIM, apply_pauli, apply_permutation
 
 PAULI_MATRICES = {
@@ -75,12 +75,18 @@ class TestPermutations:
                 one_step = apply_permutation(psi, composed)
                 np.testing.assert_allclose(two_step, one_step, atol=1e-12)
 
+    def test_index_route_equals_the_object_route_on_every_pattern(self):
+        # the package transposes by the argsort of the notation; the oracle by an inverted Pattern
+        psi = random_state(np.random.default_rng(9))
+        for pattern in all_patterns():
+            assert np.array_equal(apply_permutation(psi, pattern), permute_wires(psi, pattern))
+
     def test_permutation_moves_basis_bits(self):
         pattern = Pattern((3, 1, 2, 5, 4))
         bits = [1, 0, 1, 1, 0]
         moved = [0] * 5
         for i, b in enumerate(bits, start=1):
-            moved[pattern(i) - 1] = b
+            moved[pattern.mapping[i - 1] - 1] = b
         out = apply_permutation(state_of_bits(bits), pattern)
         np.testing.assert_allclose(out, state_of_bits(moved), atol=1e-15)
 
