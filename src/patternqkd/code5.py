@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .patterns import Pattern, _pattern_arrays
+from .patterns import Pattern, _pattern_arrays, pattern_indices, relative_index
 from .quantum_core import _PARITY, DIM, N_QUBITS, apply_pauli
 
 STABILIZER_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -135,15 +135,9 @@ def encode_logical(bit: int, basis: str = "Z") -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def pattern_codewords(basis: str = "Z") -> np.ndarray:
-    """``states[p, b]`` is ``_codewords(basis)[b]`` wire-permuted by
-    ``all_patterns()[p]``, in int8: entries 0 or +-1, so products are exact."""
-    # apply_permutation(v, p) == v[gathers[p]]: bit 4 - i of the source index
-    # is bit 4 - maps[p, i] of the output index (positions 0-based)
-    maps, index = _pattern_arrays()[0], np.arange(DIM)
-    gathers = np.zeros((len(maps), DIM), dtype=np.int64)
-    for i in range(N_QUBITS):
-        gathers |= ((index >> (N_QUBITS - 1 - maps[:, i, None])) & 1) << (N_QUBITS - 1 - i)
-    states = _codewords(basis).astype(np.int8)[:, gathers].transpose(1, 0, 2)
+    """``states[p, b]`` is ``_codewords(basis)[b]`` wire-permuted by ``all_patterns()[p]`` (the table and wire
+    convention of :func:`patterns._pattern_arrays`), in int8: entries 0 or +-1, so products are exact."""
+    states = _codewords(basis).astype(np.int8)[:, _pattern_arrays()[3]].transpose(1, 0, 2)
     states.setflags(write=False)
     return states
 
@@ -187,12 +181,12 @@ def decode_distribution(
 ) -> dict[tuple[int, int], float]:
     """Exact joint distribution over (syndrome, logical bit) for a decode.
 
-    The receiver un-permutes with ``pattern``; outcome ``(s, c)`` then has
-    probability ``|<E_s c_L | state>|^2``.  Outcomes at or below
-    ``_BRANCH_CUTOFF`` are left out; the rest sum to ``<state|state>``.
+    The receiver un-permutes with ``pattern``, by the wire-permutation row of its inverse
+    (:func:`patterns._pattern_arrays`); outcome ``(s, c)`` then has probability ``|<E_s c_L | state>|^2``.
+    Outcomes at or below ``_BRANCH_CUTOFF`` are left out; the rest sum to ``<state|state>``.
     """
     rows = _decode_basis(basis)
-    amplitudes = rows @ state.reshape((2,) * N_QUBITS).transpose(np.subtract(pattern.mapping, 1)).reshape(DIM)
+    amplitudes = rows @ state[_pattern_arrays()[3][relative_index(pattern_indices([pattern])[0], 0)]]
     probs = np.abs(amplitudes) ** 2 / np.sum(rows[0] ** 2)
     return {divmod(k, 2): float(p) for k, p in enumerate(probs) if p > _BRANCH_CUTOFF}
 

@@ -104,20 +104,24 @@ def pattern_distance(p: Pattern, q: Pattern) -> int:
 
 
 _BASE5 = 5 ** np.arange(len(POSITIONS) - 1, -1, -1)
+_BASE2 = 2 ** np.arange(len(POSITIONS) - 1, -1, -1)
 
 
 @lru_cache(maxsize=1)
 def _pattern_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every pattern's one-line notation (0-based); the lookup from one-line notation read as a base-5
-    number to the index; the table of relative permutations, ``relative[d, e]`` the index of ``d^-1 e``,
-    whose notation is ``inverse[d, maps[e]]``; and every inverse's notation, scattered:
-    ``inverse[p, maps[p, i]] = i``."""
+    number to the index; the relative permutations, ``relative[d, e]`` the index of ``d^-1 e``; and the
+    wire-permutation table.  The package's one wire convention: wire 1 is the top bit of a five-bit index or
+    Pauli mask, and pattern p sends standard position i to physical position ``maps[p, i]``.  So
+    ``v[gathers[p]]`` moves the wires of an amplitude vector v by p, and ``gathers[p][m]`` takes a Pauli
+    mask m on the physical wires into the frame of a decoder that holds p."""
     maps = np.array([p.mapping for p in all_patterns()]) - 1
     inverse = np.empty_like(maps)
     inverse[np.arange(len(maps))[:, None], maps] = np.arange(len(POSITIONS))
     index = np.zeros(5 ** len(POSITIONS), dtype=np.int64)
     index[maps @ _BASE5] = np.arange(len(maps))
-    return maps, index, index[inverse[:, maps] @ _BASE5].astype(np.int8), inverse
+    wires = np.arange(2 ** len(POSITIONS)) // _BASE2[:, None] % 2
+    return maps, index, index[inverse[:, maps] @ _BASE5].astype(np.int8), _BASE2 @ wires[maps]
 
 
 def relative_index(decoder: np.ndarray, sender: np.ndarray) -> np.ndarray:

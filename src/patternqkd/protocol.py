@@ -69,7 +69,7 @@ import numpy as np
 from . import analysis, code5
 from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
 from .patterns import POSITIONS, PatternSet, _pattern_arrays, all_patterns, guessed_set_with_overlap, pattern_indices
-from .patterns import relative_index, sample_pattern_set
+from .patterns import _BASE2, relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
 DECISION_ABORT = "abort"
@@ -233,10 +233,11 @@ def _physical_frames(words: np.ndarray, p: float) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _frame_class_table(basis: str, members: tuple[int, int]) -> np.ndarray:
     """``table[d * 1024 + f]``: the class (``code5.frame_classes``) of physical frame f for a decoder holding
-    pattern ``members[d]``, in uint16.  Un-permuting with q moves wire j to mask bit 5 - q^-1(j)."""
+    pattern ``members[d]``, in uint16.  Each frame's physical masks go into that decoder's frame through
+    the row of ``members[d]`` in the wire-permutation table (``patterns._pattern_arrays``)."""
     codes = np.arange(4 ** len(POSITIONS))[:, None] // _WIRE_WEIGHTS % 4
-    shifts = 4 - _pattern_arrays()[3][list(members)][:, None]
-    x, z = (np.sum(hit[None] << shifts, axis=2).ravel() for hit in (codes >= 2, (codes == 1) | (codes == 2)))
+    gathers = _pattern_arrays()[3][list(members)]
+    x, z = (gathers[:, hit @ _BASE2].ravel() for hit in (codes >= 2, (codes == 1) | (codes == 2)))
     table = code5.frame_classes(x, z, basis).astype(np.uint16)
     table.setflags(write=False)
     return table

@@ -1,10 +1,7 @@
 """Index arithmetic on five-qubit amplitude vectors.
 
-Vectors hold 32 amplitudes (complex, or integers for the scaled
-codewords).  Index convention: qubit 1 is the most significant bit of the
-amplitude index, qubit 5 the least significant, so ``|b1 b2 b3 b4 b5>``
-lives at index ``b1*16 + b2*8 + b3*4 + b4*2 + b5``.  A Pauli is given by
-its bit masks ``x`` and ``z`` in the same convention.
+Vectors hold 32 amplitudes (complex, or integers for the scaled codewords), indexed like a Pauli's bit
+masks ``x`` and ``z``: qubit 1 is the top bit, the wire convention of :func:`patterns._pattern_arrays`.
 
 Every operation returns a fresh array; nothing mutates its inputs.
 """
@@ -13,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .patterns import Pattern
+from .patterns import Pattern, _pattern_arrays, pattern_indices
 
 N_QUBITS = 5
 DIM = 32
@@ -22,11 +19,9 @@ _PARITY = np.array([bin(v).count("1") & 1 for v in range(DIM)], dtype=np.int64)
 
 
 def apply_permutation(state: np.ndarray, pattern: Pattern) -> np.ndarray:
-    """Permute the qubit wires: the bit at standard position i moves to
-    physical position ``pattern.mapping[i - 1]``."""
-    # output axis m takes the standard position that the pattern sends to m
-    axes = np.argsort(pattern.mapping)
-    return state.reshape((2,) * N_QUBITS).transpose(axes).reshape(DIM).copy()
+    """Permute the qubit wires by ``pattern``, by its row of the wire-permutation table
+    (:func:`patterns._pattern_arrays`, which states the convention)."""
+    return state[..., _pattern_arrays()[3][pattern_indices([pattern])[0]]]
 
 
 def apply_pauli(vector: np.ndarray, x: int, z: int) -> np.ndarray:

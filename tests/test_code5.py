@@ -313,7 +313,7 @@ class TestDecodeBlock:
 class TestPatternCodewords:
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_equal_the_per_pattern_wire_permutation(self, basis):
-        gathers = np.array([apply_permutation(np.arange(32), p) for p in all_patterns()])
+        gathers = np.array([permute_wires(np.arange(32), p) for p in all_patterns()])
         expected = code5._codewords(basis).astype(np.int8)[:, gathers].transpose(1, 0, 2)
         states = code5.pattern_codewords(basis)
         assert states.dtype == np.int8 and not states.flags.writeable

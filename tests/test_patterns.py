@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from statevector_oracle import compose, invert
+from statevector_oracle import compose, invert, permute_wires
 
 from patternqkd import patterns
 from patternqkd.patterns import (
@@ -110,9 +110,12 @@ class TestGroupOperations:
         )
 
     def test_array_tables_match_invert_and_compose_exhaustively(self):
-        # test_group_laws samples; the engine reads any entry of the scattered inverse and the relative table.
-        _, _, _, inverse = patterns._pattern_arrays()
-        assert [tuple(row) for row in (inverse + 1).tolist()] == [invert(p).mapping for p in all_patterns()]
+        # test_group_laws samples; the engine reads any row of the wire-permutation table and any entry of
+        # the relative table.
+        gathers = patterns._pattern_arrays()[3]
+        assert gathers.shape == (120, 32)
+        for p, row in zip(all_patterns(), gathers):
+            np.testing.assert_array_equal(row, permute_wires(np.arange(32), p))
         table = relative_index(*np.divmod(np.arange(120 * 120), 120)).reshape(120, 120)
         assert table.dtype == np.int8
         for (d, e), r in np.ndenumerate(table):
