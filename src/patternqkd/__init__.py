@@ -1,8 +1,9 @@
 """Pattern-based QKD over the five-qubit perfect code: simulation and analysis.
 
-``channel``, ``protocol`` (the session layer) and ``analysis`` execute on first use (``_lazy``, ``__getattr__``):
-``analyze`` executes ``analysis`` only, ``enumerate`` none, ``simulate`` and ``sweep`` the session layer, and
-``analysis`` too for a mean photon number above 0 (README "Start-up cost" gives the measured pairs).
+``channel``, ``protocol`` (the session layer), ``analysis`` and ``quantum_core`` execute on first use (``_lazy``,
+``__getattr__``): ``analyze`` executes ``analysis`` only, ``enumerate`` none, ``simulate`` and ``sweep`` the session
+layer, and ``analysis`` too for a mean photon number above 0; no command executes ``quantum_core``, which only
+readers outside the package import (README "Start-up cost" gives the measured pairs).
 """
 
 import sys
@@ -11,7 +12,7 @@ from types import ModuleType
 
 from .patterns import Pattern, PatternSet
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 
 def _lazy(name: str) -> ModuleType:
@@ -23,7 +24,7 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
-analysis, channel, protocol = _lazy("analysis"), _lazy("channel"), _lazy("protocol")
+analysis, channel, protocol, quantum_core = map(_lazy, ("analysis", "channel", "protocol", "quantum_core"))
 _SESSION_NAMES = {
     "EveStrategy": channel, "NoiseModel": channel,
     "SessionConfig": protocol, "SessionReport": protocol, "run_session": protocol,

@@ -15,7 +15,7 @@ Everything is built from integers.  A Pauli is a pair of (x, z) bit masks
 each nonzero syndrome's recovery is the weight-one Pauli that has it, found
 among the 15 weight-one masks.  The codewords are ``prod(I + g_k)``
 applied to ``|00000>`` and ``|11111>``, scaled to entries 0 or +-1, and a
-Pauli acts on them as a signed index flip (:func:`quantum_core.apply_pauli`).
+Pauli acts on them as a signed index flip (:func:`apply_pauli`).
 Every block the protocol decodes is a stabilizer state, so each decode
 outcome ``(s, c)`` has the exact probability ``|<E_s c_L | state>|^2``
 with ``E_s`` the recovery for ``s``: :func:`decode_table` holds them for
@@ -32,14 +32,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .patterns import Pattern, _pattern_arrays, pattern_indices, relative_index
-from .quantum_core import _PARITY, DIM, N_QUBITS, apply_pauli
+from .patterns import POSITIONS, Pattern, _pattern_arrays, pattern_indices, relative_index
 
 STABILIZER_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 LOGICAL_Z = "ZZZZZ"
 LOGICAL_X = "XXXXX"
 
+N_QUBITS = len(POSITIONS)
+DIM = 2**N_QUBITS
 N_SYNDROMES = 16
+
+_PARITY = np.array([bin(v).count("1") & 1 for v in range(DIM)], dtype=np.int64)
 
 # Probability at or below which a decode outcome is treated as impossible.
 _BRANCH_CUTOFF = 1e-14
@@ -58,6 +61,17 @@ def pauli_masks(label: str) -> tuple[int, int]:
     for ch in label:
         x, z = (x << 1) | (ch in "XY"), (z << 1) | (ch in "ZY")
     return x, z
+
+
+def apply_pauli(vector: np.ndarray, x: int, z: int) -> np.ndarray:
+    """``X^x Z^z`` applied along the last axis of ``vector``:
+    ``out[j] = (-1)^|(j ^ x) & z| vector[j ^ x]``.
+
+    The Pauli with masks ``(x, z)`` is ``i^|x & z|`` times this (each Y is
+    ``iXZ``); that phase is dropped, so integer input stays integer.
+    """
+    source = np.arange(DIM) ^ x
+    return (1 - 2 * _PARITY[source & z]) * vector[..., source]
 
 
 def _logical_masks(basis: str) -> tuple[int, int]:

@@ -48,7 +48,7 @@ class Pattern:
         return cls(tuple(int(ch) for ch in text))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PatternSet:
     """Unordered pair of patterns at distance >= 3, stored canonically.
 

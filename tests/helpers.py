@@ -9,8 +9,9 @@ import numpy as np
 from statevector_oracle import decode_distribution
 
 from patternqkd import code5
+from patternqkd.code5 import DIM
 from patternqkd.patterns import Pattern, PatternSet
-from patternqkd.quantum_core import DIM, apply_permutation
+from patternqkd.quantum_core import apply_permutation
 
 
 def random_state(rng: np.random.Generator) -> np.ndarray:

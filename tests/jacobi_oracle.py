@@ -21,8 +21,8 @@ import numpy as np
 from helpers import pattern_state
 
 from patternqkd import code5
+from patternqkd.code5 import DIM, N_QUBITS
 from patternqkd.patterns import PatternSet
-from patternqkd.quantum_core import DIM, N_QUBITS
 
 NORM_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9

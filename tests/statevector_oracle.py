@@ -26,13 +26,14 @@ import numpy as np
 
 from patternqkd.code5 import (
     _BRANCH_CUTOFF,
+    DIM,
     LOGICAL_X,
     LOGICAL_Z,
+    N_QUBITS,
     N_SYNDROMES,
     STABILIZER_GENERATORS,
 )
 from patternqkd.patterns import POSITIONS, Pattern
-from patternqkd.quantum_core import DIM, N_QUBITS
 
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)

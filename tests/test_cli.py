@@ -342,9 +342,10 @@ class TestLazyStartup:
         assert {name: size for name, size in sizes.items() if size} == {}
 
     def test_only_simulate_executes_the_session_layer(self, tmp_path):
-        # channel, protocol and analysis are registered on import and run on first use: analyze and enumerate
-        # leave the session layer unexecuted, simulate executes it, and analysis only when mu > 0.  Each run is a
-        # fresh interpreter, its commands in order.  type() reads no attribute, so it triggers no load.
+        # channel, protocol, analysis and quantum_core are registered on import and run on first use: analyze and
+        # enumerate leave the session layer unexecuted, simulate and sweep execute it, analysis only when mu > 0,
+        # and no command executes quantum_core.  Each run is a fresh interpreter, its commands in order.  type()
+        # reads no attribute, so it triggers no load.
         src = Path(patternqkd.__file__).resolve().parent.parent
         (tmp_path / "session.cfg").write_text(HONEST_CFG)
         (tmp_path / "pulses.cfg").write_text(HONEST_CFG + "noise.mean_photon_number = 0.1\n")
@@ -354,12 +355,13 @@ class TestLazyStartup:
             sys.path.insert(0, sys.argv[1])
             from patternqkd import cli
             layers = ("quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli")
-            seen = [[layer for layer in layers if f"patternqkd.{layer}" in sys.modules]]
+            lazy = [sys.modules[f"patternqkd.{name}"] for name in ("analysis", "channel", "protocol", "quantum_core")]
+            executed = lambda: [m.__name__ for m in lazy if type(m) is types.ModuleType]
+            seen = [[[layer for layer in layers if f"patternqkd.{layer}" in sys.modules], executed()]]
             for argv in json.loads(sys.argv[2]):
                 with redirect_stdout(io.StringIO()):
                     code = cli.main(argv)
-                lazy = [sys.modules[f"patternqkd.{name}"] for name in ("analysis", "channel", "protocol")]
-                seen.append([code, [m.__name__ for m in lazy if type(m) is types.ModuleType]])
+                seen.append([code, executed()])
             import patternqkd
             seen.append([name for name in patternqkd.__all__ if not hasattr(patternqkd, name)])
             print(json.dumps(seen))
@@ -372,7 +374,7 @@ class TestLazyStartup:
         def simulate(config):
             return ["simulate", "--config", str(tmp_path / config), "--out", str(tmp_path / "run")]
 
-        imported = ["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli"]
+        imported = [["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli"], []]
         session = ["patternqkd.channel", "patternqkd.protocol"]
         assert executed(["analyze", "--set-id", "17"], ["enumerate", "--out", str(tmp_path / "tables")],
                         simulate("session.cfg")) == [
@@ -382,11 +384,14 @@ class TestLazyStartup:
             [cli.EXIT_OK, ["patternqkd.analysis", *session]],
             [],
         ]
+        sweep = ["sweep", "--config", str(tmp_path / "session.cfg"), "--out", str(tmp_path / "sweep"),
+                 "--axis", "mean_photon_number", "--values", "0,0.1"]
         assert executed(["enumerate", "--out", str(tmp_path / "tables")], simulate("session.cfg"),
-                        simulate("pulses.cfg")) == [
+                        simulate("pulses.cfg"), sweep) == [
             imported,
             [cli.EXIT_OK, []],
             [cli.EXIT_OK, session],
+            [cli.EXIT_OK, ["patternqkd.analysis", *session]],
             [cli.EXIT_OK, ["patternqkd.analysis", *session]],
             [],
         ]

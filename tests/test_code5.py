@@ -140,6 +140,22 @@ class TestSyndromes:
             code5.syndrome_bits(16)
 
 
+class TestPauliMasks:
+    def test_matches_pauli_strings_up_to_the_y_phase(self):
+        # apply_pauli drops the phase i^|x & z| that the Y letters carry
+        psi = random_state(np.random.default_rng(22))
+        for x, z in itertools.product(range(code5.DIM), repeat=2):
+            label = "".join("IXZY"[(x >> shift & 1) + 2 * (z >> shift & 1)] for shift in range(4, -1, -1))
+            phase = 1j ** bin(x & z).count("1")
+            np.testing.assert_array_equal(phase * code5.apply_pauli(psi, x, z), apply_pauli_string(psi, label))
+
+    def test_integer_input_stays_integer(self):
+        vector = np.arange(code5.DIM, dtype=np.int64) - 16
+        out = code5.apply_pauli(vector, 0b10110, 0b01101)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(1j * out, apply_pauli_string(vector.astype(complex), "XZYXZ"))
+
+
 class TestCorrection:
     def test_table_structure(self):
         table = correction_table()

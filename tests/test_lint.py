@@ -90,6 +90,41 @@ def test_the_check_finds_an_assert_statement():
     assert assert_statements(source) == [4]
 
 
+def imports_of(source: str, module: str) -> list[int]:
+    """The line of each import in ``source`` that reads the package module ``module``: ``from .module import``,
+    ``from . import module``, ``import patternqkd.module`` and their absolute or aliased forms."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            home = (node.module or "").split(".")
+            names = [alias.name for alias in node.names] if home[-1] in ("", "patternqkd") else []
+            lines += [node.lineno] if home[-1] == module or module in names else []
+        elif isinstance(node, ast.Import):
+            lines += [node.lineno] if any(alias.name.split(".")[-1] == module for alias in node.names) else []
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_imports_quantum_core(path):
+    # quantum_core serves readers outside the package only, so no command executes it
+    assert imports_of(path.read_text(), "quantum_core") == []
+
+
+def test_the_check_finds_an_import_of_a_module():
+    source = (
+        "from .quantum_core import apply_permutation\n"
+        "from . import code5, quantum_core as qc\n"
+        "import patternqkd.quantum_core\n"
+        "from patternqkd.quantum_core import apply_permutation as permute\n"
+        "from patternqkd import quantum_core\n"
+        "from .code5 import quantum_core_like, DIM\n"
+        "import quantum_core_free\n"
+        "def f():\n    from .quantum_core import apply_permutation\n"
+        "_lazy('quantum_core')\n"
+    )
+    assert imports_of(source, "quantum_core") == [1, 2, 3, 4, 5, 9]
+
+
 # Public names that no package module reads, each kept for a reader outside the package (a method as
 # ``module.Class.name``).
 UNREAD_BY_THE_PACKAGE = {

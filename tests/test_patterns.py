@@ -135,6 +135,13 @@ class TestPatternSet:
         with pytest.raises(ValueError):
             PatternSet(a, Pattern.from_string("21345"))  # distance 2
 
+    def test_sets_have_no_order(self):
+        # sets are compared for equality and hashed, never ordered; their members keep Pattern's order
+        a, b = valid_pattern_sets()[:2]
+        assert a != b and len({a, b, PatternSet(a.second, a.first)}) == 2
+        with pytest.raises(TypeError):
+            a < b
+
     def test_valid_sets_count(self):
         assert len(valid_pattern_sets()) == 6540
 

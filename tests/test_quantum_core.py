@@ -1,7 +1,6 @@
 """Statevector arithmetic, plus the test-side density matrices, Jacobi
 eigensolver and Gram-matrix entropies that serve as the entropy oracles."""
 
-import itertools
 import math
 from functools import reduce
 
@@ -18,8 +17,9 @@ from jacobi_oracle import (
 )
 from statevector_oracle import apply_pauli_string, basis_state, compose, inner_product, invert, permute_wires
 
+from patternqkd.code5 import DIM
 from patternqkd.patterns import POSITIONS, Pattern, all_patterns
-from patternqkd.quantum_core import DIM, apply_pauli, apply_permutation
+from patternqkd.quantum_core import apply_permutation
 
 PAULI_MATRICES = {
     "I": np.eye(2),
@@ -110,22 +110,6 @@ class TestPauliStrings:
         for label in ("XZZXI", "IXZZX", "ZZZZZ", "YYYYY", "XYZIX"):
             out = apply_pauli_string(apply_pauli_string(psi, label), label)
             np.testing.assert_allclose(out, psi, atol=1e-12)
-
-
-class TestPauliMasks:
-    def test_matches_pauli_strings_up_to_the_y_phase(self):
-        # apply_pauli drops the phase i^|x & z| that the Y letters carry
-        psi = random_state(np.random.default_rng(22))
-        for x, z in itertools.product(range(DIM), repeat=2):
-            label = "".join("IXZY"[(x >> shift & 1) + 2 * (z >> shift & 1)] for shift in range(4, -1, -1))
-            phase = 1j ** bin(x & z).count("1")
-            np.testing.assert_array_equal(phase * apply_pauli(psi, x, z), apply_pauli_string(psi, label))
-
-    def test_integer_input_stays_integer(self):
-        vector = np.arange(DIM, dtype=np.int64) - 16
-        out = apply_pauli(vector, 0b10110, 0b01101)
-        assert out.dtype == np.int64
-        np.testing.assert_array_equal(1j * out, apply_pauli_string(vector.astype(complex), "XZYXZ"))
 
 
 class TestDensityMatrices:
