@@ -12,7 +12,7 @@ from types import ModuleType
 
 from .patterns import Pattern, PatternSet
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 
 def _lazy(name: str) -> ModuleType:

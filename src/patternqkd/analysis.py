@@ -16,8 +16,9 @@ the two patterns) and reports whatever its entropies give; the two need
 not agree, and nothing here asserts that they do.  A set's overlaps depend
 only on its relative permutation, and its entropies and chi are closed-form
 functions of them, so every per-set quantity is one row of one table:
-:func:`_relative_spectra` computes its 120 rows once from exact integer
-overlaps, and :func:`chi_by_relative` gives them with each set's row.
+:func:`_relative_spectra` computes its 120 rows once from the exact
+overlaps in ``code5.decode_table``, and :func:`chi_by_relative` gives
+them with each set's row.
 
 Combinatorial probabilities use exact rational arithmetic; floating point
 appears only in entropies and Poisson terms.
@@ -66,7 +67,6 @@ class GuessOutcomeDistribution:
             raise ValueError("guess-outcome probabilities must sum to 1 exactly")
 
 
-@lru_cache(maxsize=16)
 def guess_outcome_distribution(true_set: Optional[PatternSet] = None) -> GuessOutcomeDistribution:
     """Enumerate all valid sets against a fixed secret set.
 
@@ -98,24 +98,23 @@ def _relative_spectra() -> np.ndarray:
     second); built once, read-only.
 
     ``columns[r]`` is (chi_physical_bits, overlap_00, overlap_01, entropy_average_bits, entropy_rho0_bits,
-    entropy_rho1_bits).  rho_b mixes the bit-b codeword over the two patterns; overlap_00 is |<pattern-0 state
-    of bit 0 | pattern-1 state of bit 0>|, and overlap_01 crosses bit 0 under the first pattern with bit 1 under
-    the second.  Wire permutations are unitary, so a set's overlaps are those of the pair (identity, r): one
-    exact integer product of :func:`code5.pattern_codewords` (0 or +-1 entries, so no partial sum of 32 terms
-    leaves int8).  Every cross-bit overlap is 0 (the bits sit in opposite parity sectors), so rho_b has
+    entropy_rho1_bits).  rho_b mixes the bit-b codeword over the two patterns; overlap_00 is |<pattern-0 state of
+    bit 0 | pattern-1 state of bit 0>|, and overlap_01 crosses bit 0 under the first pattern with bit 1 under the
+    second.  Wire permutations are unitary, so a set's overlaps are those of the pair (identity, r): the square
+    roots of the syndrome-0 entries of :func:`code5.decode_table`, where ``[r, b, c]`` is |<c_L | r.b_L>|^2, an
+    exact 1, 1/4 or 1/16.  Every cross-bit overlap is 0 (the bits sit in opposite parity sectors), so rho_b has
     eigenvalues (1 +- o_b)/2 with o_b its bit's overlap, the average is an equal mixture of orthogonal parts,
     S(average) = 1 + (S(rho0) + S(rho1))/2, and chi = S(average) - S(rho0)/2 - S(rho1)/2 is reported as-is.
     """
-    states = code5.pattern_codewords("Z")
-    products = (states[0] @ states.transpose(0, 2, 1)).astype(np.int64)  # [r, b, c] = <id.b | r.c>
-    if products[:, [0, 1], [1, 0]].any():
+    table = code5.decode_table("Z")
+    if table[:, [0, 1], [1, 0]].any():
         raise AssertionError("a bit-0 pattern state overlaps a bit-1 pattern state: the bit parity sectors mix")
-    overlaps = np.abs(products / products[0, 0, 0])
+    overlaps = np.sqrt(table[:, :, :2])  # [r, b, c] = |<c_L | r.b_L>|
     halves = (1 + overlaps[:, [0, 1], [0, 1], None] * [1, -1]) / 2  # [r, b] = the two eigenvalues of rho_b
     positive = halves > 1e-12
     s0, s1 = -np.sum(np.where(positive, halves * np.log2(np.where(positive, halves, 1.0)), 0.0), axis=-1).T
     s_average = 1 + (s0 + s1) / 2
-    columns = np.stack([s_average - 0.5 * s0 - 0.5 * s1, *overlaps[:, 0].T, s_average, s0, s1], axis=1)
+    columns = np.stack([s_average - 0.5 * s0 - 0.5 * s1, *overlaps[:, :, 0].T, s_average, s0, s1], axis=1)
     columns.setflags(write=False)
     return columns
 

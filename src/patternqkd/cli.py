@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__, analysis, channel, code5, protocol
-from .patterns import PatternSet, all_patterns, set_index_array
+from .patterns import PatternSet, _pattern_arrays, all_patterns, set_index_array
 
 EXIT_OK = 0
 EXIT_FAULT = 1
@@ -326,7 +326,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     names, pairs = [str(p) for p in all_patterns()], set_index_array()
     texts = {"patterns.csv": "pattern_id,mapping\n" + "".join(f"{i},{n}\n" for i, n in enumerate(names))}
     if args.sets_csv:
-        maps = np.array([p.mapping for p in all_patterns()])
+        maps = _pattern_arrays()[0]
         distances = np.count_nonzero(maps[pairs[:, 0]] != maps[pairs[:, 1]], axis=1).tolist()
         texts["sets.csv"] = "set_id,perm_a,perm_b,distance\n" + "".join(
             f"{i},{names[a]},{names[b]},{d}\n" for i, (a, b, d) in enumerate(zip(*pairs.T.tolist(), distances)))

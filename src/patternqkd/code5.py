@@ -18,9 +18,10 @@ applied to ``|00000>`` and ``|11111>``, scaled to entries 0 or +-1, and a
 Pauli acts on them as a signed index flip (:func:`apply_pauli`).
 Every block the protocol decodes is a stabilizer state, so each decode
 outcome ``(s, c)`` has the exact probability ``|<E_s c_L | state>|^2``
-with ``E_s`` the recovery for ``s``: :func:`decode_table` holds them for
-every relative wire permutation and :func:`decode_distribution` computes
-them for any state, both from the same 32 vectors ``E_s|c_L>``.
+with ``E_s`` the recovery for ``s``: :func:`decode_table`, the package's one
+exact code table (``analysis`` reads the codeword overlaps from it too), holds
+them for every relative wire permutation and :func:`decode_distribution`
+computes them for any state, both from the same 32 vectors ``E_s|c_L>``.
 :func:`class_sources` says how a Pauli error in the decoder's frame
 relabels those outcomes, through its class (:func:`frame_classes`) alone.
 Global phase is ignored throughout.
@@ -148,15 +149,6 @@ def encode_logical(bit: int, basis: str = "Z") -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def pattern_codewords(basis: str = "Z") -> np.ndarray:
-    """``states[p, b]`` is ``_codewords(basis)[b]`` wire-permuted by ``all_patterns()[p]`` (the table and wire
-    convention of :func:`patterns._pattern_arrays`), in int8: entries 0 or +-1, so products are exact."""
-    states = _codewords(basis).astype(np.int8)[:, _pattern_arrays()[3]].transpose(1, 0, 2)
-    states.setflags(write=False)
-    return states
-
-
-@lru_cache(maxsize=2)
 def _decode_basis(basis: str) -> np.ndarray:
     """Row ``2*s + c`` is ``E_s`` applied to ``_codewords(basis)[c]``, with
     ``E_s`` the recovery for syndrome ``s`` (phase dropped).  The 32 rows
@@ -174,16 +166,18 @@ def decode_table(basis: str = "Z") -> np.ndarray:
     ``table[r, b, 2*s + c]`` is the probability that a codeword of bit ``b``,
     wire-permuted by ``all_patterns()[r]`` (the decoder's pattern inverted,
     composed with the sender's), decodes to syndrome ``s`` and bit ``c``:
-    ``|<E_s c_L | r.b_L>|^2``, one (240x32)(32x32) product with
+    ``|<E_s c_L | r.b_L>|^2``, one (240x32)(32x32) product of the codewords,
+    wire-permuted by the table of :func:`patterns._pattern_arrays`, with
     :func:`_decode_basis`, the rows :func:`decode_distribution` uses too.
     Built on first use.
 
-    The product is taken in integers (:func:`pattern_codewords`), so every
-    entry is an exact fraction (0, 1/16, 1/4 or 1) and sums of entries are
-    exact too.
+    The product is taken in integers, so every entry is an exact fraction
+    (0, 1/16, 1/4 or 1) and sums of entries are exact too.  The syndrome-0
+    entries ``table[r, b, c]``, c in (0, 1), are the squared overlaps
+    ``|<c_L | r.b_L>|^2`` that :func:`analysis._relative_spectra` reads.
     """
     rows = _decode_basis(basis)
-    sent = pattern_codewords(basis).astype(np.int64)
+    sent = _codewords(basis)[:, _pattern_arrays()[3]].transpose(1, 0, 2)
     norm = np.sum(rows[0] ** 2)
     table = (sent @ rows.T) ** 2 / norm**2
     table.setflags(write=False)

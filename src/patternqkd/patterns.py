@@ -140,7 +140,7 @@ def pattern_indices(patterns: Iterable[Pattern]) -> np.ndarray:
 @lru_cache(maxsize=1)
 def set_index_array() -> np.ndarray:
     """Pattern indices ``(first, second)`` of all 6540 valid sets, one row
-    per set in the order of :func:`valid_pattern_sets`."""
+    per set in lexicographic order of (first, second)."""
     maps = _pattern_arrays()[0]
     far = np.count_nonzero(maps[:, None] != maps[None], axis=2) >= MIN_SET_DISTANCE
     pairs = np.argwhere(np.triu(far, k=1))
@@ -181,7 +181,7 @@ def sample_pattern_set(rng: np.random.Generator) -> PatternSet:
 
 def shared_counts(true_set: PatternSet) -> np.ndarray:
     """How many patterns each valid set shares with ``true_set``, in the
-    order of :func:`valid_pattern_sets`."""
+    order of :func:`set_index_array`."""
     held = np.zeros(len(all_patterns()), dtype=bool)
     held[pattern_indices(true_set.members())] = True
     return held[set_index_array()].sum(axis=1)

@@ -2,7 +2,7 @@
 
 Vectors hold 32 amplitudes indexed like a Pauli's bit masks ``x`` and ``z`` (:func:`code5.pauli_masks`):
 qubit 1 is the top bit, the wire convention of :func:`patterns._pattern_arrays`.  No command reads this
-module; the package permutes codewords by index arrays (:func:`code5.pattern_codewords`).
+module; the package permutes codewords by index arrays (:func:`code5.decode_table`).
 """
 
 from __future__ import annotations

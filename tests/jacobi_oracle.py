@@ -9,7 +9,10 @@ Independent oracles for the rows of ``analysis.chi_by_relative``, which
   LAPACK;
 - the Gram route (:func:`gram_columns`) is the one ``analysis`` used
   before the closed form: the 120 4x4 Gram matrices of the relative
-  permutations and three batched LAPACK eigensolves.
+  permutations and three batched LAPACK eigensolves.  Its states are the
+  statevector oracle's projected codewords moved by its own wire
+  transpose, so it shares no code with ``code5.decode_table``, from which
+  ``analysis`` reads the overlaps.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 from helpers import pattern_state
+from statevector_oracle import _codeword, permute_wires
 
-from patternqkd import code5
 from patternqkd.code5 import DIM, N_QUBITS
-from patternqkd.patterns import PatternSet
+from patternqkd.patterns import PatternSet, all_patterns
 
 NORM_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
@@ -157,10 +160,11 @@ def relative_grams() -> np.ndarray:
 
     A set's states are ordered (first, 0), (second, 0), (first, 1),
     (second, 1).  Wire permutations are unitary, so their Gram matrix
-    depends only on r: it is that of the pair (identity, r), one exact
-    integer product of ``code5.pattern_codewords``.
+    depends only on r: it is that of the pair (identity, r).  The 240
+    states are ``statevector_oracle._codeword`` moved by ``permute_wires``,
+    with entries 0 or +-1/4, so every product is exact in floats.
     """
-    states = code5.pattern_codewords("Z")
+    states = np.array([[permute_wires(_codeword(bit), p).real for bit in (0, 1)] for p in all_patterns()])
     identity = np.broadcast_to(states[:1], states.shape)
     vectors = np.stack([identity[:, 0], states[:, 0], identity[:, 1], states[:, 1]], axis=1)
     products = vectors @ vectors.transpose(0, 2, 1)

@@ -179,10 +179,10 @@ class TestRelativeGram:
         assert ["%.9f" % v for v in closed.ravel().tolist()] == ["%.9f" % v for v in gram.ravel().tolist()]
 
     def test_a_cross_bit_overlap_is_refused(self, monkeypatch):
-        # a bit-1 state equal to a bit-0 state: the parity sectors no longer separate the bits
-        mixed = code5.pattern_codewords("Z").copy()
+        # a bit-1 word that decodes like a bit-0 word: the parity sectors no longer separate the bits
+        mixed = code5.decode_table("Z").copy()
         mixed[7, 1] = mixed[7, 0]
-        monkeypatch.setattr(code5, "pattern_codewords", lambda basis="Z": mixed)
+        monkeypatch.setattr(code5, "decode_table", lambda basis="Z": mixed)
         analysis._relative_spectra.cache_clear()
         try:
             with pytest.raises(AssertionError, match="parity sectors"):

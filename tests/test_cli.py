@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from records_oracle import as_records, format_records
+from records_oracle import as_records, format_records, report_from_run
 
 import patternqkd
 from patternqkd import cli, patterns, protocol
@@ -275,7 +275,6 @@ class TestUnusedWork:
 
         monkeypatch.setattr(hashlib, "sha256", counting)
         valid_pattern_sets.cache_clear()
-        cli.analysis.guess_outcome_distribution.cache_clear()
         argv = [arg.format(tmp=tmp_path) for arg in self.COMMANDS[name]]
         assert cli.main(argv) == cli.EXIT_OK
         assert calls == []
@@ -314,7 +313,7 @@ class TestLazyStartup:
     # The caches of the module-level tables; each must exist, so a rename cannot drop it unseen.
     TABLES = (
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
-        "code5._recovery_masks", "code5.pattern_codewords", "code5.decode_table",
+        "code5._recovery_masks", "code5.decode_table",
         "protocol._draw_table", "protocol._frame_class_table", "protocol._session_tables",
         "analysis._analyze_head", "analysis._relative_lines", "analysis._default_pns_lines", "analysis.chi_csv",
         "cli._record_parts", "cli.build_parser",
@@ -1401,6 +1400,48 @@ class TestByteContract:
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
         data = [(out / "records.txt").read_bytes(), (out / "report.txt").read_bytes(), capsys.readouterr().out.encode()]
         assert (code, tuple(hashlib.sha256(d).hexdigest() for d in data)) == self.PINNED[name]
+
+
+class TestReportOracle:
+    # Every report.txt field, the stdout line and the exit code re-derived in plain Python from records.txt and
+    # the manifest (records_oracle.report_from_run), on the byte-contract configs: the digests pin the bytes,
+    # these checks pin what each field means.
+    @pytest.mark.parametrize("name", TestByteContract.CONFIGS)
+    def test_every_field_follows_from_the_records(self, name, tmp_path, capsys):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(f"num_blocks = 2049\nmaster_seed = {2**64 - 1}\n{TestByteContract.CONFIGS[name]}")
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+        report = dict(line.split(" = ", 1) for line in (out / "report.txt").read_text().splitlines())
+        expected = report_from_run(out)
+        assert report == expected
+        assert capsys.readouterr().out == (
+            f"decision={expected['decision']} mqer={expected['mqer_estimate']} "
+            f"sifted={expected['blocks_sifted']} tested={expected['blocks_tested']}\n"
+        )
+        assert code == (cli.EXIT_OK if expected["decision"] == "continue" else cli.EXIT_ABORT)
+
+    @pytest.mark.parametrize("axis, values", [("per_qubit_flip_prob", "0,0.1,0.3"), ("eve_overlap", "0,1,2")])
+    def test_every_sweep_row_follows_from_its_run(self, axis, values, tmp_path):
+        # each row against a simulate of the config its manifest echoes, with the row's sub-seed and value
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(f"num_blocks = 700\nmaster_seed = 41\n{TestByteContract.CONFIGS['x-basis-uniform']}")
+        sweep = tmp_path / "sweep"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(sweep), "--axis", axis, "--values", values]) == 0
+        manifest = dict(line.split(" = ", 1) for line in (sweep / "manifest.txt").read_text().splitlines())
+        echo = {key.removeprefix("config."): value for key, value in manifest.items() if key.startswith("config.")}
+        rows = (sweep / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(values.split(","))
+        for index, (value, row) in enumerate(zip(values.split(","), rows)):
+            swept = {"noise.per_qubit_flip_prob": value} if axis == "per_qubit_flip_prob" else {
+                "eve.kind": "intercept_resend", "eve.knowledge": f"overlap={value}"}
+            run_config = {**echo, "master_seed": manifest[f"sweep.seed.{index}"], **swept}
+            (tmp_path / "run.cfg").write_text("".join(f"{key} = {text}\n" for key, text in run_config.items()))
+            run = tmp_path / f"run{index}"
+            cli.main(["simulate", "--config", str(tmp_path / "run.cfg"), "--out", str(run)])
+            fields = report_from_run(run)
+            assert row.split(",")[1:] == [fields[key] for key in ("sift_rate", "mqer_estimate", "decision",
+                                                                   "eve_success_rate")]
 
 
 class TestInternalFaultContract:

@@ -327,13 +327,17 @@ class TestDecodeBlock:
 
 
 class TestPatternCodewords:
+    # The 240 permuted codewords that code5.decode_table gathers by the wire table.
     @pytest.mark.parametrize("basis", ["Z", "X"])
     def test_equal_the_per_pattern_wire_permutation(self, basis):
+        # the table from the codewords moved by the oracle's transpose, pattern by pattern
         gathers = np.array([permute_wires(np.arange(32), p) for p in all_patterns()])
-        expected = code5._codewords(basis).astype(np.int8)[:, gathers].transpose(1, 0, 2)
-        states = code5.pattern_codewords(basis)
-        assert states.dtype == np.int8 and not states.flags.writeable
-        np.testing.assert_array_equal(states, expected)
+        sent = code5._codewords(basis)[:, gathers].transpose(1, 0, 2)
+        rows = code5._decode_basis(basis)
+        expected = (sent @ rows.T) ** 2 / np.sum(rows[0] ** 2) ** 2
+        table = code5.decode_table(basis)
+        assert table.shape == (120, 2, 32) and not table.flags.writeable
+        np.testing.assert_array_equal(table, expected)
 
     def test_rebuild_permutes_no_vector(self, monkeypatch):
         calls = []
@@ -344,9 +348,9 @@ class TestPatternCodewords:
 
         monkeypatch.setattr(quantum_core, "apply_permutation", counting)
         assert not hasattr(code5, "apply_permutation")  # so the counter sees every call code5 makes
-        code5.pattern_codewords.cache_clear()
+        code5.decode_table.cache_clear()
         for basis in ("Z", "X"):
-            code5.pattern_codewords(basis)
+            code5.decode_table(basis)
         code5.decode_distribution(code5.encode_logical(0), IDENTITY)
         assert calls == []
 

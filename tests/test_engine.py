@@ -466,7 +466,7 @@ def forbid_float_routes(monkeypatch):
     for name in ("encode_logical", "decode_distribution"):
         monkeypatch.setattr(code5, name, forbidden)
     for cached in (
-        code5._recovery_masks, code5._codewords, code5.pattern_codewords, code5._decode_basis, code5.decode_table,
+        code5._recovery_masks, code5._codewords, code5._decode_basis, code5.decode_table,
         protocol._draw_table, protocol._frame_class_table, protocol._session_tables, analysis._relative_spectra,
     ):
         cached.cache_clear()
