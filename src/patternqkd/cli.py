@@ -8,7 +8,8 @@ echo plus SHA-256 digests of the data files.  Identical config and seed
 reproduce byte-identical data files.
 
 Exit codes: 0 success (simulate: decision continue), 3 simulate decided
-abort, 2 usage/config/I-O error, 1 internal fault.
+abort, 2 usage/config/I-O error, 1 internal fault.  A write that fails
+after a simulate or sweep session has run exits 1, not 2.
 """
 
 from __future__ import annotations
@@ -266,17 +267,20 @@ def format_report(report: protocol.SessionReport) -> str:
 
 def _write_outputs(files: dict[Path, Iterable[bytes]]) -> None:
     """Write each file from its chunks into a temp file beside it; then
-    move the temp files into place.  A failure removes them instead."""
+    move the temp files into place.  A failure removes them instead, and
+    the files already moved into place too."""
     temps = {path: path.with_name(f".{path.name}.partial") for path in files}
+    moved: list[Path] = []
     try:
         for path, chunks in files.items():
             with temps[path].open("wb") as fh:
                 fh.writelines(chunks)
         for path, temp in temps.items():
             os.replace(temp, path)
+            moved.append(path)
     except BaseException:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
+        for path in [*temps.values(), *moved]:
+            path.unlink(missing_ok=True)
         raise
 
 

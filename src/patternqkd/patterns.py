@@ -104,7 +104,7 @@ def pattern_distance(p: Pattern, q: Pattern) -> int:
 
 
 _BASE5 = 5 ** np.arange(len(POSITIONS) - 1, -1, -1)
-_BASE2 = 2 ** np.arange(len(POSITIONS) - 1, -1, -1)
+_BASE2 = 2 ** np.arange(len(POSITIONS) - 1, -1, -1, dtype=np.uint16)  # unsigned: numpy refuses uint64 | int64
 
 
 @lru_cache(maxsize=1)

@@ -14,10 +14,13 @@ built.  A decode's (syndrome, bit) outcome is fixed by the relative
 permutation between the decoder's and the sender's pattern, the bit sent,
 the class of the decoder's Pauli frame (``code5.frame_classes``) and
 ``w >> 60`` of its word w: one entry of a cached int8 table built from
-``code5.decode_table``.  Per batch of words from the one block stream, the
-stages (words, interceptor, noise frame, Bob's draw, loss and leak, drawn
-only when possible) fill the session's columns by ``take``s from small
-tables; a session pass then splits Bob's outcomes, masks lost blocks, sifts.
+``code5.decode_table``.  The depolarizing frame is drawn straight as the
+(x, z) masks of ``code5.pauli_masks``, wire 1 the top bit, and its class
+is looked up by (Bob's member, x, z).  Per batch of words from the one
+block stream, the stages (words, interceptor, noise frame, Bob's draw,
+loss and leak, drawn only when possible) fill the session's columns by
+``take``s from small tables; a session pass then splits Bob's outcomes,
+masks lost blocks, sifts.
 
 Reproducibility contract: every draw comes from a stream derived from the
 master seed as ``SeedSequence(master_seed, spawn_key=key)``, and no two
@@ -68,7 +71,7 @@ import numpy as np
 
 from . import analysis, code5
 from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
-from .patterns import POSITIONS, PatternSet, _pattern_arrays, all_patterns, guessed_set_with_overlap, pattern_indices
+from .patterns import PatternSet, _pattern_arrays, all_patterns, guessed_set_with_overlap, pattern_indices
 from .patterns import _BASE2, relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
@@ -220,35 +223,14 @@ def _draw_table(basis: str, noisy: bool) -> np.ndarray:
     return table
 
 
-# A physical frame is five base-4 digits, wire 1 first, each a Pauli code: I 0, Z 1, Y 2, X 3.
-_WIRE_WEIGHTS = 4 ** np.arange(len(POSITIONS) - 1, -1, -1, dtype=np.uint16)
-
-
-def _physical_frames(words: np.ndarray, p: float) -> np.ndarray:
-    """The frame of each row of wire words: wire j's code is [u < p] + [u < 2p/3] + [u < p/3]."""
-    words = np.ascontiguousarray(words)  # strided compares cost several times more
-    return sum(_below(words, cut).view(np.uint8) for cut in (p, 2 * p / 3, p / 3)) @ _WIRE_WEIGHTS
-
-
-@lru_cache(maxsize=4)
-def _frame_class_table(basis: str, members: tuple[int, int]) -> np.ndarray:
-    """``table[d * 1024 + f]``: the class (``code5.frame_classes``) of physical frame f for a decoder holding
-    pattern ``members[d]``, in uint16.  Each frame's physical masks go into that decoder's frame through
-    the row of ``members[d]`` in the wire-permutation table (``patterns._pattern_arrays``)."""
-    codes = np.arange(4 ** len(POSITIONS))[:, None] // _WIRE_WEIGHTS % 4
-    gathers = _pattern_arrays()[3][list(members)]
-    x, z = (gathers[:, hit @ _BASE2].ravel() for hit in (codes >= 2, (codes == 1) | (codes == 2)))
-    table = code5.frame_classes(x, z, basis).astype(np.uint16)
-    table.setflags(write=False)
-    return table
-
-
 @lru_cache(maxsize=4)
 def _session_tables(basis: str, noisy: bool, secret_set: PatternSet, knowledge) -> tuple:
     """The flat draw table and a session's tables, a few KB each, read-only: the interceptor's choices
     (pattern indices) and her decoded bit by (guess, Alice's member, bit, w >> 60), None without one
     (``knowledge`` None); the draws index of Bob's row by (sender, bit, Bob's member), the senders being
-    her choices or else Alice's members; the frame classes, None unless ``noisy``."""
+    her choices or else Alice's members; the uint16 frame classes (``code5.frame_classes``) by (Bob's
+    member d, x, z) for the physical masks (x, z), each taken into d's frame by d's row of the wire table
+    (``patterns._pattern_arrays``), None unless ``noisy``."""
     draws, members = _draw_table(basis, noisy), pattern_indices(secret_set.members())
     guesses = heard = None
     if knowledge is not None:
@@ -257,9 +239,12 @@ def _session_tables(basis: str, noisy: bool, secret_set: PatternSet, knowledge) 
         heard = (draws[relative_index(guesses[:, None], members), :, 0].ravel() & 1).astype(np.uint8)
     relative = relative_index(members, (members if guesses is None else guesses)[:, None]).astype(np.uint32)
     bob_rows = ((2 * relative[:, None] + np.arange(2, dtype=np.uint32)[:, None]) * draws[0, 0].size).ravel()
-    for table in (t for t in (guesses, heard, bob_rows) if t is not None):
+    frames = None
+    if noisy:
+        gathers = _pattern_arrays()[3][members]
+        frames = code5.frame_classes(gathers[:, :, None], gathers[:, None, :], basis).astype(np.uint16)
+    for table in (t for t in (guesses, heard, bob_rows, frames) if t is not None):
         table.setflags(write=False)
-    frames = _frame_class_table(basis, tuple(members.tolist())) if noisy else None
     return draws.ravel(), guesses, heard, bob_rows, frames
 
 
@@ -285,10 +270,14 @@ def _intercept(words: np.ndarray, guesses, heard, blocks: Blocks, rows: slice) -
 
 
 def _noise_frame(words: np.ndarray, frames, p: float) -> np.ndarray | int:
-    """The class of each block's depolarizing frame as Bob decodes it; 0, the undisturbed one, without noise."""
+    """The class of each block's depolarizing frame as Bob decodes it; 0, the undisturbed one, without noise.
+    Wire j's Pauli has the masks x = [u < 2p/3] and z = [u < p] ^ [u < p/3], so the bytes ``x << 5 | z``
+    weighted by the wire bits sum to the frame's masks ``x << 5 | z``, wire 1 the top bit."""
     if frames is None:
         return 0
-    return frames.take(words[:, _W_BOB_PATTERN] >> 63 << 10 | _physical_frames(words[:, _W_NOISE], p))
+    wires = np.ascontiguousarray(words[:, _W_NOISE])  # strided compares cost several times more
+    x, z = _below(wires, 2 * p / 3), _below(wires, p) ^ _below(wires, p / 3)
+    return frames.take(words[:, _W_BOB_PATTERN] >> 63 << 10 | (x.view(np.uint8) << 5 | z.view(np.uint8)) @ _BASE2)
 
 
 def _bob_draw(words: np.ndarray, draws, bob_rows, sent, frame, blocks: Blocks, rows: slice) -> None:

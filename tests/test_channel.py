@@ -27,10 +27,11 @@ def session(blocks, seed, eve=EveStrategy(), **noise):
 
 
 def noise_weights(p, blocks, seed):
-    """Qubits hit per block by the engine's depolarizing frames."""
-    words = np.random.default_rng(seed).integers(0, 2**64, size=(blocks, 5), dtype=np.uint64)
-    codes = protocol._physical_frames(words, p)[:, None] // protocol._WIRE_WEIGHTS % 4
-    return np.count_nonzero(codes, axis=1)
+    """Qubits hit per block by the engine's depolarizing frames: ``popcount(x | z)`` of each frame's masks."""
+    words = np.zeros((blocks, protocol.WORDS_PER_BLOCK), dtype=np.uint64)
+    words[:, protocol._W_NOISE] = np.random.default_rng(seed).integers(0, 2**64, size=(blocks, 5), dtype=np.uint64)
+    frames = protocol._noise_frame(words, np.arange(1024), p)  # a table of its own indices returns x << 5 | z
+    return np.bitwise_count((frames >> 5 | frames) & 31)
 
 
 class TestNoiseModel:

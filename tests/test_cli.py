@@ -314,7 +314,7 @@ class TestLazyStartup:
     TABLES = (
         "patterns.valid_pattern_sets", "patterns.set_index_array", "patterns._pattern_arrays",
         "code5._recovery_masks", "code5.decode_table",
-        "protocol._draw_table", "protocol._frame_class_table", "protocol._session_tables",
+        "protocol._draw_table", "protocol._session_tables",
         "analysis._analyze_head", "analysis._relative_lines", "analysis._default_pns_lines", "analysis.chi_csv",
         "cli._record_parts", "cli.build_parser",
     )
@@ -599,15 +599,23 @@ class TestAnalyze:
         assert "sweep failed" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag", ["--out", "--chi-csv"])
-    def test_unwritable_output_exits_two_with_empty_stdout(self, tmp_path, capsys, flag):
+    # A target under a missing directory fails before any file is moved; a target that is a directory
+    # fails at its move, after the --out report has been moved into place.
+    @pytest.mark.parametrize("flag, blocked", [
+        ("--out", False), ("--chi-csv", False), ("--chi-csv", True),
+    ], ids=["--out", "--chi-csv", "--chi-csv-directory"])
+    def test_unwritable_output_exits_two_with_empty_stdout(self, tmp_path, capsys, flag, blocked):
         other = {"--out": "--chi-csv", "--chi-csv": "--out"}[flag]
-        argv = ["analyze", flag, str(tmp_path / "missing" / "file"), other, str(tmp_path / "written")]
+        target = tmp_path / "directory" if blocked else tmp_path / "missing" / "file"
+        if blocked:
+            target.mkdir()
+        argv = ["analyze", flag, str(target), other, str(tmp_path / "written")]
         assert cli.main(argv) == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot write output" in captured.err
-        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.iterdir()) == ([target] if blocked else [])
+        assert not blocked or list(target.iterdir()) == []
 
 
 class TestParser:
@@ -1207,10 +1215,17 @@ class TestOutputFiles:
         assert "disk full" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == []
 
-    @pytest.mark.parametrize("command", [
-        ["simulate"], ["sweep", "--axis", "per_qubit_flip_prob", "--values", "0,0.1"],
-    ], ids=["simulate", "sweep"])
-    def test_manifest_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys, command):
+    # Without a blocked name the manifest's echo fails; a blocked name is a directory where a file of the
+    # run must go, so its move fails after the files moved before it (all the data files, for the manifest).
+    @pytest.mark.parametrize("command, blocked", [
+        (["simulate"], None), (["sweep", "--axis", "per_qubit_flip_prob", "--values", "0,0.1"], None),
+        (["simulate"], "manifest.txt"), (["simulate"], "records.txt"),
+        (["sweep", "--axis", "per_qubit_flip_prob", "--values", "0,0.1"], "manifest.txt"),
+    ], ids=["simulate", "sweep", "simulate-manifest-directory", "simulate-records-directory",
+            "sweep-manifest-directory"])
+    def test_manifest_failure_leaves_no_data_and_no_manifest(
+        self, tmp_path, monkeypatch, capsys, command, blocked,
+    ):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(EVE_CFG)
         sessions, real_echo, real_session = [], cli.config_echo_items, protocol.run_session
@@ -1222,11 +1237,15 @@ class TestOutputFiles:
             return real_echo(config)
 
         monkeypatch.setattr(protocol, "run_session", lambda config: sessions.append(config) or real_session(config))
-        monkeypatch.setattr(cli, "config_echo_items", failing)
         out = tmp_path / "run"
+        if blocked:
+            (out / blocked).mkdir(parents=True)
+        else:
+            monkeypatch.setattr(cli, "config_echo_items", failing)
         assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
-        assert "manifest lost" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == []
+        assert ("Is a directory" if blocked else "manifest lost") in capsys.readouterr().err
+        assert sessions
+        assert sorted(p.name for p in out.iterdir()) == ([blocked] if blocked else [])
 
     def test_records_span_several_chunks(self, tmp_path, monkeypatch):
         cfg = tmp_path / "session.cfg"

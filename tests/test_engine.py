@@ -414,16 +414,22 @@ class TestSessionTables:
         # X just below p/3, Y at p/3, Z at 2p/3, I at p.
         edges = np.array([cutoff(p), cutoff(2 * p / 3), cutoff(p / 3), cutoff(p / 3) - 1], dtype=np.uint64)
         codes = np.arange(1024)[:, None] // 4 ** np.arange(4, -1, -1) % 4
-        words = edges[codes]
-        frames = protocol._physical_frames(words, p)
-        np.testing.assert_array_equal(frames, np.arange(1024))
-        # Patterns first and first + 60 as the two members: all 120 decoder patterns over the parameters.
-        members = (first, first + 60)
-        table = protocol._frame_class_table.__wrapped__(basis, members)
-        assert table.shape == (2 * 1024,) and not table.flags.writeable
-        for d in (0, 1):
-            x, z = reference_noise_frames(words, p, [all_patterns()[m] for m in members], np.full(1024, d))
-            np.testing.assert_array_equal(table[d * 1024 + frames], code5.frame_classes(x, z, basis))
+        bob = np.repeat([0, 1], 1024)
+        words = np.zeros((2 * 1024, protocol.WORDS_PER_BLOCK), dtype=np.uint64)
+        words[:, protocol._W_NOISE] = np.tile(edges[codes], (2, 1))
+        words[:, protocol._W_BOB_PATTERN] = bob.astype(np.uint64) << 63
+        # Patterns first and 119 - first (each digit d read as 6 - d, so at distance 4) as the two
+        # members: all 120 decoder patterns over the parameters.
+        members = [all_patterns()[m] for m in (first, 119 - first)]
+        frames = protocol._session_tables.__wrapped__(basis, True, PatternSet(*members), None)[4]
+        assert frames.shape == (2, 32, 32) and frames.dtype == np.uint16 and not frames.flags.writeable
+        # Through a table of its own indices, the lookup returns the (Bob's member, x, z) index it reads:
+        # the physical masks, X and Y setting x and Y and Z setting z, wire 1 the top bit.
+        index = protocol._noise_frame(words, np.arange(frames.size), p)
+        x, z = ((hit @ 2 ** np.arange(4, -1, -1)) for hit in (codes >= 2, (codes == 1) | (codes == 2)))
+        np.testing.assert_array_equal(index, bob << 10 | np.tile(x << 5 | z, 2))
+        x, z = reference_noise_frames(words[:, protocol._W_NOISE], p, members, bob)
+        np.testing.assert_array_equal(frames.ravel()[index], code5.frame_classes(x, z, basis))
 
     @pytest.mark.parametrize("noisy", [False, True])
     @pytest.mark.parametrize("basis", ["Z", "X"])
@@ -467,7 +473,7 @@ def forbid_float_routes(monkeypatch):
         monkeypatch.setattr(code5, name, forbidden)
     for cached in (
         code5._recovery_masks, code5._codewords, code5._decode_basis, code5.decode_table,
-        protocol._draw_table, protocol._frame_class_table, protocol._session_tables, analysis._relative_spectra,
+        protocol._draw_table, protocol._session_tables, analysis._relative_spectra,
     ):
         cached.cache_clear()
 
