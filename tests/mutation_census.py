@@ -1,7 +1,6 @@
 """Mutant census: one-line mutants of the package, each run against Tier-1 with the digest tests deselected.
 
-    python tests/mutation_census.py            # every mutant
-    python tests/mutation_census.py leak bob   # the mutants whose name holds one of the words
+    python tests/mutation_census.py
 
 Each mutant replaces one exact text, found once in its file, in a temporary copy of ``src/``,
 ``tests/``, ``bench/`` and ``pyproject.toml``; the checkout is never written.  The unmutated copy runs
@@ -106,8 +105,7 @@ def mutate(tree: Path, path: str, old: str, new: str) -> str:
     return text
 
 
-def main(words: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not words or any(w in m[0] for w in words)]
+def main() -> int:
     killed, survived, equivalent, unexpected = 0, [], 0, []
     with tempfile.TemporaryDirectory(prefix="mutation-census-") as scratch:
         tree = Path(scratch)
@@ -117,11 +115,11 @@ def main(words: list[str]) -> int:
                 shutil.copytree(source, tree / name, ignore=shutil.ignore_patterns("__pycache__", ".*"))
             else:
                 shutil.copy2(source, tree / name)
-        for name, path, old, new, expected, reason in chosen:  # every text must be found before any run
+        for name, path, old, new, expected, reason in MUTANTS:  # every text must be found before any run
             (tree / path).write_text(mutate(tree, path, old, new))
         if run_tier1(tree) != 0:
             raise SystemExit("the unmutated copy fails its digest-free Tier-1 run")
-        for name, path, old, new, expected, reason in chosen:
+        for name, path, old, new, expected, reason in MUTANTS:
             if expected == EQUIVALENT:
                 equivalent += 1
                 print(f"equivalent  {name}: {reason}", file=sys.stderr)
@@ -145,4 +143,4 @@ def main(words: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
