@@ -34,6 +34,7 @@ DIGEST_FREE = (
 )
 
 PROTOCOL, ANALYSIS, CLI = "src/patternqkd/protocol.py", "src/patternqkd/analysis.py", "src/patternqkd/cli.py"
+SESSION_IO, CODE5, PATTERNS = "src/patternqkd/session_io.py", "src/patternqkd/code5.py", "src/patternqkd/patterns.py"
 KILLED, EQUIVALENT = "killed", "equivalent"
 
 # (name, file, old text, new text, expected outcome, reason for an equivalent mutant)
@@ -59,7 +60,7 @@ MUTANTS = (
     ("interceptor success 1/2 + k/16", ANALYSIS,
      "return 0.5 + correct_patterns_in_guess / 8.0", "return 0.5 + correct_patterns_in_guess / 16.0", KILLED, ""),
     ("sweep's eve_success column holds the sift rate", CLI,
-     "{report.decision},{_fmt(report.eve_success_rate)}", "{report.decision},{_fmt(report.sift_rate)}", KILLED, ""),
+     "{report.decision},{fmt(report.eve_success_rate)}", "{report.decision},{fmt(report.sift_rate)}", KILLED, ""),
     ("sift rate over the arrived blocks", PROTOCOL,
      "sift_rate=len(kept) / config.num_blocks,",
      "sift_rate=len(kept) / max(1, config.num_blocks - int(np.count_nonzero(blocks.lost))),", KILLED, ""),
@@ -74,7 +75,7 @@ MUTANTS = (
     ("blocks_lost counts leak blocks too", PROTOCOL,
      "blocks_lost=int(np.count_nonzero(blocks.lost)),",
      "blocks_lost=int(np.count_nonzero(blocks.lost | blocks.pns_leak)),", KILLED, ""),
-    ("raw_key_length as sifted - tested", CLI,
+    ("raw_key_length as sifted - tested", SESSION_IO,
      '("raw_key_length", str(len(report.raw_key))),',
      '("raw_key_length", str(report.blocks_sifted - report.blocks_tested)),', EQUIVALENT,
      "the raw key is the sifted blocks less the tested ones, so the two counts agree on every session"),
@@ -84,6 +85,18 @@ MUTANTS = (
      "_below(wires, p) ^ _below(wires, p / 3)", "_below(wires, p)", KILLED, ""),
     ("frame class looked up without Bob's member bit", PROTOCOL,
      "frames.take(words[:, _W_BOB_PATTERN] >> 63 << 10 | (", "frames.take((", KILLED, ""),
+    ("duplicate config key accepted", SESSION_IO, "if key in values:", "if False:", KILLED, ""),
+    ("empty config value accepted", SESSION_IO, "if not value:", "if False:", KILLED, ""),
+    ("overlap=K read as K+1", SESSION_IO,
+     'count = int(knowledge.split("=", 1)[1])', 'count = int(knowledge.split("=", 1)[1]) + 1', KILLED, ""),
+    ("command-line overrides applied before the file's values", SESSION_IO,
+     '    typed: dict[str, object] = {"num_blocks": DEFAULT_NUM_BLOCKS}\n',
+     '    typed: dict[str, object] = {"num_blocks": DEFAULT_NUM_BLOCKS, **(overrides or {})}\n    overrides = None\n',
+     KILLED, ""),
+    ("X basis read with the logical Z mask", CODE5,
+     "        return pauli_masks(LOGICAL_X)", "        return pauli_masks(LOGICAL_Z)", KILLED, ""),
+    ("a stabilizer generator ends in X, not Z", CODE5, '"XIXZZ", "ZXIXZ")', '"XIXZZ", "ZXIXX")', KILLED, ""),
+    ("sets at distance 2 are valid", PATTERNS, "MIN_SET_DISTANCE = 3", "MIN_SET_DISTANCE = 2", KILLED, ""),
 )
 
 

@@ -8,9 +8,9 @@ the single-block checks compare whole records field for field.
 
 ``format_records`` is the formatter the package used while sessions were
 lists of ``BlockRecord`` objects, kept unchanged: one Python line per
-record.  It is the reference that the columnar ``cli.format_records`` must
-match byte for byte, and the formatter the statevector replay of
-``test_engine`` writes its records through.
+record.  It is the reference that the columnar
+``session_io.format_records`` must match byte for byte, and the formatter
+the statevector replay of ``test_engine`` writes its records through.
 
 ``report_from_run`` re-derives every field of a run's ``report.txt`` in
 plain Python from its ``records.txt`` and the config echo of its
@@ -28,9 +28,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from patternqkd import code5, protocol
-from patternqkd.cli import RECORDS_HEADER
 from patternqkd.patterns import Pattern, all_patterns
 from patternqkd.protocol import Blocks, SessionConfig
+from patternqkd.session_io import RECORDS_HEADER
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from records_oracle import as_records, format_records, report_from_run
 
 import patternqkd
-from patternqkd import cli, patterns, protocol
+from patternqkd import cli, patterns, protocol, session_io
 from patternqkd.channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
 from patternqkd.patterns import PatternSet, all_patterns, set_at, valid_pattern_sets
 from patternqkd.protocol import SessionConfig, SessionReport, run_session
@@ -62,7 +62,7 @@ class TestConfigParsing:
                 "eve.knowledge = overlap=1",
             )
         )
-        config = cli.build_session_config(cli.parse_config_text(text))
+        config = session_io.build_session_config(session_io.parse_config_text(text))
         assert config.num_blocks == 50
         assert config.logical_basis == "X"
         assert config.noise.distance_km == 2.0
@@ -73,34 +73,38 @@ class TestConfigParsing:
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(cli.ConfigError, match="line 2"):
-            cli.parse_config_text("num_blocks = 5\nwhatever = 3\n")
+            session_io.parse_config_text("num_blocks = 5\nwhatever = 3\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(cli.ConfigError, match="duplicate"):
-            cli.parse_config_text("num_blocks = 5\nnum_blocks = 6\n")
+            session_io.parse_config_text("num_blocks = 5\nnum_blocks = 6\n")
+
+    def test_empty_value_reports_line(self):
+        with pytest.raises(cli.ConfigError, match="line 2: empty value for 'logical_basis'"):
+            session_io.parse_config_text("num_blocks = 5\nlogical_basis =  # none\n")
 
     def test_bad_value_reports_field(self):
         with pytest.raises(cli.ConfigError, match="num_blocks"):
-            cli.build_session_config(cli.parse_config_text("num_blocks = many\n"))
+            session_io.build_session_config(session_io.parse_config_text("num_blocks = many\n"))
 
     def test_missing_secret_set_derived_from_seed(self):
-        a = cli.build_session_config(cli.parse_config_text("master_seed = 4\n"))
-        b = cli.build_session_config(cli.parse_config_text("master_seed = 4\n"))
+        a = session_io.build_session_config(session_io.parse_config_text("master_seed = 4\n"))
+        b = session_io.build_session_config(session_io.parse_config_text("master_seed = 4\n"))
         assert a.secret_set == b.secret_set
 
     def test_explicit_eve_set(self):
         text = "eve.kind = intercept_resend\neve.knowledge = 12345 13452\n"
-        config = cli.build_session_config(cli.parse_config_text(text))
+        config = session_io.build_session_config(session_io.parse_config_text(text))
         assert config.eve.knowledge == PatternSet.from_string("12345 13452")
 
     def test_uniform_knowledge_default(self):
-        config = cli.build_session_config(
-            cli.parse_config_text("eve.kind = intercept_resend\n")
+        config = session_io.build_session_config(
+            session_io.parse_config_text("eve.kind = intercept_resend\n")
         )
         assert config.eve.knowledge == UNIFORM_KNOWLEDGE
 
     def test_comments_and_blanks_ignored(self):
-        values = cli.parse_config_text("\n# hello\nnum_blocks = 7  # trailing\n\n")
+        values = session_io.parse_config_text("\n# hello\nnum_blocks = 7  # trailing\n\n")
         assert values == {"num_blocks": "7"}
 
 
@@ -152,26 +156,26 @@ class TestConfigSchema:
     @given(_configs)
     def test_echo_rebuilds_an_equal_config(self, values):
         text = _config_text((k, v) for k, v in values.items() if v is not None)
-        config = cli.build_session_config(cli.parse_config_text(text))
-        echo = cli.config_echo_items(config)
+        config = session_io.build_session_config(session_io.parse_config_text(text))
+        echo = session_io.config_echo_items(config)
         assert [key for key, _ in echo] == list(cli.FIELDS)
-        assert cli.build_session_config(cli.parse_config_text(_config_text(echo))) == config
+        assert session_io.build_session_config(session_io.parse_config_text(_config_text(echo))) == config
 
     def test_echo_text_is_pinned(self):
         # The manifest's config lines are an external format: order and text.
-        config = cli.build_session_config(cli.parse_config_text(
+        config = session_io.build_session_config(session_io.parse_config_text(
             "num_blocks = 50\nmaster_seed = 9\nsecret_set = 12345 23514\ntest_fraction = 0.25\n"
             "logical_basis = X\nnoise.per_qubit_flip_prob = 0.01\nnoise.distance_km = 2\n"
             "eve.kind = intercept_resend\neve.knowledge = overlap=1\n"
         ))
-        assert _config_text(cli.config_echo_items(config)) == (
+        assert _config_text(session_io.config_echo_items(config)) == (
             "num_blocks = 50\nmaster_seed = 9\nsecret_set = 12345 23514\ntest_fraction = 0.25\n"
             "mqer_threshold = 0.1\nlogical_basis = X\nnoise.per_qubit_flip_prob = 0.01\n"
             "noise.distance_km = 2.0\nnoise.loss_db_per_km = 0.2\nnoise.mean_photon_number = 0.0\n"
             "eve.kind = intercept_resend\neve.knowledge = 12435 23514\n"
         )
-        honest = cli.build_session_config(cli.parse_config_text(HONEST_CFG))
-        assert cli.config_echo_items(honest)[-2:] == [("eve.kind", "none"), ("eve.knowledge", "-")]
+        honest = session_io.build_session_config(session_io.parse_config_text(HONEST_CFG))
+        assert session_io.config_echo_items(honest)[-2:] == [("eve.kind", "none"), ("eve.knowledge", "-")]
 
     @pytest.mark.parametrize("knowledge", ["overlap=0", "overlap=1", "overlap=2", "12345 13452", "uniform"])
     def test_manifest_config_lines_rebuild_the_config(self, tmp_path, knowledge):
@@ -189,8 +193,8 @@ class TestConfigSchema:
             if line.startswith("config.")
         ]
         assert [line.split(" = ")[0] for line in echoed] == list(cli.FIELDS)
-        rebuilt = cli.build_session_config(cli.parse_config_text("\n".join(echoed)))
-        assert rebuilt == cli.build_session_config(cli.parse_config_text(cfg.read_text()))
+        rebuilt = session_io.build_session_config(session_io.parse_config_text("\n".join(echoed)))
+        assert rebuilt == session_io.build_session_config(session_io.parse_config_text(cfg.read_text()))
         assert (rebuilt.eve.knowledge == UNIFORM_KNOWLEDGE) == (knowledge == "uniform")
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -208,7 +212,7 @@ class TestConfigSchema:
     def test_every_key_outside_the_table_is_rejected(self, key, comments):
         text = "# comment\n" * comments + f"{key} = 1\nmaster_seed = 2\n"
         with pytest.raises(cli.ConfigError, match=f"line {comments + 1}: unknown key {re.escape(repr(key))}"):
-            cli.parse_config_text(text)
+            session_io.parse_config_text(text)
 
     @pytest.mark.parametrize("kind", ["intercep_resend", "Intercept_resend", "uniform", "None"])
     def test_unknown_eve_kind_exits_two_and_writes_nothing(self, tmp_path, capsys, kind):
@@ -220,8 +224,8 @@ class TestConfigSchema:
         assert not out.exists()
 
     def test_absent_keys_take_the_dataclass_defaults(self):
-        config = cli.build_session_config({})
-        assert config.num_blocks == cli.DEFAULT_NUM_BLOCKS == 1000
+        config = session_io.build_session_config({})
+        assert config.num_blocks == session_io.DEFAULT_NUM_BLOCKS == 1000
         default = SessionConfig(num_blocks=1000, secret_set=config.secret_set)
         assert config == default
 
@@ -316,7 +320,7 @@ class TestLazyStartup:
         "code5._recovery_masks", "code5.decode_table",
         "protocol._draw_table", "protocol._session_tables",
         "analysis._analyze_head", "analysis._relative_lines", "analysis._default_pns_lines", "analysis.chi_csv",
-        "cli._record_parts", "cli.build_parser",
+        "session_io._record_parts", "cli.build_parser",
     )
 
     def test_import_fills_no_table_cache(self):
@@ -341,10 +345,10 @@ class TestLazyStartup:
         assert {name: size for name, size in sizes.items() if size} == {}
 
     def test_only_simulate_executes_the_session_layer(self, tmp_path):
-        # channel, protocol, analysis and quantum_core are registered on import and run on first use: analyze and
-        # enumerate leave the session layer unexecuted, simulate and sweep execute it, analysis only when mu > 0,
-        # and no command executes quantum_core.  Each run is a fresh interpreter, its commands in order.  type()
-        # reads no attribute, so it triggers no load.
+        # channel, protocol, session_io, analysis and quantum_core are registered on import and run on first use:
+        # importing cli, analyze and enumerate leave the session layer and session_io unexecuted, simulate and
+        # sweep execute them, analysis only when mu > 0, and no command executes quantum_core.  Each run is a fresh
+        # interpreter, its commands in order.  type() reads no attribute, so it triggers no load.
         src = Path(patternqkd.__file__).resolve().parent.parent
         (tmp_path / "session.cfg").write_text(HONEST_CFG)
         (tmp_path / "pulses.cfg").write_text(HONEST_CFG + "noise.mean_photon_number = 0.1\n")
@@ -353,8 +357,9 @@ class TestLazyStartup:
             from contextlib import redirect_stdout
             sys.path.insert(0, sys.argv[1])
             from patternqkd import cli
-            layers = ("quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli")
-            lazy = [sys.modules[f"patternqkd.{name}"] for name in ("analysis", "channel", "protocol", "quantum_core")]
+            layers = ("quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli", "session_io")
+            lazy = [sys.modules[f"patternqkd.{name}"]
+                    for name in ("analysis", "channel", "protocol", "quantum_core", "session_io")]
             executed = lambda: [m.__name__ for m in lazy if type(m) is types.ModuleType]
             seen = [[[layer for layer in layers if f"patternqkd.{layer}" in sys.modules], executed()]]
             for argv in json.loads(sys.argv[2]):
@@ -373,8 +378,8 @@ class TestLazyStartup:
         def simulate(config):
             return ["simulate", "--config", str(tmp_path / config), "--out", str(tmp_path / "run")]
 
-        imported = [["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli"], []]
-        session = ["patternqkd.channel", "patternqkd.protocol"]
+        imported = [["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli", "session_io"], []]
+        session = ["patternqkd.channel", "patternqkd.protocol", "patternqkd.session_io"]
         assert executed(["analyze", "--set-id", "17"], ["enumerate", "--out", str(tmp_path / "tables")],
                         simulate("session.cfg")) == [
             imported,
@@ -883,6 +888,17 @@ class TestSimulate:
         # Every pulse is multi-photon, so every block is a leak opportunity.
         assert "pns_leak_blocks = 300" in (out / "report.txt").read_text()
 
+    @pytest.mark.parametrize("module", ["patternqkd", "patternqkd.cli"])
+    def test_a_config_error_exits_two_from_either_entry_module(self, tmp_path, module):
+        # Run as a script, cli is a second module beside patternqkd.cli, whose ConfigError session_io raises.
+        src = Path(patternqkd.__file__).resolve().parent.parent
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text("bogus = 1\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", module, "simulate", "--config", str(cfg), "--out",
+                               str(tmp_path / "o")], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (cli.EXIT_USAGE, "error: line 1: unknown key 'bogus'\n")
+
     def test_optimized_interpreter_writes_the_same_records(self, tmp_path):
         # python -O strips assert statements; no runtime check may rely on them.
         src = Path(patternqkd.__file__).resolve().parent.parent
@@ -1089,14 +1105,14 @@ def assert_same_text(actual: str, expected: str) -> None:
     pytest.fail(f"texts differ first at line {line}: {got[line:line + 1]!r} != {want[line:line + 1]!r}")
 
 
-def record_chunks(blocks, rows=cli.RECORDS_CHUNK_ROWS) -> list[bytes]:
-    """The chunks that ``cli.format_records(blocks)`` yields with ``rows`` rows per chunk."""
+def record_chunks(blocks, rows=session_io.RECORDS_CHUNK_ROWS) -> list[bytes]:
+    """The chunks that ``session_io.format_records(blocks)`` yields with ``rows`` rows per chunk."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "RECORDS_CHUNK_ROWS", rows)
-        return list(cli.format_records(blocks))
+        patch.setattr(session_io, "RECORDS_CHUNK_ROWS", rows)
+        return list(session_io.format_records(blocks))
 
 
-def records_text(blocks, rows=cli.RECORDS_CHUNK_ROWS) -> str:
+def records_text(blocks, rows=session_io.RECORDS_CHUNK_ROWS) -> str:
     return b"".join(record_chunks(blocks, rows)).decode()
 
 
@@ -1155,7 +1171,7 @@ class TestColumnarRecords:
         for rows in (1, 97, 2048):
             starts = range(0, len(blocks), rows)
             header, *chunks = record_chunks(blocks, rows)
-            assert header == f"{cli.RECORDS_HEADER}\n".encode() and len(chunks) == len(starts)
+            assert header == f"{session_io.RECORDS_HEADER}\n".encode() and len(chunks) == len(starts)
             assert_same_text((header + b"".join(chunks)).decode(), expected)
             # A chunk with one id width and a guess in every row holds no NUL:
             # every line is as wide as its fields.
@@ -1178,7 +1194,7 @@ class TestColumnarRecords:
             first = int(rng.integers(0, 10 ** int(rng.integers(1, 13))))
             count = int(rng.integers(1, 300))
             width = len(str(first + count - 1)) + int(rng.integers(0, 3))
-            text = cli._id_text(first, count, width)
+            text = session_io._id_text(first, count, width)
             assert text.dtype == np.dtype(f"V{width}")
             assert [bytes(t) for t in text] == [str(i).rjust(width, "\0").encode() for i in range(first, first + count)]
 
@@ -1193,14 +1209,14 @@ class TestReport:
             decision="continue", sift_rate=0.0, raw_key=key, eve_success_rate=None, pns_leak_blocks=0,
         )
         expected = "".join(map(str, key)) or "-"
-        assert cli.format_report(report).endswith(f"raw_key_length = {len(key)}\nraw_key = {expected}\n")
+        assert session_io.format_report(report).endswith(f"raw_key_length = {len(key)}\nraw_key = {expected}\n")
 
 
 class TestOutputFiles:
     def test_records_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(EVE_CFG)
-        real = cli.format_records
+        real = session_io.format_records
 
         def failing(blocks):
             chunks = real(blocks)
@@ -1208,27 +1224,25 @@ class TestOutputFiles:
             yield next(chunks)  # the first 100 rows
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "RECORDS_CHUNK_ROWS", 100)
-        monkeypatch.setattr(cli, "format_records", failing)
+        monkeypatch.setattr(session_io, "RECORDS_CHUNK_ROWS", 100)
+        monkeypatch.setattr(session_io, "format_records", failing)
         out = tmp_path / "run"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
         assert "disk full" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == []
 
-    # Without a blocked name the manifest's echo fails; a blocked name is a directory where a file of the
-    # run must go, so its move fails after the files moved before it (all the data files, for the manifest).
-    @pytest.mark.parametrize("command, blocked", [
-        (["simulate"], None), (["sweep", "--axis", "per_qubit_flip_prob", "--values", "0,0.1"], None),
-        (["simulate"], "manifest.txt"), (["simulate"], "records.txt"),
-        (["sweep", "--axis", "per_qubit_flip_prob", "--values", "0,0.1"], "manifest.txt"),
-    ], ids=["simulate", "sweep", "simulate-manifest-directory", "simulate-records-directory",
-            "sweep-manifest-directory"])
-    def test_manifest_failure_leaves_no_data_and_no_manifest(
-        self, tmp_path, monkeypatch, capsys, command, blocked,
-    ):
+    SWEEP = ["sweep", "--axis", "per_qubit_flip_prob", "--values", "0,0.1"]
+
+    # The manifest's echo fails, or the second move does, after the first file of the run was moved into place
+    # (report.txt before records.txt, sweep.csv before the manifest): either way no file of the run is left.
+    @pytest.mark.parametrize("command, fault", [
+        (["simulate"], "echo"), (SWEEP, "echo"), (["simulate"], "second-move"), (SWEEP, "second-move"),
+    ], ids=["simulate", "sweep", "simulate-second-move", "sweep-second-move"])
+    def test_manifest_failure_leaves_no_data_and_no_manifest(self, tmp_path, monkeypatch, capsys, command, fault):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(EVE_CFG)
-        sessions, real_echo, real_session = [], cli.config_echo_items, protocol.run_session
+        sessions, real_echo, real_session = [], session_io.config_echo_items, protocol.run_session
+        moves, real_replace = [], os.replace
 
         def failing(config):
             # Only in the manifest step: a sweep also echoes its base config to build its runs.
@@ -1236,23 +1250,61 @@ class TestOutputFiles:
                 raise OSError("manifest lost")
             return real_echo(config)
 
+        def second_move_fails(source, target):
+            moves.append(Path(target).name)
+            if len(moves) == 2:
+                raise OSError("move lost")
+            real_replace(source, target)
+
         monkeypatch.setattr(protocol, "run_session", lambda config: sessions.append(config) or real_session(config))
-        out = tmp_path / "run"
-        if blocked:
-            (out / blocked).mkdir(parents=True)
+        if fault == "echo":
+            monkeypatch.setattr(session_io, "config_echo_items", failing)
         else:
-            monkeypatch.setattr(cli, "config_echo_items", failing)
+            monkeypatch.setattr(cli.os, "replace", second_move_fails)
+        out = tmp_path / "run"
         assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_FAULT
-        assert ("Is a directory" if blocked else "manifest lost") in capsys.readouterr().err
+        assert ("manifest lost" if fault == "echo" else "move lost") in capsys.readouterr().err
         assert sessions
-        assert sorted(p.name for p in out.iterdir()) == ([blocked] if blocked else [])
+        assert moves == ([] if fault == "echo" else ["report.txt", "records.txt"] if len(command) == 1
+                         else ["sweep.csv", "manifest.txt"])
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    # A file of the run that is a directory in --out would fail its move only after the session, so it is refused
+    # before: exit 2, no session run, and the directory left as it was.
+    @pytest.mark.parametrize("command, blocked", [
+        (["simulate"], "manifest.txt"), (["simulate"], "records.txt"), (["simulate"], "report.txt"),
+        (SWEEP, "manifest.txt"), (SWEEP, "sweep.csv"),
+    ], ids=["simulate-manifest-directory", "simulate-records-directory", "simulate-report-directory",
+            "sweep-manifest-directory", "sweep-csv-directory"])
+    def test_blocked_name_exits_two_before_the_session(self, tmp_path, monkeypatch, capsys, command, blocked):
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(EVE_CFG)
+        out = tmp_path / "run"
+        (out / blocked / "kept").mkdir(parents=True)
+        monkeypatch.setattr(protocol, "run_session", forbidden_session)
+        assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {out / blocked}: it is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == [blocked]
+        assert [p.name for p in (out / blocked).iterdir()] == ["kept"]
+
+    def test_a_symlink_to_a_directory_is_replaced_not_refused(self, tmp_path):
+        # A move replaces the link itself, so a link of a file's name blocks nothing.
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(HONEST_CFG)
+        out, target = tmp_path / "run", tmp_path / "elsewhere"
+        target.mkdir()
+        out.mkdir()
+        (out / "records.txt").symlink_to(target, target_is_directory=True)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "records.txt").is_file() and not (out / "records.txt").is_symlink()
+        assert list(target.iterdir()) == []
 
     def test_records_span_several_chunks(self, tmp_path, monkeypatch):
         cfg = tmp_path / "session.cfg"
         cfg.write_text(EVE_CFG)
         out_whole, out_chunked = tmp_path / "whole", tmp_path / "chunked"
         cli.main(["simulate", "--config", str(cfg), "--out", str(out_whole)])
-        monkeypatch.setattr(cli, "RECORDS_CHUNK_ROWS", 7)
+        monkeypatch.setattr(session_io, "RECORDS_CHUNK_ROWS", 7)
         cli.main(["simulate", "--config", str(cfg), "--out", str(out_chunked)])
         for name in ("records.txt", "report.txt"):
             assert (out_chunked / name).read_bytes() == (out_whole / name).read_bytes()

@@ -23,7 +23,7 @@ from statevector_oracle import (
     apply_pauli_string, compose, correction_table, decode_distribution, invert, pauli_syndrome,
 )
 
-from patternqkd import analysis, cli, code5, protocol
+from patternqkd import analysis, cli, code5, protocol, session_io
 from patternqkd.channel import EveStrategy, NoiseModel
 from patternqkd.patterns import (
     POSITIONS, Pattern, PatternSet, all_patterns, pattern_indices, relative_index,
@@ -368,13 +368,13 @@ class TestSessionGranularWork:
         blocks = run_session(replay_config(blocks=3000, seed=33))[1]
         expected = format_records(as_records(blocks))
         calls = []
-        real = cli._line_codes
+        real = session_io._line_codes
 
         def counting(blocks):
             calls.append(1)
             return real(blocks)
 
-        monkeypatch.setattr(cli, "_line_codes", counting)
+        monkeypatch.setattr(session_io, "_line_codes", counting)
         for rows in (1, 97, 2048, 4096):
             calls.clear()
             test_cli.assert_same_text(test_cli.records_text(blocks, rows), expected)
