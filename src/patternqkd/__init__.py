@@ -1,9 +1,10 @@
 """Pattern-based QKD over the five-qubit perfect code: simulation and analysis.
 
-``channel``, ``protocol`` (the session layer), ``session_io``, ``analysis`` and ``quantum_core`` execute on first use
-(``_lazy``, ``__getattr__``): ``analyze`` executes ``analysis`` only, ``enumerate`` none, ``simulate`` and ``sweep`` the
-session layer and ``session_io``, and ``analysis`` too for a mean photon number above 0; no command executes
-``quantum_core``, which only readers outside the package import (README "Start-up cost" gives the measured pairs).
+``channel``, ``protocol`` (the session layer), ``session_io``, ``analysis``, ``code5`` and ``quantum_core`` execute on
+first use (``_lazy``, ``__getattr__``): ``analyze`` executes ``analysis`` and ``code5`` only, ``enumerate`` none,
+``simulate`` and ``sweep`` the session layer, ``session_io`` and ``code5``, and ``analysis`` too for a mean photon
+number above 0; no command executes ``quantum_core``, which only readers outside the package import (README
+"Start-up cost" gives the measured pairs).
 """
 
 import sys
@@ -12,7 +13,7 @@ from types import ModuleType
 
 from .patterns import Pattern, PatternSet
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 
 def _lazy(name: str) -> ModuleType:
@@ -24,8 +25,8 @@ def _lazy(name: str) -> ModuleType:
     return module
 
 
-analysis, channel, protocol, quantum_core, session_io = map(
-    _lazy, ("analysis", "channel", "protocol", "quantum_core", "session_io")
+analysis, channel, code5, protocol, quantum_core, session_io = map(
+    _lazy, ("analysis", "channel", "code5", "protocol", "quantum_core", "session_io")
 )
 _SESSION_NAMES = {
     "EveStrategy": channel, "NoiseModel": channel,

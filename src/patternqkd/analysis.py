@@ -1,7 +1,7 @@
 """Closed-form and enumeration-based security quantities.
 
-Covers the interceptor's classical guessing game (exact fractions over the
-6540 valid pattern sets), her per-block success model and the resulting
+Covers the interceptor's classical guessing game (exact integer counts over
+the 6540 valid pattern sets), her per-block success model and the resulting
 binary entropies / mutual informations, two readings of the Holevo bound
 for the transmitted ensembles, Poisson photon-number statistics for
 weak-coherent-pulse sources, and the text ``analyze`` writes.
@@ -20,16 +20,14 @@ functions of them, so every per-set quantity is one row of one table:
 overlaps in ``code5.decode_table``, and :func:`chi_by_relative` gives
 them with each set's row.
 
-Combinatorial probabilities use exact rational arithmetic; floating point
-appears only in entropies and Poisson terms.
+Combinatorial quantities are exact integer counts; floating point appears
+only in their printed ratios, entropies and Poisson terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,31 +51,13 @@ def intercept_resend_mutual_info(success: float) -> float:
     return 1.0 - binary_entropy(success)
 
 
-@dataclass(frozen=True)
-class GuessOutcomeDistribution:
-    """Exact chances that a uniformly guessed valid set shares 2, 1, or 0
-    patterns with the true secret set."""
+def guess_outcome_counts(true_set: Optional[PatternSet] = None) -> tuple[int, int, int]:
+    """How many valid sets share k = 0, 1, 2 patterns with the secret set, indexed by k; they sum to all valid sets.
 
-    p_both: Fraction
-    p_one: Fraction
-    p_none: Fraction
-
-    def __post_init__(self) -> None:
-        if self.p_both + self.p_one + self.p_none != 1:
-            raise ValueError("guess-outcome probabilities must sum to 1 exactly")
-
-
-def guess_outcome_distribution(true_set: Optional[PatternSet] = None) -> GuessOutcomeDistribution:
-    """Enumerate all valid sets against a fixed secret set.
-
-    The distribution is the same for every choice of secret set (the
-    counting is invariant under relabeling); the default uses the first
-    enumerated set.
+    The counts are the same for every choice of secret set (the counting is invariant under relabeling); the
+    default uses the first enumerated set.
     """
-    true_set = true_set or set_at(0)
-    counts = np.bincount(shared_counts(true_set), minlength=3).tolist()  # these sum to all valid sets
-    none, one, both = (Fraction(count, sum(counts)) for count in counts)
-    return GuessOutcomeDistribution(p_both=both, p_one=one, p_none=none)
+    return tuple(np.bincount(shared_counts(true_set or set_at(0)), minlength=3).tolist())
 
 
 def eve_success_probability(correct_patterns_in_guess: int) -> float:
@@ -161,16 +141,16 @@ def pns_block_leak_prob(mu: float) -> float:
 def _analyze_head() -> tuple[str, ...]:
     """The report lines that depend on no argument, built once per process: the totals, the guess
     fractions and, per number of patterns guessed, the success, its entropy and the mutual information."""
-    total, dist = len(set_index_array()), guess_outcome_distribution()
+    total, (none, one, both) = len(set_index_array()), guess_outcome_counts()
     lines = [
         f"patterns_total = {len(all_patterns())}",
         f"pattern_sets_total = {total}",
-        f"guess_both_fraction = {int(dist.p_both * total)}/{total}",
-        f"guess_one_fraction = {int(dist.p_one * total)}/{total}",
-        f"guess_none_fraction = {int(dist.p_none * total)}/{total}",
-        f"guess_both = {float(dist.p_both):.6e}",
-        f"guess_one = {float(dist.p_one):.6f}",
-        f"guess_none = {float(dist.p_none):.6f}",
+        f"guess_both_fraction = {both}/{total}",
+        f"guess_one_fraction = {one}/{total}",
+        f"guess_none_fraction = {none}/{total}",
+        f"guess_both = {both / total:.6e}",
+        f"guess_one = {one / total:.6f}",
+        f"guess_none = {none / total:.6f}",
     ]
     for label, k in (("none", 0), ("one", 1), ("both", 2)):
         success = eve_success_probability(k)

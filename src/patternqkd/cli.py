@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__, analysis, protocol, session_io
-from . import code5  # noqa: F401 - bench/tracer.py's LAYERS reads it from sys.modules once cli is imported
 from .patterns import PatternSet, _pattern_arrays, all_patterns, set_index_array
 
 EXIT_OK = 0

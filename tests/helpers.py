@@ -3,6 +3,7 @@ statevector and series references for the package's exact routes."""
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -28,6 +29,22 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def pattern_state(pattern: Pattern, bit: int = 0, basis: str = "Z") -> np.ndarray:
     """The transmitted state for one (pattern, bit) choice."""
     return apply_permutation(code5.encode_logical(bit, basis=basis), pattern)
+
+
+def brute_force_guess_counts(secret: int = 137) -> list[int]:
+    """How many valid sets share 0, 1 and 2 patterns with valid set ``secret``, recounted from raw permutations
+    of (1, ..., 5) without the ``patterns`` module: a valid set is two permutations that differ in >= 3 places."""
+    perms = list(itertools.permutations((1, 2, 3, 4, 5)))
+    sets = [
+        frozenset((p, q))
+        for i, p in enumerate(perms)
+        for q in perms[i + 1:]
+        if sum(1 for x, y in zip(p, q) if x != y) >= 3
+    ]
+    counts = [0, 0, 0]
+    for candidate in sets:
+        counts[len(sets[secret] & candidate)] += 1
+    return counts
 
 
 def poisson_pmf(n: int, mu: float) -> float:

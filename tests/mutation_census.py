@@ -57,6 +57,10 @@ MUTANTS = (
      "if mqer < threshold else", "if mqer <= threshold else", KILLED, ""),
     ("lost blocks left sifted", PROTOCOL,
      "np.greater(blocks.sifted, blocks.lost, out=blocks.sifted)", "pass", KILLED, ""),
+    ("guess_one printed from the share-none count", ANALYSIS,
+     'f"guess_one = {one / total:.6f}"', 'f"guess_one = {none / total:.6f}"', KILLED, ""),
+    ("guess counts returned from k = 2 down", ANALYSIS,
+     "minlength=3).tolist())", "minlength=3).tolist()[::-1])", KILLED, ""),
     ("interceptor success 1/2 + k/16", ANALYSIS,
      "return 0.5 + correct_patterns_in_guess / 8.0", "return 0.5 + correct_patterns_in_guess / 16.0", KILLED, ""),
     ("sweep's eve_success column holds the sift rate", CLI,

@@ -215,18 +215,15 @@ def test_c01_combinatorial_counts():
 
 
 def test_c02_guess_outcome_distribution():
-    dist = analysis.guess_outcome_distribution()
-    exact_ok = (
-        dist.p_both == Fraction(1, 6540)
-        and dist.p_one == Fraction(216, 6540)
-        and dist.p_none == Fraction(6323, 6540)
-    )
+    counts = analysis.guess_outcome_counts()  # indexed by the number of shared patterns
+    none, one, both = counts
+    exact_ok = counts == (6323, 216, 1) and sum(counts) == 6540
 
-    # printed-figure comparison (percent)
+    # printed-figure comparison (percent), each count over the 6540 sets
     figures_ok = (
-        abs(float(dist.p_both) * 100 - 0.01529) < 0.0005
-        and abs(float(dist.p_one) * 100 - 3.3) < 0.05
-        and abs(float(dist.p_none) * 100 - 96.681) < 0.002
+        abs(both / 6540 * 100 - 0.01529) < 0.0005
+        and abs(one / 6540 * 100 - 3.3) < 0.05
+        and abs(none / 6540 * 100 - 96.681) < 0.002
     )
 
     # invariance for every choice of the true set: a valid set containing
@@ -244,7 +241,7 @@ def test_c02_guess_outcome_distribution():
     # spot brute-force for a sample of secrets
     rng = np.random.default_rng(0)
     sample_ok = all(
-        analysis.guess_outcome_distribution(table[int(i)]) == dist
+        analysis.guess_outcome_counts(table[int(i)]) == counts
         for i in rng.integers(0, len(table), size=10)
     )
     ok = exact_ok and figures_ok and invariant_ok and sample_ok

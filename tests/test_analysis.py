@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from fractions import Fraction
 
 import helpers
 import jacobi_oracle
@@ -43,40 +42,25 @@ class TestMutualInformation:
 
 
 class TestGuessOutcomeDistribution:
-    def test_exact_fractions(self):
-        dist = analysis.guess_outcome_distribution()
-        assert dist.p_both == Fraction(1, 6540)
-        assert dist.p_one == Fraction(216, 6540)
-        assert dist.p_none == Fraction(6323, 6540)
-        assert dist.p_both + dist.p_one + dist.p_none == 1
+    def test_exact_counts(self):
+        counts = analysis.guess_outcome_counts()
+        assert counts == (6323, 216, 1)
+        assert all(type(count) is int for count in counts)
+        assert sum(counts) == 6540
 
     def test_independent_brute_force_oracle(self):
-        # recount from raw permutations, no reuse of the patterns module
-        perms = list(itertools.permutations((1, 2, 3, 4, 5)))
-
-        def dist(a, b):
-            return sum(1 for x, y in zip(a, b) if x != y)
-
-        sets = [
-            frozenset((p, q))
-            for i, p in enumerate(perms)
-            for q in perms[i + 1:]
-            if dist(p, q) >= 3
-        ]
-        truth = sets[137]
-        counts = [0, 0, 0]
-        for candidate in sets:
-            counts[len(truth & candidate)] += 1
+        counts = helpers.brute_force_guess_counts()
         assert counts[2] == 1
         assert counts[1] == 216
         assert counts[0] == 6323
+        assert analysis.guess_outcome_counts() == tuple(counts)
 
     def test_invariant_under_choice_of_secret(self):
         table = valid_pattern_sets()
         rng = np.random.default_rng(0)
-        reference = analysis.guess_outcome_distribution(table[0])
+        reference = analysis.guess_outcome_counts(table[0])
         for index in rng.integers(0, len(table), size=20):
-            assert analysis.guess_outcome_distribution(table[int(index)]) == reference
+            assert analysis.guess_outcome_counts(table[int(index)]) == reference
 
 
 class TestEveSuccessModel:

@@ -13,6 +13,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import helpers
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,10 +346,11 @@ class TestLazyStartup:
         assert {name: size for name, size in sizes.items() if size} == {}
 
     def test_only_simulate_executes_the_session_layer(self, tmp_path):
-        # channel, protocol, session_io, analysis and quantum_core are registered on import and run on first use:
-        # importing cli, analyze and enumerate leave the session layer and session_io unexecuted, simulate and
-        # sweep execute them, analysis only when mu > 0, and no command executes quantum_core.  Each run is a fresh
-        # interpreter, its commands in order.  type() reads no attribute, so it triggers no load.
+        # channel, protocol, session_io, analysis, code5 and quantum_core are registered on import and run on first
+        # use: importing cli, analyze and enumerate leave the session layer and session_io unexecuted, simulate and
+        # sweep execute them, analysis only when mu > 0; analyze, simulate and sweep execute code5, importing cli and
+        # enumerate do not, and no command executes quantum_core.  Each run is a fresh interpreter, its commands in
+        # order.  type() reads no attribute, so it triggers no load.
         src = Path(patternqkd.__file__).resolve().parent.parent
         (tmp_path / "session.cfg").write_text(HONEST_CFG)
         (tmp_path / "pulses.cfg").write_text(HONEST_CFG + "noise.mean_photon_number = 0.1\n")
@@ -359,7 +361,7 @@ class TestLazyStartup:
             from patternqkd import cli
             layers = ("quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli", "session_io")
             lazy = [sys.modules[f"patternqkd.{name}"]
-                    for name in ("analysis", "channel", "protocol", "quantum_core", "session_io")]
+                    for name in ("analysis", "channel", "code5", "protocol", "quantum_core", "session_io")]
             executed = lambda: [m.__name__ for m in lazy if type(m) is types.ModuleType]
             seen = [[[layer for layer in layers if f"patternqkd.{layer}" in sys.modules], executed()]]
             for argv in json.loads(sys.argv[2]):
@@ -379,12 +381,12 @@ class TestLazyStartup:
             return ["simulate", "--config", str(tmp_path / config), "--out", str(tmp_path / "run")]
 
         imported = [["quantum_core", "code5", "patterns", "channel", "protocol", "analysis", "cli", "session_io"], []]
-        session = ["patternqkd.channel", "patternqkd.protocol", "patternqkd.session_io"]
+        session = ["patternqkd.channel", "patternqkd.code5", "patternqkd.protocol", "patternqkd.session_io"]
         assert executed(["analyze", "--set-id", "17"], ["enumerate", "--out", str(tmp_path / "tables")],
                         simulate("session.cfg")) == [
             imported,
-            [cli.EXIT_OK, ["patternqkd.analysis"]],
-            [cli.EXIT_OK, ["patternqkd.analysis"]],
+            [cli.EXIT_OK, ["patternqkd.analysis", "patternqkd.code5"]],
+            [cli.EXIT_OK, ["patternqkd.analysis", "patternqkd.code5"]],
             [cli.EXIT_OK, ["patternqkd.analysis", *session]],
             [],
         ]
@@ -399,6 +401,21 @@ class TestLazyStartup:
             [cli.EXIT_OK, ["patternqkd.analysis", *session]],
             [],
         ]
+
+    def test_analyze_imports_neither_fractions_nor_decimal(self):
+        # the guessing game is counted in integers, so a cold analyze needs no rational arithmetic
+        src = Path(patternqkd.__file__).resolve().parent.parent
+        code = textwrap.dedent("""
+            import io, sys
+            from contextlib import redirect_stdout
+            sys.path.insert(0, sys.argv[1])
+            from patternqkd import cli
+            with redirect_stdout(io.StringIO()):
+                code = cli.main(["analyze", "--set-id", "17"])
+            print(code, *sorted({"fractions", "decimal"} & set(sys.modules)))
+        """)
+        done = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True)
+        assert done.stdout.split() == [str(cli.EXIT_OK)]
 
 
 class TestAnalyze:
@@ -418,6 +435,21 @@ class TestAnalyze:
         assert "chi_identical_ensembles_bits = 0.000000000" in text
         assert "pns[mu=0.0] multiphoton = 0.000000e+00 leak = 0.000000e+00" in text
         assert "pns[mu=0.1]" in text and "leak = 1.017" in text
+
+    def test_guess_lines_follow_an_independent_count(self, capsys):
+        # the six guess lines from the brute-force recount over raw permutations, not from the package
+        none, one, both = helpers.brute_force_guess_counts()
+        total = none + one + both
+        assert cli.main(["analyze"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("guess_")] == [
+            f"guess_both_fraction = {both}/{total}",
+            f"guess_one_fraction = {one}/{total}",
+            f"guess_none_fraction = {none}/{total}",
+            f"guess_both = {both / total:.6e}",
+            f"guess_one = {one / total:.6f}",
+            f"guess_none = {none / total:.6f}",
+        ]
 
     def test_unknown_set_id(self, capsys):
         assert cli.main(["analyze", "--set-id", "6540"]) == cli.EXIT_USAGE
@@ -551,7 +583,7 @@ class TestAnalyze:
 
         for module in (cli.analysis, patterns):
             for name in ("chi_by_relative", "pattern_indices", "set_at", "multiphoton_prob", "pns_block_leak_prob",
-                         "_relative_spectra", "_pns_lines", "guess_outcome_distribution"):
+                         "_relative_spectra", "_pns_lines", "guess_outcome_counts"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         capsys.readouterr()

@@ -291,7 +291,8 @@ print(json.dumps({"entered": sorted(entered), "codes": codes}))
 
 def test_every_def_is_entered_by_some_subcommand(tmp_path):
     # A def that no subcommand enters serves only its tests or a reader outside the package, and the second
-    # kind is named in UNREAD_BY_THE_PACKAGE; valid_pattern_sets is read by analysis.chi_physical_sweep alone.
+    # kind is named in UNREAD_BY_THE_PACKAGE; no package def reads valid_pattern_sets: bench/ reads it through
+    # analysis's noqa re-export, and the tests read it too.
     package = Path(patternqkd.__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package.parent), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
