@@ -13,7 +13,7 @@ from types import ModuleType
 
 from .patterns import Pattern, PatternSet
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 
 def _lazy(name: str) -> ModuleType:

@@ -21,17 +21,16 @@ This module holds the parameters of these models; the session engine
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
-from .patterns import PatternSet
+from .patterns import PatternSet, _Value
 
 UNIFORM_KNOWLEDGE = "uniform"
-EVE_KINDS = ("none", "intercept_resend")
+NO_EVE = "none"  # the default kind, read by session_io too
+EVE_KINDS = (NO_EVE, "intercept_resend")
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(_Value):
     """Channel parameters for one session.
 
     Attributes
@@ -47,13 +46,13 @@ class NoiseModel:
         Poisson mean per pulse; 0 models an ideal single-photon source.
     """
 
-    per_qubit_flip_prob: float = 0.0
-    distance_km: float = 0.0
-    loss_db_per_km: float = 0.2
-    mean_photon_number: float = 0.0
+    __match_args__ = ("per_qubit_flip_prob", "distance_km", "loss_db_per_km", "mean_photon_number")
 
-    def __post_init__(self) -> None:
-        for name in ("per_qubit_flip_prob", "distance_km", "loss_db_per_km", "mean_photon_number"):
+    def __init__(self, per_qubit_flip_prob: float = 0.0, distance_km: float = 0.0, loss_db_per_km: float = 0.2,
+                 mean_photon_number: float = 0.0) -> None:
+        values = (per_qubit_flip_prob, distance_km, loss_db_per_km, mean_photon_number)
+        vars(self).update(zip(self.__match_args__, values))
+        for name in self.__match_args__:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.per_qubit_flip_prob <= 1.0:
@@ -71,8 +70,7 @@ class NoiseModel:
         return 10.0 ** (-self.distance_km * self.loss_db_per_km / 10.0)
 
 
-@dataclass(frozen=True)
-class EveStrategy:
+class EveStrategy(_Value):
     """What the eavesdropper does and what she believes the secret is.
 
     ``knowledge`` is either a guessed :class:`PatternSet` (which may share
@@ -80,10 +78,10 @@ class EveStrategy:
     for a guess drawn uniformly from all 120 patterns per block.
     """
 
-    kind: str = "none"
-    knowledge: Union[PatternSet, str, None] = None
+    __match_args__ = ("kind", "knowledge")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str = NO_EVE, knowledge: Union[PatternSet, str, None] = None) -> None:
+        vars(self).update(kind=kind, knowledge=knowledge)
         if self.kind not in EVE_KINDS:
             raise ValueError(f"expected one of {' | '.join(EVE_KINDS)}, got {self.kind!r}")
         if self.kind == "intercept_resend":
@@ -92,4 +90,4 @@ class EveStrategy:
 
     @property
     def active(self) -> bool:
-        return self.kind != "none"
+        return self.kind != NO_EVE

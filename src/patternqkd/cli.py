@@ -34,8 +34,9 @@ EXIT_ABORT = 3
 # The session-config schema, one row per key: key -> (parser, override
 # flag).  A key is also the dotted attribute path of its value in
 # SessionConfig.  Rows drive parsing, the command-line overrides and the
-# manifest echo, in this order.  Absent keys take the dataclass defaults,
-# except num_blocks, which SessionConfig requires.
+# manifest echo, in this order.  Absent keys take the defaults of the
+# SessionConfig, NoiseModel and EveStrategy parameters, except num_blocks,
+# which SessionConfig requires.
 FIELDS: dict[str, tuple[Callable[[str], object], Optional[str]]] = {
     "num_blocks": (int, "--blocks"),
     "master_seed": (int, "--seed"),

@@ -13,8 +13,7 @@ from a generator is made here too, as a row of the set table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterable
 
 import numpy as np
@@ -23,19 +22,45 @@ POSITIONS = (1, 2, 3, 4, 5)
 MIN_SET_DISTANCE = 3
 
 
-@dataclass(frozen=True, order=True)
-class Pattern:
+class _Value:
+    """Equal by fields within one type, hashed and shown as ``Name(field=value, ...)`` by them, and frozen.
+
+    The fields are the names of ``__match_args__``, the only attributes ``__init__`` stores, in this order.
+    These methods replace ``dataclasses``, whose generated ones every process would compile and run anew.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
+
+    def _refuse(self, name: str, *value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign or delete {name!r}")
+
+    __setattr__ = __delattr__ = _refuse
+
+
+@total_ordering
+class Pattern(_Value):
     """A permutation of the five wire positions, in one-line notation.
 
     ``mapping[i - 1]`` is the physical position that standard position
-    ``i`` is sent to.
+    ``i`` is sent to.  Patterns order by ``mapping``.
     """
 
-    mapping: tuple[int, int, int, int, int]
+    __match_args__ = ("mapping",)
 
-    def __post_init__(self) -> None:
-        if tuple(sorted(self.mapping)) != POSITIONS:
-            raise ValueError(f"not a permutation of 1..5: {self.mapping}")
+    def __init__(self, mapping: tuple[int, int, int, int, int]) -> None:
+        if tuple(sorted(mapping)) != POSITIONS:
+            raise ValueError(f"not a permutation of 1..5: {mapping}")
+        vars(self)["mapping"] = mapping
+
+    def __lt__(self, other: object) -> bool:
+        return self.mapping < other.mapping if other.__class__ is self.__class__ else NotImplemented
 
     def __str__(self) -> str:
         return "".join(str(v) for v in self.mapping)
@@ -48,22 +73,19 @@ class Pattern:
         return cls(tuple(int(ch) for ch in text))
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(_Value):
     """Unordered pair of patterns at distance >= 3, stored canonically.
 
     Construction from ``(a, b)`` and ``(b, a)`` yields identical values;
     ``first`` is always the lexicographically smaller member.
     """
 
-    first: Pattern
-    second: Pattern
+    __match_args__ = ("first", "second")
 
-    def __post_init__(self) -> None:
-        if self.second < self.first:
-            a, b = self.second, self.first
-            object.__setattr__(self, "first", a)
-            object.__setattr__(self, "second", b)
+    def __init__(self, first: Pattern, second: Pattern) -> None:
+        if second < first:
+            first, second = second, first
+        vars(self).update(first=first, second=second)
         if self.first == self.second:
             raise ValueError("pattern set members must be distinct")
         d = pattern_distance(self.first, self.second)
@@ -153,7 +175,7 @@ def valid_pattern_sets() -> tuple[PatternSet, ...]:
     """All 6540 unordered pattern pairs at distance >= 3, in lexicographic
     order of (first, second)."""
     # Each row of set_index_array is i < j into the lexicographic all_patterns()
-    # at distance >= 3, so the checks of PatternSet.__post_init__ hold by
+    # at distance >= 3, so the checks of PatternSet.__init__ hold by
     # construction and are not run again.
     patterns, new, put = all_patterns(), object.__new__, object.__setattr__
     table = []

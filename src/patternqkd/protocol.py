@@ -63,7 +63,6 @@ with the same config are therefore bitwise identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -72,10 +71,11 @@ import numpy as np
 from . import analysis, code5
 from .channel import EveStrategy, NoiseModel, UNIFORM_KNOWLEDGE
 from .patterns import PatternSet, _pattern_arrays, all_patterns, guessed_set_with_overlap, pattern_indices
-from .patterns import _BASE2, relative_index, sample_pattern_set
+from .patterns import _BASE2, _Value, relative_index, sample_pattern_set
 
 DECISION_CONTINUE = "continue"
 DECISION_ABORT = "abort"
+DEFAULT_MASTER_SEED = 0  # SessionConfig's, read by session_io too
 
 # Stream-derivation domains and session purposes, the keys of the module docstring.
 _DOMAIN_BLOCK = 0
@@ -123,20 +123,17 @@ def sweep_seed(master_seed: int, index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(_Value):
     """Full definition of one protocol session."""
 
-    num_blocks: int
-    secret_set: PatternSet
-    master_seed: int = 0
-    test_fraction: float = 0.5
-    mqer_threshold: float = 0.10
-    noise: NoiseModel = NoiseModel()
-    eve: EveStrategy = EveStrategy()
-    logical_basis: str = "Z"
+    __match_args__ = ("num_blocks", "secret_set", "master_seed", "test_fraction", "mqer_threshold", "noise", "eve",
+                      "logical_basis")
 
-    def __post_init__(self) -> None:
+    def __init__(self, num_blocks: int, secret_set: PatternSet, master_seed: int = DEFAULT_MASTER_SEED,
+                 test_fraction: float = 0.5, mqer_threshold: float = 0.10, noise: NoiseModel = NoiseModel(),
+                 eve: EveStrategy = EveStrategy(), logical_basis: str = "Z") -> None:
+        values = (num_blocks, secret_set, master_seed, test_fraction, mqer_threshold, noise, eve, logical_basis)
+        vars(self).update(zip(self.__match_args__, values))
         if self.num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if not isinstance(self.secret_set, PatternSet):
@@ -150,28 +147,26 @@ class SessionConfig:
         check_master_seed(self.master_seed)
 
 
-@dataclass(eq=False)
 class Blocks:
     """Consecutive blocks as equal-length columns; row i is block ``first + i``.
 
     Flags are bool.  Bits, pattern indices and syndromes are int8, -1 where
     a value does not exist: a lost block's measurements, and the
     interceptor's guess (an index into ``all_patterns()``) and bit when
-    there is none or the block is lost.
+    there is none or the block is lost.  Mutable, and equal only to itself.
     """
 
-    first: int
-    alice_bit: np.ndarray
-    alice_pattern_index: np.ndarray
-    bob_pattern_index: np.ndarray
-    lost: np.ndarray
-    syndrome: np.ndarray
-    bob_bit: np.ndarray
-    eve_guess: np.ndarray
-    eve_bit: np.ndarray
-    sifted: np.ndarray
-    disclosed_for_test: np.ndarray
-    pns_leak: np.ndarray
+    __match_args__ = ("first", "alice_bit", "alice_pattern_index", "bob_pattern_index", "lost", "syndrome", "bob_bit",
+                      "eve_guess", "eve_bit", "sifted", "disclosed_for_test", "pns_leak")
+    __repr__ = _Value.__repr__
+
+    def __init__(self, first: int, alice_bit: np.ndarray, alice_pattern_index: np.ndarray,
+                 bob_pattern_index: np.ndarray, lost: np.ndarray, syndrome: np.ndarray, bob_bit: np.ndarray,
+                 eve_guess: np.ndarray, eve_bit: np.ndarray, sifted: np.ndarray, disclosed_for_test: np.ndarray,
+                 pns_leak: np.ndarray) -> None:
+        values = (first, alice_bit, alice_pattern_index, bob_pattern_index, lost, syndrome, bob_bit, eve_guess, eve_bit,
+                  sifted, disclosed_for_test, pns_leak)
+        vars(self).update(zip(self.__match_args__, values))
 
     def __len__(self) -> int:
         return len(self.lost)
@@ -181,21 +176,19 @@ class Blocks:
 _COLUMN_DTYPES = (np.int8, np.int8, np.int8, bool, np.int8, np.int8, np.int8, np.int8, bool, bool, bool)
 
 
-@dataclass
 class SessionReport:
-    """Aggregate outcome of a session."""
+    """Aggregate outcome of a session.  Mutable, and equal by fields, so unhashable."""
 
-    blocks_sent: int
-    blocks_lost: int
-    blocks_sifted: int
-    blocks_tested: int
-    mqer_estimate: float
-    mqer_warning: bool
-    decision: str
-    sift_rate: float
-    raw_key: list[int]
-    eve_success_rate: Optional[float]
-    pns_leak_blocks: int
+    __match_args__ = ("blocks_sent", "blocks_lost", "blocks_sifted", "blocks_tested", "mqer_estimate", "mqer_warning",
+                      "decision", "sift_rate", "raw_key", "eve_success_rate", "pns_leak_blocks")
+    __eq__, __repr__ = _Value.__eq__, _Value.__repr__  # with __eq__ and no __hash__, Python sets __hash__ = None
+
+    def __init__(self, blocks_sent: int, blocks_lost: int, blocks_sifted: int, blocks_tested: int,
+                 mqer_estimate: float, mqer_warning: bool, decision: str, sift_rate: float, raw_key: list[int],
+                 eve_success_rate: Optional[float], pns_leak_blocks: int) -> None:
+        values = (blocks_sent, blocks_lost, blocks_sifted, blocks_tested, mqer_estimate, mqer_warning, decision,
+                  sift_rate, raw_key, eve_success_rate, pns_leak_blocks)
+        vars(self).update(zip(self.__match_args__, values))
 
 
 def _below(words: np.ndarray, prob: float) -> np.ndarray:

@@ -73,7 +73,7 @@ def build_session_config(
             typed[key] = FIELDS[key][0](text)
     typed.update(overrides or {})
 
-    seed = typed.get("master_seed", protocol.SessionConfig.master_seed)  # the dataclass default
+    seed = typed.get("master_seed", protocol.DEFAULT_MASTER_SEED)
     with rejecting():
         # The secret set and the guessed set below are drawn from the seed.
         protocol.check_master_seed(seed)
@@ -86,7 +86,7 @@ def build_session_config(
             for key, value in typed.items() if key.startswith("noise.")
         })
 
-    kind, knowledge = typed.get("eve.kind", channel.EveStrategy.kind), None
+    kind, knowledge = typed.get("eve.kind", channel.NO_EVE), None
     if kind == "intercept_resend":
         knowledge = typed.get("eve.knowledge", channel.UNIFORM_KNOWLEDGE)
         with rejecting("field 'eve.knowledge': "):

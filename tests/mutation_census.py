@@ -101,6 +101,11 @@ MUTANTS = (
      "        return pauli_masks(LOGICAL_X)", "        return pauli_masks(LOGICAL_Z)", KILLED, ""),
     ("a stabilizer generator ends in X, not Z", CODE5, '"XIXZZ", "ZXIXZ")', '"XIXZZ", "ZXIXX")', KILLED, ""),
     ("sets at distance 2 are valid", PATTERNS, "MIN_SET_DISTANCE = 3", "MIN_SET_DISTANCE = 2", KILLED, ""),
+    ("values of different types compared by their fields", PATTERNS,
+     "return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented",
+     "return vars(self) == vars(other)", KILLED, ""),
+    ("frozen values accept assignment", PATTERNS,
+     "    __setattr__ = __delattr__ = _refuse\n", "    __delattr__ = _refuse\n", KILLED, ""),
 )
 
 

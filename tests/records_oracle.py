@@ -21,7 +21,7 @@ pinned by a digest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,7 +62,7 @@ def as_records(blocks: Blocks) -> list[BlockRecord]:
     """Every row of ``blocks`` as a BlockRecord, in order; -1 columns become None."""
     records = []
     for i in range(len(blocks)):
-        row = {f.name: getattr(blocks, f.name)[i].item() for f in fields(blocks)[1:]}
+        row = {name: getattr(blocks, name)[i].item() for name in Blocks.__match_args__[1:]}
         guess, eve_bit = row.pop("eve_guess"), row.pop("eve_bit")
         if row["lost"]:
             row["syndrome"] = row["bob_bit"] = None
@@ -78,7 +78,8 @@ def run_block(config: SessionConfig, block_id: int) -> BlockRecord:
 
 def take_rows(blocks: Blocks, rows) -> Blocks:
     """The given rows of every column; ``first`` is kept as it is."""
-    return Blocks(blocks.first, *(getattr(blocks, f.name)[np.asarray(rows, dtype=np.intp)] for f in fields(Blocks)[1:]))
+    rows = np.asarray(rows, dtype=np.intp)
+    return Blocks(blocks.first, *(getattr(blocks, name)[rows] for name in Blocks.__match_args__[1:]))
 
 
 def format_records(records: Sequence[BlockRecord]) -> str:

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import helpers
@@ -24,7 +23,7 @@ import patternqkd
 from patternqkd import cli, patterns, protocol, session_io
 from patternqkd.channel import UNIFORM_KNOWLEDGE, EveStrategy, NoiseModel
 from patternqkd.patterns import PatternSet, all_patterns, set_at, valid_pattern_sets
-from patternqkd.protocol import SessionConfig, SessionReport, run_session
+from patternqkd.protocol import Blocks, SessionConfig, SessionReport, run_session
 
 
 HONEST_CFG = """\
@@ -401,6 +400,45 @@ class TestLazyStartup:
             [cli.EXIT_OK, ["patternqkd.analysis", *session]],
             [],
         ]
+
+    def test_no_command_executes_generated_code(self, tmp_path):
+        # The value types are plain classes, not dataclasses, whose methods are source generated, compiled and
+        # executed anew in each process: every code object a command executes comes from a .py file.  numpy and
+        # numpy.random are imported before the hook, since their start-up is not the package's.
+        src = Path(patternqkd.__file__).resolve().parent.parent
+        (tmp_path / "honest.cfg").write_text(HONEST_CFG)
+        (tmp_path / "uniform.cfg").write_text(HONEST_CFG + "eve.kind = intercept_resend\n")
+        code = textwrap.dedent("""
+            import io, json, sys
+            from contextlib import redirect_stdout
+            import numpy, numpy.random
+            sys.path.insert(0, sys.argv[1])
+            generated = []
+
+            def hook(event, args):
+                filename = getattr(args[0], "co_filename", "") if event == "exec" else ".py"
+                if not filename.endswith(".py"):
+                    generated.append(f"{filename} {args[0].co_qualname}")
+
+            sys.addaudithook(hook)
+            from patternqkd import cli
+            codes = []
+            for argv in json.loads(sys.argv[2]):
+                with redirect_stdout(io.StringIO()):
+                    codes.append(cli.main(argv))
+            print(json.dumps([codes, generated]))
+        """)
+        runs = [
+            ["simulate", "--config", str(tmp_path / "honest.cfg"), "--out", str(tmp_path / "honest")],
+            ["simulate", "--config", str(tmp_path / "uniform.cfg"), "--out", str(tmp_path / "uniform")],
+            ["sweep", "--config", str(tmp_path / "honest.cfg"), "--out", str(tmp_path / "sweep"),
+             "--axis", "eve_overlap", "--values", "0,2"],
+            ["analyze", "--set-id", "17"],
+            ["enumerate", "--out", str(tmp_path / "tables")],
+        ]
+        argv = [sys.executable, "-c", code, str(src), json.dumps(runs)]
+        done = subprocess.run(argv, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == [[cli.EXIT_OK, cli.EXIT_ABORT, cli.EXIT_OK, cli.EXIT_OK, cli.EXIT_OK], []]
 
     def test_analyze_imports_neither_fractions_nor_decimal(self):
         # the guessing game is counted in integers, so a cold analyze needs no rational arithmetic
@@ -1175,7 +1213,7 @@ class TestColumnarRecords:
     ], ids=["all-lost", "all-intercepted"])
     def test_equals_the_per_record_formatter_across_id_widths(self, config, first):
         session = SessionConfig(num_blocks=4200, secret_set=PatternSet.from_string("12345 13452"), master_seed=43, **config)
-        blocks = replace(run_session(session)[1], first=first)
+        blocks = Blocks(**{**vars(run_session(session)[1]), "first": first})
         assert blocks.lost.all() or (blocks.eve_guess >= 0).all()
         expected = format_records(as_records(blocks))
         assert_same_text(records_text(blocks), expected)
@@ -1197,7 +1235,7 @@ class TestColumnarRecords:
     def test_both_nul_branches_equal_the_per_record_formatter(self, branch, first):
         session = SessionConfig(num_blocks=2100, secret_set=PatternSet.from_string("12345 13452"), master_seed=53,
                                 **self.BRANCHES[branch])
-        blocks = replace(run_session(session)[1], first=first)
+        blocks = Blocks(**{**vars(run_session(session)[1]), "first": first})
         assert 0 < np.count_nonzero(blocks.lost) < 40 if branch == "some-lost" else not blocks.lost.any()
         expected = format_records(as_records(blocks))
         for rows in (1, 97, 2048):

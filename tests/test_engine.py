@@ -10,7 +10,7 @@ relabelling and draw rules against the physics and pins the layout itself.
 import hashlib
 import math
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -327,10 +327,10 @@ class TestChunking:
             patch.setattr(protocol, "_BATCH_BLOCKS", batch)
             report, batched = run_session(config)
         assert report == whole_report
-        for f in fields(protocol.Blocks)[1:]:
-            column = getattr(batched, f.name)
-            assert column.dtype == getattr(whole, f.name).dtype
-            np.testing.assert_array_equal(column, getattr(whole, f.name), err_msg=f.name)
+        for name in protocol.Blocks.__match_args__[1:]:
+            column = getattr(batched, name)
+            assert column.dtype == getattr(whole, name).dtype
+            np.testing.assert_array_equal(column, getattr(whole, name), err_msg=name)
         for i in sorted({i % blocks for i in block_ids}):
             assert run_block(config, i) == replace(as_records(whole)[i], disclosed_for_test=False)
 
@@ -502,7 +502,7 @@ class TestSessionPath:
 
     def test_no_block_record_and_no_float_cumsum_in_a_session(self, monkeypatch):
         config = replay_config(blocks=3000)
-        run_session(replace(config, num_blocks=10))  # builds the cached tables
+        run_session(SessionConfig(**{**vars(config), "num_blocks": 10}))  # builds the cached tables
         assert protocol._draw_table(config.logical_basis, True).dtype == np.int8
         cumsums, cumsum = [], np.cumsum
 

@@ -92,7 +92,8 @@ def test_the_check_finds_an_assert_statement():
 
 def imports_of(source: str, module: str) -> list[int]:
     """The line of each import in ``source`` that reads the package module ``module``: ``from .module import``,
-    ``from . import module``, ``import patternqkd.module`` and their absolute or aliased forms."""
+    ``from . import module``, ``import patternqkd.module`` and their absolute or aliased forms.  The same forms
+    without the package, ``import module`` and ``from module import``, find a top-level module."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -123,6 +124,25 @@ def test_the_check_finds_an_import_of_a_module():
         "_lazy('quantum_core')\n"
     )
     assert imports_of(source, "quantum_core") == [1, 2, 3, 4, 5, 9]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_no_module_imports_dataclasses(path):
+    # @dataclass generates its methods' source, which every process compiles and executes anew
+    assert imports_of(path.read_text(), "dataclasses") == []
+
+
+def test_the_check_finds_an_import_of_dataclasses():
+    source = (
+        "from dataclasses import dataclass\n"
+        "import dataclasses\n"
+        "import json, dataclasses as dc\n"
+        "from dataclasses import fields as listed, replace\n"
+        "import dataclasses_json\n"
+        "from .values import dataclass_like\n"
+        "def f():\n    from dataclasses import field\n"
+    )
+    assert imports_of(source, "dataclasses") == [1, 2, 3, 4, 8]
 
 
 # Public names that no package module reads, each kept for a reader outside the package (a method as
@@ -289,10 +309,17 @@ print(json.dumps({"entered": sorted(entered), "codes": codes}))
 """
 
 
+# Private defs that no subcommand enters, each with the callers outside the package that enter it.
+ENTERED_FROM_OUTSIDE = {
+    "patterns._Value.__repr__": "tracebacks, pytest's assertion messages and interactive sessions show values with it",
+    "patterns._Value._refuse": "a caller that assigns to or deletes an attribute of a frozen value; test_values.py",
+}
+
+
 def test_every_def_is_entered_by_some_subcommand(tmp_path):
     # A def that no subcommand enters serves only its tests or a reader outside the package, and the second
-    # kind is named in UNREAD_BY_THE_PACKAGE; no package def reads valid_pattern_sets: bench/ reads it through
-    # analysis's noqa re-export, and the tests read it too.
+    # kind is named in UNREAD_BY_THE_PACKAGE or ENTERED_FROM_OUTSIDE; no package def reads valid_pattern_sets:
+    # bench/ reads it through analysis's noqa re-export, and the tests read it too.
     package = Path(patternqkd.__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(package.parent), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
@@ -306,7 +333,8 @@ def test_every_def_is_entered_by_some_subcommand(tmp_path):
         f"{Path(file).stem}.{name}" for file, name in result["entered"] if Path(file).parent == package
     }
     defined = defined_functions({path.stem: path.read_text() for path in SOURCES})
-    assert sorted(defined - entered) == sorted([*UNREAD_BY_THE_PACKAGE, "patterns.valid_pattern_sets"])
+    expected = [*UNREAD_BY_THE_PACKAGE, *ENTERED_FROM_OUTSIDE, "patterns.valid_pattern_sets"]
+    assert sorted(defined - entered) == sorted(expected)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -183,7 +183,7 @@ class TestPatternSet:
             assert (rebuilt.first, rebuilt.second) == (s.first, s.second)
 
     def test_table_build_checks_no_set_again(self, monkeypatch):
-        calls = {"__post_init__": 0, "pattern_distance": 0}
+        calls = {"__init__": 0, "pattern_distance": 0}
 
         def counting(name, function):
             def wrapper(*args):
@@ -191,13 +191,13 @@ class TestPatternSet:
                 return function(*args)
             return wrapper
 
-        monkeypatch.setattr(PatternSet, "__post_init__", counting("__post_init__", PatternSet.__post_init__))
+        monkeypatch.setattr(PatternSet, "__init__", counting("__init__", PatternSet.__init__))
         monkeypatch.setattr(patterns, "pattern_distance", counting("pattern_distance", pattern_distance))
         PatternSet.from_string("12345 23451")  # the counters see the validating constructor
-        assert calls == {"__post_init__": 1, "pattern_distance": 1}
+        assert calls == {"__init__": 1, "pattern_distance": 1}
         valid_pattern_sets.cache_clear()
         assert len(valid_pattern_sets()) == 6540
-        assert calls == {"__post_init__": 1, "pattern_distance": 1}
+        assert calls == {"__init__": 1, "pattern_distance": 1}
 
     def test_set_index_array_matches_the_sets(self):
         pairs = set_index_array()
